@@ -7,8 +7,9 @@ and re-parsed to reproduce the run byte for byte.  The echo omits keys
 that cannot change the result rows (workers, out) and the timestamp
 metadata, which ``--no-timestamp`` drops entirely.
 
-Exit codes: 0 on success, 2 for usage/validation problems and for failed
-check suites, 1 for runtime errors.
+Exit codes: 0 on success, 2 for usage/validation problems (including
+template requests above quad.NODE_CEILING) and for failed check suites,
+1 for runtime errors (including out-of-memory and template failures).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import __version__
 from .fields import catalog
 from .hgroup import origin
-from .quad import QuadSpec, ScaleGrid
+from .quad import QuadSpec, ScaleGrid, check_template_request
 from .squarefn import g_alpha
 from .beta import beta_profile
 from .verify import (
@@ -298,6 +299,11 @@ def _validated(config: RunConfig) -> RunConfig:
         raise UsageError(f"workers must be >= 1, got {config.workers}")
     if config.box_radius <= 0:
         raise UsageError(f"box-radius must be positive, got {config.box_radius}")
+    try:
+        check_template_request(config.n, config.quad_spec)
+    except ValueError as exc:
+        knob = "--grid-per-axis" if config.mode == "grid" else "--samples"
+        raise UsageError(f"{exc}; lower {knob}") from None
     if config.suite == "dorronsoro":
         gate = gate_exponents(config.p, config.q, config.n)
         if not gate.admissible:
@@ -474,7 +480,8 @@ def _run_suite(config: RunConfig):
 
 def run(config: RunConfig) -> int:
     """Execute the configured suite and write its artifact; returns the
-    exit status (0 ok, 2 failed checks, 1 runtime error)."""
+    exit status (0 ok, 2 failed checks, 1 runtime error or out of
+    memory)."""
     try:
         columns, rows, dicts, status = _run_suite(config)
         if config.format == "csv":
@@ -486,8 +493,9 @@ def run(config: RunConfig) -> int:
                 sink.write(text)
         else:
             sys.stdout.write(text)
-    except (OSError, FloatingPointError, ValueError) as exc:
-        print(f"heisbeta: error: {exc}", file=sys.stderr)
+    except (OSError, FloatingPointError, ValueError, RuntimeError,
+            MemoryError) as exc:
+        print(f"heisbeta: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return status
 

@@ -30,6 +30,12 @@ class ScalarField:
     grad_decay_bound: Callable[[Array], Array] | None = None
 
 
+def _zsq(p):
+    # |z|^2 without a squared-coordinates temporary; p may be a strided view
+    z = p[..., :-1]
+    return np.einsum("...i,...i->...", z, z)
+
+
 def _gauss_envelope(r):
     # sharp lower bound for |z|^2 + t^2 on the gauge sphere N = r:
     # the minimum sits at z = 0 (r^4/16) until r > 4, then at t = 0 (r^2)
@@ -40,7 +46,7 @@ def _gauss_envelope(r):
 def _gaussian(n: int) -> ScalarField:
     def ev(p):
         p = np.asarray(p, dtype=float)
-        return np.exp(-(p[..., :-1] ** 2).sum(axis=-1) - p[..., -1] ** 2)
+        return np.exp(-_zsq(p) - p[..., -1] ** 2)
 
     def grad(p):
         p = np.asarray(p, dtype=float)
@@ -70,7 +76,7 @@ def _bump(n: int) -> ScalarField:
     # everywhere, smooth away from the gauge cone at the origin
     def _parts(p):
         p = np.asarray(p, dtype=float)
-        zsq = (p[..., :-1] ** 2).sum(axis=-1)
+        zsq = _zsq(p)
         u = np.sqrt(zsq * zsq + 16.0 * p[..., -1] ** 2)
         return zsq, u
 
@@ -129,7 +135,7 @@ def _vertical_wave(n: int, omega: float) -> ScalarField:
 
     def _parts(p):
         p = np.asarray(p, dtype=float)
-        g = np.exp(-(p[..., :-1] ** 2).sum(axis=-1) - p[..., -1] ** 2)
+        g = np.exp(-_zsq(p) - p[..., -1] ** 2)
         return p, g
 
     def ev(p):

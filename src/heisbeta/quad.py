@@ -34,6 +34,10 @@ _VOLUME_SEED = 760355
 
 _MODES = ("grid", "montecarlo")
 
+# Largest template request, in nodes allocated before the ball filter
+# (80 MB per coordinate); see check_template_request.
+NODE_CEILING = 10_000_000
+
 
 @dataclass(frozen=True)
 class QuadSpec:
@@ -160,8 +164,21 @@ def _ball_template_cached(n: int, mode: str, samples: int, seed: int, per_axis: 
     return _grid_ball_template(n, per_axis)
 
 
+def check_template_request(n: int, spec: QuadSpec) -> None:
+    """Reject a ball or box template for spec above NODE_CEILING nodes,
+    counted before the ball filter: grid_per_axis^(2n+1) mesh points in
+    grid mode, samples proposals in Monte Carlo mode."""
+    count = spec.grid_per_axis ** (2 * n + 1) if spec.mode == "grid" else spec.samples
+    if count > NODE_CEILING:
+        raise ValueError(
+            f"template request of {count} nodes at n={n} exceeds the ceiling "
+            f"of {NODE_CEILING}"
+        )
+
+
 def ball_template(n: int, spec: QuadSpec) -> BallTemplate:
     """Centered unit-ball template for a QuadSpec, cached per (n, spec)."""
+    check_template_request(n, spec)
     if spec.mode == "montecarlo":
         return _ball_template_cached(n, "montecarlo", spec.samples, spec.seed, 0)
     return _ball_template_cached(n, "grid", 0, 0, spec.grid_per_axis)
@@ -263,6 +280,7 @@ def box_nodes(n: int, box_radius: float, spec: QuadSpec) -> Array:
     """Quadrature nodes for the gauge box |z_j| <= R, |t| <= R^2."""
     if box_radius <= 0:
         raise ValueError(f"box_radius must be positive, got {box_radius}")
+    check_template_request(n, spec)
     if spec.mode == "montecarlo":
         unit = _unit_box_template_cached(n, "montecarlo", spec.samples, spec.seed, 0)
     else:

@@ -33,8 +33,6 @@ Array = np.ndarray
 # the scale integral is pure rounding noise, so no truncation is charged
 _ANNIHILATION = 1e-12
 
-_NODE_BUDGET = 2_000_000
-
 
 @dataclass(frozen=True, eq=False)
 class SquareFnResult:
@@ -191,14 +189,9 @@ def g_values_at(f, xs: Array, alpha: float, q: float, grid: ScaleGrid, spec: Qua
     d = int(alpha >= 1.0)
     rs = grid.nodes()
     n = f.n
-    tpl = ball_template(n, spec)
-    out = np.empty(len(xs))
-    chunk = max(1, int(_NODE_BUDGET // max(1, len(tpl.nodes))))
-    for lo in range(0, len(xs), chunk):
-        sweep = scale_sweep(f, xs[lo : lo + chunk], rs, d, q, tpl, want_se=False)
-        integ = (rs[None, :] ** -alpha * sweep["beta"]) ** 2
-        out[lo : lo + chunk] = np.sqrt(integ.sum(axis=1) * grid.log_step)
-    return out
+    sweep = scale_sweep(f, xs, rs, d, q, ball_template(n, spec), want_se=False)
+    integ = (rs[None, :] ** -alpha * sweep["beta"]) ** 2
+    return np.sqrt(integ.sum(axis=1) * grid.log_step)
 
 
 def _domain_tail_estimate(f, alpha, q, p, box_radius, grid, spec) -> float:

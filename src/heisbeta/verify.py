@@ -258,23 +258,24 @@ def _power_tail(rho: Array, means: Array, edge: float, big_q: int, c_n: float) -
     Fits the decay rate of the shell means of h^p on the last four shells
     and integrates the power law from `edge` to infinity.  Returns inf when
     the measured decay cannot beat the volume growth (the tail is then not
-    summable as far as the data shows), 0 when the integrand has died.
+    summable as far as the data shows), 0 when the integrand has died (the
+    outermost shell mean is exactly 0).
     """
-    tailslice = slice(-4, None)
-    m = means[tailslice]
-    r = rho[tailslice]
-    pos = m > 0
-    if not pos.any():
+    m = means[-4:]
+    r = rho[-4:]
+    if not m[-1] > 0:
         return 0.0
+    pos = m > 0
     if pos.sum() < 2:
         return math.inf
     slope = np.polyfit(np.log(r[pos]), np.log(m[pos]), 1)[0]
     if slope + big_q >= -1e-9:
         return math.inf
-    level = m[-1] if m[-1] > 0 else m[pos][-1]
-    anchor = r[-1] if m[-1] > 0 else r[pos][-1]
+    # level * anchor^-slope * edge^(Q+slope), grouped so that a steep slope
+    # underflows to 0 instead of forming 0 * inf
+    level, anchor = m[-1], r[-1]
     return float(
-        -level * big_q * c_n * edge ** (big_q + slope) * anchor**-slope
+        -level * big_q * c_n * anchor**big_q * (edge / anchor) ** (big_q + slope)
         / (big_q + slope)
     )
 
@@ -311,14 +312,9 @@ def _g_window_values(f, pts: Array, rs: Array, coef: Array, h: float, d: int,
     under dilation does the rest).
     """
     flat = pts.reshape(-1, pts.shape[-1])
-    out = np.empty(len(flat))
-    budget = 2_000_000
-    chunk = max(1, int(budget // max(1, len(rs) * len(tpl.nodes))))
-    for lo in range(0, len(flat), chunk):
-        sweep = scale_sweep(f, flat[lo : lo + chunk], rs, d, q, tpl, want_se=False)
-        integ = (coef[None, :] * sweep["beta"]) ** 2
-        out[lo : lo + chunk] = np.sqrt(integ.sum(axis=1) * h)
-    return out.reshape(pts.shape[:-1])
+    sweep = scale_sweep(f, flat, rs, d, q, tpl, want_se=False)
+    integ = (coef[None, :] * sweep["beta"]) ** 2
+    return np.sqrt(integ.sum(axis=1) * h).reshape(pts.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +391,27 @@ def dorronsoro_ratio(f: ScalarField, p: float, q: float,
     )
 
 
+def _dilated_dorronsoro_sides(f: ScalarField, p: float, q: float,
+                              config: HarnessConfig, s: float):
+    """(lhs, rhs) of the Dorronsoro ratio of f_s on the base domain points."""
+    spec = config.sweep_spec
+    grid = config.scale_grid
+    polar = _polar_domain(
+        config.n, config.rho_min, 2.0 * config.box_radius,
+        config.norm_per_decade, config.norm_dirs, spec,
+    )
+    rs = grid.nodes()
+    pts_dil = dilate(s, polar.pts)
+    # beta_{f_s,1,q}(B(x, r)) = beta_{f,1,q}(B(delta_s x, s r)) pointwise
+    gvals = _g_window_values(
+        f, pts_dil, s * rs, rs**-1.0, grid.log_step, 1, q,
+        ball_template(config.n, spec),
+    )
+    lhs = _shell_lp(gvals, polar.vols, p)[0]
+    rhs = s * _shell_lp(_grad_magnitude(f, pts_dil), polar.vols, p)[0]
+    return lhs, rhs
+
+
 def dorronsoro_stability(f: ScalarField, p: float, q: float,
                          config: HarnessConfig, s: float,
                          base: RatioReport | None = None) -> RatioReport:
@@ -410,20 +427,12 @@ def dorronsoro_stability(f: ScalarField, p: float, q: float,
         raise ValueError(f"dilation factor must be positive, got {s}")
     if base is None:
         base = dorronsoro_ratio(f, p, q, config)
-    n = config.n
-    spec = config.sweep_spec
-    grid = config.scale_grid
-    polar = _polar_domain(
-        n, config.rho_min, 2.0 * config.box_radius, config.norm_per_decade,
-        config.norm_dirs, spec,
-    )
-    tpl = ball_template(n, spec)
-    rs = grid.nodes()
-    pts_dil = dilate(s, polar.pts)
-    # beta_{f_s,1,q}(B(x, r)) = beta_{f,1,q}(B(delta_s x, s r)) pointwise
-    gvals = _g_window_values(f, pts_dil, s * rs, rs**-1.0, grid.log_step, 1, q, tpl)
-    lhs = _shell_lp(gvals, polar.vols, p)[0]
-    rhs = s * _shell_lp(_grad_magnitude(f, pts_dil), polar.vols, p)[0]
+    if s == 1.0:
+        # delta_1 and 1.0 * rs are exact: the dilated run would reproduce
+        # the base sides bit for bit
+        lhs, rhs = base.lhs, base.rhs
+    else:
+        lhs, rhs = _dilated_dorronsoro_sides(f, p, q, config, s)
     params = dict(base.params) | {"s": s, "base_ratio": base.ratio}
     if not rhs > _DEGENERATE_RHS * (1.0 + lhs):
         return _report("dorronsoro-stability", lhs, rhs, params, (0.0, 0.0))

@@ -1,12 +1,15 @@
 """Beta numbers: annihilation, covariance, profiles, monotonicity ratios."""
 
+import math
+
 import numpy as np
 import pytest
 
-from heisbeta.beta import beta_number, beta_profile, check_monotonicity
+from heisbeta import beta
+from heisbeta.beta import beta_number, beta_profile, check_monotonicity, scale_sweep
 from heisbeta.fields import catalog, precompose_dilation, vertical_translate
 from heisbeta.hgroup import dilate, group_mul
-from heisbeta.quad import QuadSpec, ScaleGrid
+from heisbeta.quad import QuadSpec, ScaleGrid, ball_template, mean_stderr
 
 from conftest import random_points
 
@@ -115,3 +118,57 @@ def test_monotonicity_containment_enforced():
         check_monotonicity(f, (x, 2.0), (x, 1.0), spec=GRID)
     with pytest.raises(ValueError, match="positive"):
         check_monotonicity(f, (x, 0.0), (x, 1.0), spec=GRID)
+
+
+def _reference_sweep(f, centers, rs, d, q, tpl, center_vals=None, want_se=True):
+    """Unblocked sweep: nodes from the group law, residuals as |res|^q."""
+    u = tpl.nodes
+    nodes = group_mul(centers[:, None, None, :], dilate(rs[:, None], u[None])[None])
+    vals = f.eval(nodes)
+    b = vals.mean(axis=-1)
+    res = vals - b[..., None]
+    if d == 1:
+        a = (vals @ u[:, :-1] / len(u)) / tpl.m2
+        res -= np.einsum("krj,mj->krm", a, u[:, :-1])
+    g = np.abs(res) ** q
+    s = g.mean(axis=-1)
+    out = {"beta": s ** (1.0 / q), "mean": b, "amax": np.abs(vals).max(axis=-1),
+           "beta_se": np.zeros_like(s)}
+    if want_se:
+        se_s = mean_stderr(g, tpl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out["beta_se"] = np.where(
+                s > 0, se_s * s ** (1.0 / q - 1.0) / q, se_s ** (1.0 / q)
+            )
+    if center_vals is not None:
+        dgv = np.abs(vals - center_vals[:, None, None])
+        out["cdiff"] = dgv.mean(axis=-1)
+        out["cdiff_se"] = mean_stderr(dgv, tpl) if want_se else np.zeros_like(s)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("extras", [False, True], ids=["plain", "cdiff-se"])
+def test_scale_sweep_matches_group_law_reference(monkeypatch, n, d, q, extras):
+    f = catalog("gaussian", n=n)
+    tpl = ball_template(n, QuadSpec(samples=1500, seed=5))
+    m = len(tpl.nodes)
+    centers = random_points(np.random.default_rng(17), 5, n=n, z_extent=1.5,
+                            t_extent=2.0)
+    rs = np.geomspace(1e-3, 1e2, 7)
+    center_vals = f.eval(centers) if extras else None
+    evals = []
+    counted = lambda p: evals.append(p.shape) or f.eval(p)
+    # three radii of one center per block: blocks split centers and radii
+    monkeypatch.setattr(beta, "_NODE_BUDGET", 3 * m)
+    got = scale_sweep(counted, centers, rs, d, q, tpl,
+                      center_vals=center_vals, want_se=extras)
+    assert len(evals) == len(centers) * math.ceil(len(rs) / 3)
+    want = _reference_sweep(f, centers, rs, d, q, tpl, center_vals, want_se=extras)
+    assert set(got) == set(want)
+    for key in want:
+        # cdiff_se at the largest radii is rounding noise around 0
+        np.testing.assert_allclose(got[key], want[key], rtol=1e-9, atol=1e-15,
+                                   err_msg=key)

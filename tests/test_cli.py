@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from heisbeta import quad
 from heisbeta.cli import RunConfig, UsageError, main, parse_config, run
+from heisbeta.quad import NODE_CEILING
 
 FAST_BETA = [
     "beta", "--mode", "grid", "--grid-per-axis", "8",
@@ -177,3 +179,37 @@ def test_stdout_default(capsys):
     assert run_main(FAST_BETA) == 0
     captured = capsys.readouterr().out
     assert "r,beta,stderr" in captured
+
+
+@pytest.mark.parametrize("exc", [
+    MemoryError(),
+    RuntimeError("rejection sampling produced no ball nodes"),
+], ids=["memory", "template"])
+def test_runtime_failures_exit_1_with_one_line(monkeypatch, capsys, exc):
+    def builder(*args):
+        raise exc
+
+    monkeypatch.setattr(quad, "_ball_template_cached", builder)
+    assert run(parse_config(FAST_BETA)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("heisbeta: error: ") and err.count("\n") == 1
+
+
+def test_oversized_template_rejected_before_allocation(monkeypatch, capsys):
+    calls = []
+
+    def builder(*args):
+        calls.append(args)
+        raise AssertionError("template builder reached")
+
+    for name in ("_ball_template_cached", "_grid_ball_template",
+                 "_mc_ball_template", "_unit_box_template_cached"):
+        monkeypatch.setattr(quad, name, builder)
+    # 24^7 = 4.6e9 mesh points
+    assert run_main(["identities", "--n", "3", "--mode", "grid"]) == 2
+    assert "--grid-per-axis" in capsys.readouterr().err
+    assert run_main(["beta", "--samples", str(NODE_CEILING + 1)]) == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not calls
+    # the largest default request, 24^5 mesh points at n = 2, is admitted
+    assert parse_config(["identities", "--n", "2", "--mode", "grid"]).n == 2

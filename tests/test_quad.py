@@ -8,6 +8,7 @@ import pytest
 from heisbeta.fields import catalog
 from heisbeta.hgroup import gauge, group_mul
 from heisbeta.quad import (
+    NODE_CEILING,
     QuadSpec,
     ScaleGrid,
     _ball_constant,
@@ -21,6 +22,7 @@ from heisbeta.quad import (
     log_scale_integrate,
     log_scale_integrate_values,
     lp_tail_bound,
+    check_template_request,
     mean_stderr,
     scale_box_nodes,
 )
@@ -248,3 +250,13 @@ def test_lp_tail_bound_covers_true_tail():
 def test_mean_stderr_grid_is_zero():
     tpl = ball_template(1, GRID)
     assert np.all(mean_stderr(np.ones(len(tpl.nodes)), tpl) == 0.0)
+
+
+def test_template_requests_above_ceiling_rejected():
+    huge_grid = QuadSpec(mode="grid", grid_per_axis=24)  # 24^7 mesh points
+    check_template_request(2, huge_grid)  # 24^5 is admitted
+    check_template_request(1, QuadSpec(samples=NODE_CEILING))
+    with pytest.raises(ValueError, match="ceiling"):
+        ball_template(3, huge_grid)
+    with pytest.raises(ValueError, match="ceiling"):
+        box_nodes(1, 2.0, QuadSpec(samples=NODE_CEILING + 1))

@@ -8,6 +8,7 @@ import pytest
 from heisbeta.fields import catalog
 from heisbeta.quad import QuadSpec
 from heisbeta.verify import (
+    _power_tail,
     ExponentGate,
     HarnessConfig,
     dorronsoro_ratio,
@@ -200,3 +201,34 @@ def test_lemma_suite_cheap():
     byname = {rep.name: rep for rep in reports}
     assert byname["lemma:g-vs-s"].ratio <= 1.0
     assert byname["lemma:beta-monotonicity"].ratio < 1.0
+
+
+# the five outermost shell midpoints below a domain edge of 32 at eight
+# shells per decade, as in the polar quadrature
+TAIL_EDGE = 32.0
+TAIL_RHO = TAIL_EDGE * 10.0 ** (-(np.arange(5)[::-1] + 0.5) / 8)
+
+
+@pytest.mark.parametrize("means", [
+    [8.5e-121, 1.6e-295, 0.0, 0.0, 0.0],         # one positive mean in the last four
+    [5.2e-68, 1.3e-120, 1.4e-213, 0.0, 0.0],     # steep fit, then zeros
+    [1e-40, 1e-100, 1e-160, 1e-220, 1e-280],     # steep decay, all positive
+])
+def test_power_tail_finite_when_shell_means_underflow(means):
+    tail = _power_tail(TAIL_RHO, np.array(means), TAIL_EDGE, 4, 1.0)
+    assert math.isfinite(tail) and tail >= 0.0
+
+
+def test_power_tail_dead_and_unsummable_cases():
+    assert _power_tail(TAIL_RHO, np.zeros(5), TAIL_EDGE, 4, 1.0) == 0.0
+    assert _power_tail(TAIL_RHO, np.array([1.0, 0.5, 0.2, 0.1, 0.0]),
+                       TAIL_EDGE, 4, 1.0) == 0.0
+    # flat means: decay cannot beat the volume growth
+    assert _power_tail(TAIL_RHO, np.ones(5), TAIL_EDGE, 4, 1.0) == math.inf
+    # a single positive mean leaves no decay rate to continue with
+    assert _power_tail(TAIL_RHO, np.array([0.0, 0.0, 0.0, 0.0, 1e-5]),
+                       TAIL_EDGE, 4, 1.0) == math.inf
+    # an exact power law rho^-6 integrates in closed form
+    means = TAIL_RHO**-6.0
+    want = 4.0 * TAIL_EDGE ** (4 - 6) / (6 - 4)
+    assert _power_tail(TAIL_RHO, means, TAIL_EDGE, 4, 1.0) == pytest.approx(want)
