@@ -211,12 +211,12 @@ def check_monotonicity(f, inner, outer, q: float = 1.0, spec: QuadSpec = QuadSpe
             f"containment violated: distance {float(distance(x1, x2)):.6g} + "
             f"r1 {r1:.6g} exceeds r2 {r2:.6g}"
         )
-    n = (x1.shape[-1] - 1) // 2
-    out = _sweep_with_grid_error(
-        f, np.stack([x1, x2]), [r1, r2], 1, q, spec, n
-    )
-    b1, b2 = float(out["beta"][0, 0]), float(out["beta"][1, 1])
-    eps = 1e-12 * (1.0 + float(out["amax"][1, 1]))
+    tpl = ball_template((x1.shape[-1] - 1) // 2, spec)
+    # each ball is swept on its own; the ratio needs no error estimates
+    inner_out = scale_sweep(f, x1[None], [r1], 1, q, tpl, want_se=False)
+    outer_out = scale_sweep(f, x2[None], [r2], 1, q, tpl, want_se=False)
+    b1, b2 = float(inner_out["beta"][0, 0]), float(outer_out["beta"][0, 0])
+    eps = 1e-12 * (1.0 + float(outer_out["amax"][0, 0]))
     if b2 <= eps:
         return 0.0 if b1 <= eps else np.inf
     return b1 / b2

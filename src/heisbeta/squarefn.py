@@ -12,6 +12,7 @@ the value (square roots of the dropped integral pieces).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,8 +48,15 @@ class SquareFnResult:
     stderr: float = 0.0
 
 
+# box mesh points of the norm estimate; 8^7, so n <= 3 keep their
+# resolutions (32, 12 and 8 per axis) and larger n get coarser meshes
+_META_NODES = 2_097_152
+
+
 def _meta_spec(n: int) -> QuadSpec:
     per_axis = {1: 32, 2: 12}.get(n, 8)
+    while per_axis ** (2 * n + 1) > _META_NODES:
+        per_axis -= 1
     return QuadSpec(mode="grid", grid_per_axis=per_axis)
 
 
@@ -58,8 +66,15 @@ def lq_norm_bound(f, q: float) -> float:
     Box integral plus a shell-sum bound on the outside part, computed from
     decay metadata; infinite when f carries no decay bound.  The box part
     uses a fixed deterministic budget, so the result is an estimate whose
-    quadrature error is not separately certified.
+    quadrature error is not separately certified.  Results are cached per
+    (field, q): a field is a frozen dataclass, so equal fields share one
+    evaluation.
     """
+    return _lq_norm_bound_cached(f, float(q))
+
+
+@lru_cache(maxsize=64)
+def _lq_norm_bound_cached(f, q: float) -> float:
     if f.decay_bound is None:
         return np.inf
     radius = max(4.0, 2.0 * (f.support_radius or 1.0))

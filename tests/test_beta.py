@@ -120,6 +120,33 @@ def test_monotonicity_containment_enforced():
         check_monotonicity(f, (x, 0.0), (x, 1.0), spec=GRID)
 
 
+def _monotonicity_from_full_grid(f, inner, outer, q, spec):
+    """The ratio read off the diagonal of one 2 x 2 center x radius sweep."""
+    (x1, r1), (x2, r2) = inner, outer
+    out = beta._sweep_with_grid_error(f, np.stack([x1, x2]), [r1, r2], 1, q, spec, 1)
+    b1, b2 = float(out["beta"][0, 0]), float(out["beta"][1, 1])
+    eps = 1e-12 * (1.0 + float(out["amax"][1, 1]))
+    if b2 <= eps:
+        return 0.0 if b1 <= eps else np.inf
+    return b1 / b2
+
+
+@pytest.mark.parametrize("spec", [QuadSpec(mode="grid", grid_per_axis=12),
+                                  QuadSpec(samples=2000)], ids=["grid", "mc"])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_monotonicity_matches_full_grid_diagonal(spec, q):
+    gauss = catalog("gaussian")
+    flat = catalog("affine", a=[2.0, 1.0], b=-1.0)
+    rng = np.random.default_rng(23)
+    for x in random_points(rng, 4, z_extent=1.5, t_extent=2.0):
+        r = float(rng.uniform(0.2, 2.0))
+        y = group_mul(x, dilate(0.5 * r, np.array([0.6, -0.3, 0.2])))
+        for f in (gauss, flat):
+            got = check_monotonicity(f, (x, r), (y, 2.0 * r), q, spec)
+            want = _monotonicity_from_full_grid(f, (x, r), (y, 2.0 * r), q, spec)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def _reference_sweep(f, centers, rs, d, q, tpl, center_vals=None, want_se=True):
     """Unblocked sweep: nodes from the group law, residuals as |res|^q."""
     u = tpl.nodes

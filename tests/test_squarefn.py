@@ -8,7 +8,11 @@ import pytest
 from heisbeta.fields import catalog, precompose_dilation
 from heisbeta.hgroup import dilate
 from heisbeta.quad import QuadSpec, ScaleGrid
+from heisbeta import squarefn
+from heisbeta.fields import ScalarField
+from heisbeta.quad import NODE_CEILING
 from heisbeta.squarefn import (
+    _meta_spec,
     g_alpha,
     g_alpha_lp_norm,
     g_values_at,
@@ -122,3 +126,34 @@ def test_lq_norm_accounting():
     est = lq_norm_bound(f, 2.0)
     assert abs(est - exact) / exact < 0.02
     assert lq_norm_bound(catalog("affine"), 2.0) == math.inf
+
+
+def test_lq_norm_bound_cached_per_field_and_q():
+    gauss = catalog("gaussian")
+    points = []
+
+    def ev(p):
+        points.append(np.shape(p))
+        return gauss.eval(p)
+
+    f = ScalarField(label="counted", n=1, eval=ev, support_radius=1.0,
+                    decay_bound=gauss.decay_bound)
+    first = lq_norm_bound(f, 2.0)
+    assert lq_norm_bound(f, 2) == first
+    assert len(points) == 1
+    lq_norm_bound(f, 1.0)
+    assert len(points) == 2
+
+
+def test_meta_spec_fits_the_node_cap_at_every_n():
+    # n <= 3 keep the resolutions their norms were always computed at
+    assert [_meta_spec(n).grid_per_axis for n in (1, 2, 3)] == [32, 12, 8]
+    cap = squarefn._META_NODES
+    assert cap < NODE_CEILING
+    for n in range(4, 7):
+        spec = _meta_spec(n)
+        dim = 2 * n + 1
+        assert spec.mode == "grid"
+        # the finest mesh under the cap
+        assert spec.grid_per_axis**dim <= cap < (spec.grid_per_axis + 1) ** dim
+    assert _meta_spec(4).grid_per_axis == 5
