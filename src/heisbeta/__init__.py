@@ -24,12 +24,10 @@ from .quad import (
     ball_volume,
     box_volume,
     domain_integrate_lp,
-    log_scale_integrate,
 )
 from .squarefn import (
     SquareFnResult,
     g_alpha,
-    g_alpha_lp_norm,
     gradient_comparison,
     s_alpha,
 )
@@ -68,7 +66,6 @@ __all__ = [
     "fit_moment",
     "fit_normal_equations",
     "g_alpha",
-    "g_alpha_lp_norm",
     "gate_exponents",
     "gauge",
     "gradient_comparison",
@@ -77,7 +74,6 @@ __all__ = [
     "HarnessConfig",
     "horizontal_derivative",
     "inverse",
-    "log_scale_integrate",
     "origin",
     "poincare_ratio",
     "poincare_stability",

@@ -11,21 +11,20 @@ the value (square roots of the dropped integral pieces).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .beta import _sweep_with_grid_error, beta_number, scale_sweep
-from .hgroup import dilate, gauge, horizontal_derivative
+from .hgroup import horizontal_derivative
 from .quad import (
     QuadSpec,
     ScaleGrid,
     _ball_constant,
     ball_template,
-    box_nodes,
-    box_volume,
     domain_integrate_lp,
+    power_head,
 )
 
 Array = np.ndarray
@@ -109,25 +108,6 @@ def _beta_tail_sq(f, d: int, q: float, alpha: float, r_max: float, template) -> 
     return c1**2 * r_max ** (-2.0 * e1) / e1 + c2**2 * r_max ** (-2.0 * e2) / e2
 
 
-def _head_sq(grid: ScaleGrid, prof: Array, alpha: float) -> float:
-    """Bound for the dropped r < r_min head from the measured small-r slope."""
-    rs = grid.nodes()
-    take = min(6, len(rs))
-    rr, pp = rs[:take], prof[:take]
-    pos = pp > 0
-    if int(pos.sum()) == 0:
-        return 0.0
-    if int(pos.sum()) < 3:
-        return np.inf
-    slope = float(np.polyfit(np.log(rr[pos]), np.log(pp[pos]), 1)[0])
-    if slope <= alpha:
-        return np.inf
-    # extrapolate beta(r) ~ beta(r0) (r/r0)^slope below the window edge
-    r0, b0 = float(rs[0]), float(prof[0])
-    gap = slope - alpha
-    return (b0 * r0**-slope) ** 2 * grid.r_min ** (2.0 * gap) / (2.0 * gap)
-
-
 def _square_from_profile(rs, h, prof, se, alpha):
     integrand = (rs**-alpha * prof) ** 2
     vsq = float(integrand.sum() * h)
@@ -154,7 +134,7 @@ def g_alpha(f, x, alpha: float, grid: ScaleGrid, spec: QuadSpec) -> SquareFnResu
     if float(prof.max(initial=0.0)) <= floor:
         low = high = 0.0
     else:
-        low = float(np.sqrt(_head_sq(grid, prof, alpha)))
+        low = float(np.sqrt(power_head(rs, (rs**-alpha * prof) ** 2, grid.r_min)))
         high = float(
             np.sqrt(_beta_tail_sq(f, d, 1.0, alpha, grid.r_max, ball_template(n, spec)))
         )
@@ -179,7 +159,7 @@ def s_alpha(f, x, alpha: float, grid: ScaleGrid, spec: QuadSpec) -> SquareFnResu
     if float(prof.max(initial=0.0)) <= floor:
         low = high = 0.0
     else:
-        low = float(np.sqrt(_head_sq(grid, prof, alpha)))
+        low = float(np.sqrt(power_head(rs, (rs**-alpha * prof) ** 2, grid.r_min)))
         l1 = lq_norm_bound(f, 1.0)
         if np.isfinite(l1):
             # avg_B |f(x*y) - f(x)| <= |f(x)| + ||f||_1 / (c_n r^Q)
@@ -199,99 +179,19 @@ def s_alpha(f, x, alpha: float, grid: ScaleGrid, spec: QuadSpec) -> SquareFnResu
     )
 
 
-def g_values_at(f, xs: Array, alpha: float, q: float, grid: ScaleGrid, spec: QuadSpec):
-    """Pointwise g_alpha values (q-variant beta) at many centers, vectorized."""
-    d = int(alpha >= 1.0)
-    rs = grid.nodes()
-    n = f.n
-    sweep = scale_sweep(f, xs, rs, d, q, ball_template(n, spec), want_se=False)
-    integ = (rs[None, :] ** -alpha * sweep["beta"]) ** 2
-    return np.sqrt(integ.sum(axis=1) * grid.log_step)
+def g_window_values(f, pts: Array, rs: Array, coef: Array, h: float, d: int,
+                    q: float, tpl) -> Array:
+    """Square-function values with an explicit scale window.
 
-
-def _domain_tail_estimate(f, alpha, q, p, box_radius, grid, spec) -> float:
-    """Extrapolated estimate of the L^p mass of g_alpha outside the gauge box.
-
-    Splits the gauge shell [R, 2R] into geometric sub-shells, averages g^p
-    over template directions at each sub-shell midpoint, and extends beyond
-    2R with the decay rate measured across the sub-shells.  This is a
-    decay-based estimate (reported as such), not a rigorous bound.
+    Returns sqrt(sum_i (coef_i * beta_{f,d,q}(B(x, rs_i)))^2 * h) for each
+    x in pts.  Callers pass coef = w^-alpha with w the window nodes, which
+    lets a dilated run keep the undilated weights (the covariance of beta
+    under dilation does the rest).
     """
-    n = f.n
-    big_q = 2 * n + 2
-    tpl = ball_template(n, spec)
-    dirs = tpl.nodes[:: max(1, len(tpl.nodes) // 24)]
-    dirs = dirs[gauge(dirs) > 0.3][:16]
-    if not len(dirs):
-        return np.inf
-    # project directions onto the unit gauge sphere, then dilate outward
-    unit = dilate(1.0 / gauge(dirs), dirs)
-    edges = box_radius * 2.0 ** np.linspace(0.0, 1.0, 5)
-    mids = np.sqrt(edges[:-1] * edges[1:])
-    pts = dilate(mids[:, None], unit[None, :, :]).reshape(-1, unit.shape[-1])
-    g = g_values_at(f, pts, alpha, q, grid, spec).reshape(len(mids), len(unit))
-    means = np.mean(g**p, axis=1)
-    c_n = _ball_constant(n)[0]
-    vols = c_n * (edges[1:] ** big_q - edges[:-1] ** big_q)
-    head = float(np.sum(means * vols))
-    if head <= 0.0:
-        return 0.0
-    pos = means > 0
-    if pos.sum() < 2:
-        return np.inf
-    slope = np.polyfit(np.log(mids[pos]), np.log(means[pos]), 1)[0]
-    if slope + big_q >= -1e-9:
-        return np.inf
-    # power-law continuation of mean(g^p) past the outermost shell edge
-    outer = 2.0 * box_radius
-    beyond = (
-        -means[-1]
-        * big_q
-        * c_n
-        * outer ** (big_q + slope)
-        * mids[-1] ** -slope
-        / (big_q + slope)
-    )
-    return (head + beyond) ** (1.0 / p)
-
-
-def g_alpha_lp_norm(
-    f,
-    alpha: float,
-    p: float,
-    box_radius: float,
-    grid: ScaleGrid,
-    spec: QuadSpec,
-    *,
-    domain_spec: QuadSpec | None = None,
-    q: float = 1.0,
-) -> tuple[float, float]:
-    """L^p norm of x -> g_alpha f(x) over the gauge box, with tail estimate.
-
-    The ball sweeps reuse `spec`; `domain_spec` controls the x-quadrature
-    and defaults to a reduced budget (min(samples, 1024) draws or an
-    8-per-axis grid) because each x costs a full scale sweep.
-    """
-    if p <= 1:
-        raise ValueError(f"exponent p must be > 1, got {p}")
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    n = f.n
-    if domain_spec is None:
-        domain_spec = replace(
-            spec,
-            samples=min(spec.samples, 1024),
-            grid_per_axis=min(spec.grid_per_axis, 8),
-        )
-    xs = box_nodes(n, box_radius, domain_spec)
-    g = g_values_at(f, xs, alpha, q, grid, spec)
-    value = (box_volume(n, box_radius) * float(np.mean(g**p))) ** (1.0 / p)
-    fscale = float(np.abs(np.asarray(f.eval(xs))).max(initial=0.0))
-    floor = _ANNIHILATION * (1.0 + fscale) * box_volume(n, box_radius) ** (1.0 / p)
-    if value <= floor:
-        return value, 0.0
-    tail = _domain_tail_estimate(f, alpha, q, p, box_radius, grid, spec)
-    return value, tail
+    flat = pts.reshape(-1, pts.shape[-1])
+    sweep = scale_sweep(f, flat, rs, d, q, tpl, want_se=False)
+    integ = (coef[None, :] * sweep["beta"]) ** 2
+    return np.sqrt(integ.sum(axis=1) * h).reshape(pts.shape[:-1])
 
 
 def gradient_comparison(

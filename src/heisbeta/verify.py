@@ -7,15 +7,8 @@ on both sides (common random numbers), so their ratios sit at 1 up to scale
 window effects at any budget; a budget certificate records whether the
 sample count could have exposed a genuine discrepancy at the suite
 tolerance.  Inequality checks report measured ratios that are fixture
-material, not asserted constants.
-
-The L^p norms over the truncated domain use a gauge-polar quadrature:
-log-spaced shells of exact volume times a direction average on the unit
-gauge sphere.  The integrands here (square functions and gradients of
-catalog fields) concentrate near the origin and decay like a power of the
-gauge, so log-radial placement resolves them far better than uniform box
-sampling at equal budget, and the tail past the outermost shell has a
-measurable decay rate to continue with.
+material, not asserted constants.  L^p norms over the truncated domain
+use the gauge-polar quadrature of heisbeta.quad.
 """
 
 from __future__ import annotations
@@ -31,8 +24,20 @@ from .affine import fit_from_values
 from .beta import _sweep_with_grid_error, check_monotonicity, scale_sweep
 from .fields import ScalarField, catalog, precompose_dilation
 from .hgroup import dilate, gauge, group_mul, horizontal_derivative
-from .quad import QuadSpec, ScaleGrid, _ball_constant, ball_template, box_nodes, box_volume
-from .squarefn import _square_from_profile, g_alpha, gradient_comparison
+from .quad import (
+    PolarDomain,
+    QuadSpec,
+    ScaleGrid,
+    ball_template,
+    box_nodes,
+    box_volume,
+    domain_truncation,
+    polar_domain,
+    power_head,
+    power_tail,
+    shell_lp,
+)
+from .squarefn import _square_from_profile, g_alpha, g_window_values, gradient_comparison
 
 Array = np.ndarray
 
@@ -174,6 +179,14 @@ class HarnessConfig:
     def sweep_spec(self) -> QuadSpec:
         return replace(self.spec, samples=min(self.spec.samples, self.sweep_samples))
 
+    def domain(self) -> PolarDomain:
+        """Gauge-polar quadrature of the truncated domain, the gauge ball
+        of radius 2 * box_radius, with directions from the sweep template."""
+        return polar_domain(
+            self.n, self.rho_min, 2.0 * self.box_radius, self.norm_per_decade,
+            self.norm_dirs, self.sweep_spec,
+        )
+
     def base_params(self) -> dict:
         return {
             "n": self.n,
@@ -196,100 +209,6 @@ def _certified(spec: QuadSpec) -> bool:
     return spec.mode == "grid" or spec.samples >= _MIN_CERTIFIED_SAMPLES
 
 
-# ---------------------------------------------------------------------------
-# gauge-polar domain quadrature
-
-
-@dataclass(frozen=True, eq=False)
-class _PolarDomain:
-    """Log-radial shell quadrature for the gauge ball of radius rho_max.
-
-    pts has shape (n_rho, n_dirs, dim): shell midpoint radii dilated along
-    fixed unit-gauge directions drawn once from the ball template (uniform
-    ball points have cone-distributed directions).  vols are exact shell
-    volumes, so sum(vols * mean_dirs(h^p)) approximates the integral of
-    h^p; the ball below rho_min (volume core_vol) is left to the
-    truncation accounting.
-    """
-
-    rho: Array
-    vols: Array
-    pts: Array
-    core_vol: float
-    rho_max: float
-    c_n: float
-
-
-def _polar_domain(n, rho_min, rho_max, per_decade, n_dirs, spec) -> _PolarDomain:
-    big_q = 2 * n + 2
-    c_n = _ball_constant(n)[0]
-    decades = math.log10(rho_max / rho_min)
-    count = max(1, round(decades * per_decade))
-    edges = rho_min * (rho_max / rho_min) ** (np.arange(count + 1) / count)
-    rho = np.sqrt(edges[:-1] * edges[1:])
-    vols = c_n * (edges[1:] ** big_q - edges[:-1] ** big_q)
-    tpl = ball_template(n, spec)
-    cand = tpl.nodes[gauge(tpl.nodes) > 0.3]
-    if len(cand) == 0:
-        raise ValueError("ball template has no nodes away from the origin")
-    dirs = cand[: min(n_dirs, len(cand))]
-    dirs = dilate(1.0 / gauge(dirs), dirs)
-    pts = dilate(rho[:, None], dirs[None, :, :])
-    return _PolarDomain(
-        rho=rho,
-        vols=vols,
-        pts=pts,
-        core_vol=float(c_n * rho_min**big_q),
-        rho_max=float(rho_max),
-        c_n=float(c_n),
-    )
-
-
-def _shell_lp(vals: Array, vols: Array, p: float) -> tuple[float, Array]:
-    """(integral of |vals|^p against the shell measure)^(1/p) plus the
-    per-shell direction means of |vals|^p."""
-    means = np.mean(np.abs(vals) ** p, axis=-1)
-    return float(np.sum(vols * means) ** (1.0 / p)), means
-
-
-def _power_tail(rho: Array, means: Array, edge: float, big_q: int, c_n: float) -> float:
-    """Continuation of integral mass past the outermost shell edge.
-
-    Fits the decay rate of the shell means of h^p on the last four shells
-    and integrates the power law from `edge` to infinity.  Returns inf when
-    the measured decay cannot beat the volume growth (the tail is then not
-    summable as far as the data shows), 0 when the integrand has died (the
-    outermost shell mean is exactly 0).
-    """
-    m = means[-4:]
-    r = rho[-4:]
-    if not m[-1] > 0:
-        return 0.0
-    pos = m > 0
-    if pos.sum() < 2:
-        return math.inf
-    slope = np.polyfit(np.log(r[pos]), np.log(m[pos]), 1)[0]
-    if slope + big_q >= -1e-9:
-        return math.inf
-    # level * anchor^-slope * edge^(Q+slope), grouped so that a steep slope
-    # underflows to 0 instead of forming 0 * inf
-    level, anchor = m[-1], r[-1]
-    return float(
-        -level * big_q * c_n * anchor**big_q * (edge / anchor) ** (big_q + slope)
-        / (big_q + slope)
-    )
-
-
-def _domain_truncation(polar: _PolarDomain, means: Array, p: float, big_q: int):
-    """Truncation of a shell-quadrature L^p norm in norm units: measured
-    power-law continuation past rho_max plus the omitted core ball."""
-    tail = _power_tail(polar.rho, means, polar.rho_max, big_q, polar.c_n)
-    core = polar.core_vol * (means[0] if len(means) else 0.0)
-    if math.isinf(tail):
-        return math.inf
-    return tail ** (1.0 / p) + core ** (1.0 / p)
-
-
 def _grad_magnitude(f: ScalarField, pts: Array) -> Array:
     """|horizontal gradient| at pts, analytic when the field carries one."""
     if f.analytic_hgrad is not None:
@@ -300,21 +219,6 @@ def _grad_magnitude(f: ScalarField, pts: Array) -> Array:
         ]
         comp = np.stack(comps, axis=-1)
     return np.sqrt(np.sum(comp**2, axis=-1))
-
-
-def _g_window_values(f, pts: Array, rs: Array, coef: Array, h: float, d: int,
-                     q: float, tpl) -> Array:
-    """Square-function values with an explicit scale window.
-
-    Returns sqrt(sum_i (coef_i * beta_{f,d,q}(B(x, rs_i)))^2 * h) for each
-    x in pts.  Callers pass coef = w^-alpha with w the window nodes, which
-    lets a dilated run keep the undilated weights (the covariance of beta
-    under dilation does the rest).
-    """
-    flat = pts.reshape(-1, pts.shape[-1])
-    sweep = scale_sweep(f, flat, rs, d, q, tpl, want_se=False)
-    integ = (coef[None, :] * sweep["beta"]) ** 2
-    return np.sqrt(integ.sum(axis=1) * h).reshape(pts.shape[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +247,47 @@ def _window_truncation_factor(f, alpha, grid, spec, probe) -> float:
     return math.sqrt(lo**2 + hi**2) / res.value
 
 
+def _dorronsoro_sides(f: ScalarField, p: float, q: float,
+                      config: HarnessConfig, polar: PolarDomain, s: float):
+    """(lhs, rhs, shell means of both sides) of the Dorronsoro ratio of
+    f_s = f o delta_s on the domain points.
+
+    beta_{f_s,1,q}(B(x, r)) = beta_{f,1,q}(B(delta_s x, s r)) and
+    grad_H f_s(x) = s grad_H f(delta_s x), so every s runs on the same
+    domain points, scale weights and ball template, and the Monte Carlo
+    noise of runs at different s cancels.  At s = 1 both maps are exact.
+    """
+    grid = config.scale_grid
+    rs = grid.nodes()
+    pts = dilate(s, polar.pts)
+    gvals = g_window_values(
+        f, pts, s * rs, rs**-1.0, grid.log_step, 1, q,
+        ball_template(config.n, config.sweep_spec),
+    )
+    lhs, lhs_means = shell_lp(gvals, polar.vols, p)
+    rhs, rhs_means = shell_lp(_grad_magnitude(f, pts), polar.vols, p)
+    return lhs, s * rhs, (lhs_means, rhs_means)
+
+
+def _stability(name: str, s: float, base: RatioReport | None, base_run,
+               sides) -> RatioReport:
+    """ratio(f_s) reported against base.ratio (from base_run() when no
+    base is given); sides() gives the (lhs, rhs, shells) of f_s."""
+    if s <= 0:
+        raise ValueError(f"dilation factor must be positive, got {s}")
+    if base is None:
+        base = base_run()
+    if s == 1.0:
+        # the sides at s = 1 are the base sides bit for bit
+        lhs, rhs = base.lhs, base.rhs
+    else:
+        lhs, rhs, _ = sides()
+    params = dict(base.params) | {"s": s, "base_ratio": base.ratio}
+    if not rhs > _DEGENERATE_RHS * (1.0 + lhs):
+        return _report(name, lhs, rhs, params, (0.0, 0.0))
+    return _report(name, lhs / rhs, base.ratio, params, base.truncation)
+
+
 def dorronsoro_ratio(f: ScalarField, p: float, q: float,
                      config: HarnessConfig) -> RatioReport:
     """Ratio of the scale-integrated flatness norm to the horizontal
@@ -360,25 +305,14 @@ def dorronsoro_ratio(f: ScalarField, p: float, q: float,
             f"exponents p={p}, q={q} are outside the admissible window at "
             f"Q={gate.Q}"
         )
-    n = config.n
-    big_q = 2 * n + 2
-    spec = config.sweep_spec
-    grid = config.scale_grid
-    polar = _polar_domain(
-        n, config.rho_min, 2.0 * config.box_radius, config.norm_per_decade,
-        config.norm_dirs, spec,
+    big_q = 2 * config.n + 2
+    polar = config.domain()
+    lhs, rhs, (lhs_means, rhs_means) = _dorronsoro_sides(f, p, q, config, polar, 1.0)
+    window = _window_truncation_factor(
+        f, 1.0, config.scale_grid, config.sweep_spec, polar.pts[0, 0]
     )
-    tpl = ball_template(n, spec)
-    rs = grid.nodes()
-    coef = rs**-1.0
-    gvals = _g_window_values(f, polar.pts, rs, coef, grid.log_step, 1, q, tpl)
-    lhs, lhs_means = _shell_lp(gvals, polar.vols, p)
-    grad = _grad_magnitude(f, polar.pts)
-    rhs, rhs_means = _shell_lp(grad, polar.vols, p)
-    lhs_trunc = _domain_truncation(polar, lhs_means, p, big_q)
-    window = _window_truncation_factor(f, 1.0, grid, spec, polar.pts[0, 0])
-    lhs_trunc = lhs_trunc + lhs * window
-    rhs_trunc = _domain_truncation(polar, rhs_means, p, big_q)
+    lhs_trunc = domain_truncation(polar, lhs_means, p, big_q) + lhs * window
+    rhs_trunc = domain_truncation(polar, rhs_means, p, big_q)
     params = config.base_params() | _norm_params(config) | {
         "field": f.label,
         "p": p,
@@ -389,27 +323,6 @@ def dorronsoro_ratio(f: ScalarField, p: float, q: float,
         "dorronsoro", lhs, rhs, params, (lhs_trunc, rhs_trunc),
         rhs_floor=_DEGENERATE_RHS * (1.0 + lhs),
     )
-
-
-def _dilated_dorronsoro_sides(f: ScalarField, p: float, q: float,
-                              config: HarnessConfig, s: float):
-    """(lhs, rhs) of the Dorronsoro ratio of f_s on the base domain points."""
-    spec = config.sweep_spec
-    grid = config.scale_grid
-    polar = _polar_domain(
-        config.n, config.rho_min, 2.0 * config.box_radius,
-        config.norm_per_decade, config.norm_dirs, spec,
-    )
-    rs = grid.nodes()
-    pts_dil = dilate(s, polar.pts)
-    # beta_{f_s,1,q}(B(x, r)) = beta_{f,1,q}(B(delta_s x, s r)) pointwise
-    gvals = _g_window_values(
-        f, pts_dil, s * rs, rs**-1.0, grid.log_step, 1, q,
-        ball_template(config.n, spec),
-    )
-    lhs = _shell_lp(gvals, polar.vols, p)[0]
-    rhs = s * _shell_lp(_grad_magnitude(f, pts_dil), polar.vols, p)[0]
-    return lhs, rhs
 
 
 def dorronsoro_stability(f: ScalarField, p: float, q: float,
@@ -423,23 +336,40 @@ def dorronsoro_stability(f: ScalarField, p: float, q: float,
     Monte Carlo noise of the two runs cancels and the reported deviation
     isolates the genuine truncation drift of the dilation law.
     """
-    if s <= 0:
-        raise ValueError(f"dilation factor must be positive, got {s}")
-    if base is None:
-        base = dorronsoro_ratio(f, p, q, config)
-    if s == 1.0:
-        # delta_1 and 1.0 * rs are exact: the dilated run would reproduce
-        # the base sides bit for bit
-        lhs, rhs = base.lhs, base.rhs
-    else:
-        lhs, rhs = _dilated_dorronsoro_sides(f, p, q, config, s)
-    params = dict(base.params) | {"s": s, "base_ratio": base.ratio}
-    if not rhs > _DEGENERATE_RHS * (1.0 + lhs):
-        return _report("dorronsoro-stability", lhs, rhs, params, (0.0, 0.0))
-    ratio_s = lhs / rhs
-    return _report(
-        "dorronsoro-stability", ratio_s, base.ratio, params, base.truncation
+    return _stability(
+        "dorronsoro-stability", s, base,
+        lambda: dorronsoro_ratio(f, p, q, config),
+        lambda: _dorronsoro_sides(f, p, q, config, config.domain(), s),
     )
+
+
+def _poincare_sides(f: ScalarField, p: float, config: HarnessConfig,
+                    polar: PolarDomain, s: float):
+    """(lhs, rhs, shells) of the Poincare ratio of f_s = f o delta_s on the
+    domain points.
+
+    Linked nodes realize I(t; f_s) = s^-Q I(s^2 t; f): dilated points,
+    squared-dilated vertical shifts and undilated volumes; at s = 1 every
+    map is exact.  shells holds what the truncation of the base run reads:
+    the per-t shell means of |f(x) - f(x * (0,t))|^p, I(t), J(t), and the
+    shell means of |f|^p and of |grad_H f|^p.
+    """
+    tgrid = config.t_grid
+    ts = tgrid.nodes()
+    pts = dilate(s, polar.pts)
+    vals = np.asarray(f.eval(pts), dtype=float)
+    shift = np.zeros((len(ts), pts.shape[-1]))
+    shift[:, -1] = s**2 * ts
+    # central shifts: x * (0, t) adds t to the vertical coordinate
+    moved = group_mul(pts[None, ...], shift[:, None, None, :])
+    diff = np.abs(np.asarray(f.eval(moved), dtype=float) - vals[None, ...])
+    means = np.mean(diff**p, axis=-1)            # (t, n_rho)
+    ivals = np.sum(polar.vols[None, :] * means, axis=1)
+    jvals = ivals ** (2.0 / p) / ts
+    lhs = float(np.sqrt(np.sum(jvals) * tgrid.log_step))
+    rhs, rhs_means = shell_lp(_grad_magnitude(f, pts), polar.vols, p)
+    fmeans = np.mean(np.abs(vals) ** p, axis=-1)
+    return lhs, s * rhs, (means, ivals, jvals, fmeans, rhs_means)
 
 
 def poincare_ratio(f: ScalarField, p: float, config: HarnessConfig) -> RatioReport:
@@ -454,48 +384,30 @@ def poincare_ratio(f: ScalarField, p: float, config: HarnessConfig) -> RatioRepo
     """
     if not 1.0 < p <= 2.0:
         raise ValueError(f"p must lie in (1, 2], got {p}")
-    n = config.n
-    big_q = 2 * n + 2
-    spec = config.sweep_spec
-    polar = _polar_domain(
-        n, config.rho_min, 2.0 * config.box_radius, config.norm_per_decade,
-        config.norm_dirs, spec,
-    )
+    big_q = 2 * config.n + 2
+    polar = config.domain()
     tgrid = config.t_grid
     ts = tgrid.nodes()
     h = tgrid.log_step
-    ev = f.eval
-    base_vals = np.asarray(ev(polar.pts), dtype=float)
-    shift = np.zeros((len(ts), polar.pts.shape[-1]))
-    shift[:, -1] = ts
-    # central shifts: x * (0, t) adds t to the vertical coordinate
-    moved = group_mul(polar.pts[None, ...], shift[:, None, None, :])
-    diff = np.abs(np.asarray(ev(moved), dtype=float) - base_vals[None, ...])
-    means = np.mean(diff**p, axis=-1)            # (t, n_rho)
-    ivals = np.sum(polar.vols[None, :] * means, axis=1)
-    jvals = ivals ** (2.0 / p) / ts
-    lhs = float(np.sqrt(np.sum(jvals) * h))
-    grad = _grad_magnitude(f, polar.pts)
-    rhs, rhs_means = _shell_lp(grad, polar.vols, p)
-    rhs_trunc = _domain_truncation(polar, rhs_means, p, big_q)
+    lhs, rhs, (means, ivals, jvals, fmeans, rhs_means) = _poincare_sides(
+        f, p, config, polar, 1.0
+    )
+    rhs_trunc = domain_truncation(polar, rhs_means, p, big_q)
 
     if not ivals.any():
         lhs_trunc = 0.0
     else:
         # small-t continuation from the measured slope of J(t)
-        head = _log_head(ts, jvals)
+        head = power_head(ts, jvals, ts[0])
         # large-t tail: |f(x) - f(x * (0,t))| <= 2 max|f|, via the measured
         # field norm on the domain plus its own continuation
-        fnorm_p = np.sum(polar.vols * np.mean(np.abs(base_vals) ** p, axis=-1))
-        ftail = _power_tail(
-            polar.rho, np.mean(np.abs(base_vals) ** p, axis=-1), polar.rho_max,
-            big_q, polar.c_n,
-        )
+        fnorm_p = np.sum(polar.vols * fmeans)
+        ftail = power_tail(polar.rho, fmeans, polar.rho_max, big_q, polar.c_n)
         tail_sq = 4.0 * (fnorm_p + ftail) ** (2.0 / p) / tgrid.r_max
         # domain loss per t: continuation of the difference-mean shells
         loss = 0.0
         for k in range(len(ts)):
-            extra = _power_tail(polar.rho, means[k], polar.rho_max, big_q, polar.c_n)
+            extra = power_tail(polar.rho, means[k], polar.rho_max, big_q, polar.c_n)
             if math.isinf(extra):
                 loss = math.inf
                 break
@@ -516,60 +428,14 @@ def poincare_ratio(f: ScalarField, p: float, config: HarnessConfig) -> RatioRepo
     )
 
 
-def _log_head(ts: Array, jvals: Array) -> float:
-    """Continuation of sum(J dt/t) below the first t node from the
-    measured log-log slope of J; inf when J does not vanish fast enough."""
-    k = min(6, len(ts))
-    m = jvals[:k]
-    pos = m > 0
-    if not pos.any():
-        return 0.0
-    if pos.sum() < 3:
-        return math.inf
-    slope = np.polyfit(np.log(ts[:k][pos]), np.log(m[pos]), 1)[0]
-    if slope <= 1e-9:
-        return math.inf
-    j0 = m[pos][0] * (ts[0] / ts[:k][pos][0]) ** slope
-    return float(j0 / slope)
-
-
 def poincare_stability(f: ScalarField, p: float, config: HarnessConfig,
                        s: float, base: RatioReport | None = None) -> RatioReport:
-    """Dilation stability of the Poincare ratio, computed with linked
-    nodes: I(t; f_s) = s^-Q I(s^2 t; f) realized on dilated domain points
-    and squared-dilated vertical shifts."""
-    if s <= 0:
-        raise ValueError(f"dilation factor must be positive, got {s}")
-    if base is None:
-        base = poincare_ratio(f, p, config)
-    n = config.n
-    big_q = 2 * n + 2
-    spec = config.sweep_spec
-    polar = _polar_domain(
-        n, config.rho_min, 2.0 * config.box_radius, config.norm_per_decade,
-        config.norm_dirs, spec,
-    )
-    tgrid = config.t_grid
-    ts = tgrid.nodes()
-    h = tgrid.log_step
-    ev = f.eval
-    pts_dil = dilate(s, polar.pts)
-    base_vals = np.asarray(ev(pts_dil), dtype=float)
-    shift = np.zeros((len(ts), polar.pts.shape[-1]))
-    shift[:, -1] = s**2 * ts
-    moved = group_mul(pts_dil[None, ...], shift[:, None, None, :])
-    diff = np.abs(np.asarray(ev(moved), dtype=float) - base_vals[None, ...])
-    means = np.mean(diff**p, axis=-1)
-    # I(t; f_s) over the radius-R domain: dilated points, undilated volumes
-    ivals = np.sum(polar.vols[None, :] * means, axis=1)
-    jvals = ivals ** (2.0 / p) / ts
-    lhs = float(np.sqrt(np.sum(jvals) * h))
-    rhs = s * _shell_lp(_grad_magnitude(f, pts_dil), polar.vols, p)[0]
-    params = dict(base.params) | {"s": s, "base_ratio": base.ratio}
-    if not rhs > _DEGENERATE_RHS * (1.0 + lhs):
-        return _report("poincare-stability", lhs, rhs, params, (0.0, 0.0))
-    return _report(
-        "poincare-stability", lhs / rhs, base.ratio, params, base.truncation
+    """Dilation stability of the Poincare ratio: ratio(f_s) against the
+    base ratio(f), computed with linked nodes (see _poincare_sides)."""
+    return _stability(
+        "poincare-stability", s, base,
+        lambda: poincare_ratio(f, p, config),
+        lambda: _poincare_sides(f, p, config, config.domain(), s),
     )
 
 
@@ -679,8 +545,8 @@ def _g_pointwise_report(config: HarnessConfig, name: str, s: float) -> RatioRepo
     tpl = ball_template(config.n, spec)
     rng = _rng(spec, _ROLE_POINTS)
     xs = _random_centers(rng, config.n, 5, 1.5, 2.0)
-    lhs_vals = _g_window_values(fs, xs, rs, rs**-alpha, grid.log_step, d, 1.0, tpl)
-    rhs_vals = s**alpha * _g_window_values(
+    lhs_vals = g_window_values(fs, xs, rs, rs**-alpha, grid.log_step, d, 1.0, tpl)
+    rhs_vals = s**alpha * g_window_values(
         f, dilate(s, xs), s * rs, (s * rs) ** -alpha, grid.log_step, d, 1.0, tpl
     )
     ok = rhs_vals > 1e-14
@@ -710,16 +576,13 @@ def _g_lp_report(config: HarnessConfig, name: str, s: float) -> RatioReport:
     spec = config.sweep_spec
     grid = config.scale_grid
     rs = grid.nodes()
-    polar = _polar_domain(
-        n, config.rho_min, 2.0 * config.box_radius, config.norm_per_decade,
-        config.norm_dirs, spec,
-    )
+    polar = config.domain()
     tpl = ball_template(n, spec)
-    lhs_vals = _g_window_values(
+    lhs_vals = g_window_values(
         fs, polar.pts, rs, rs**-alpha, grid.log_step, d, 1.0, tpl
     )
-    lhs = _shell_lp(lhs_vals, polar.vols, p)[0]
-    rhs_vals = _g_window_values(
+    lhs = shell_lp(lhs_vals, polar.vols, p)[0]
+    rhs_vals = g_window_values(
         f, dilate(s, polar.pts), s * rs, (s * rs) ** -alpha, grid.log_step,
         d, 1.0, tpl,
     )

@@ -1,4 +1,4 @@
-"""Ball templates, volumes, domain and log-scale integration."""
+"""Ball templates, volumes, domain integration and scale grids."""
 
 import math
 
@@ -19,8 +19,6 @@ from heisbeta.quad import (
     box_nodes,
     box_volume,
     domain_integrate_lp,
-    log_scale_integrate,
-    log_scale_integrate_values,
     lp_tail_bound,
     check_template_request,
     mean_stderr,
@@ -55,37 +53,6 @@ def test_scale_grid_nodes_and_validation():
         ScaleGrid(0.0, 1.0)
     with pytest.raises(ValueError):
         ScaleGrid(1.0, 2.0, 0)
-
-
-def test_log_scale_integrate_unit_measure():
-    # integral of 1 against dr/r over one e-fold is exactly 1
-    grid = ScaleGrid(1.0, math.e, 64)
-    assert log_scale_integrate(lambda r: 1.0, grid) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_log_scale_integrate_power_law():
-    grid = ScaleGrid(1e-3, 1.0, 32)
-    got = log_scale_integrate(lambda r: r * r, grid)
-    want = (1.0 - 1e-6) / 2.0
-    assert abs(got - want) / want <= 1e-3
-
-
-def test_log_scale_integrate_zero_and_errors():
-    grid = ScaleGrid(0.1, 10.0, 4)
-    assert log_scale_integrate(lambda r: 0.0, grid) == 0.0
-    with pytest.raises(FloatingPointError, match="r="):
-        log_scale_integrate(lambda r: math.inf if r > 1 else 0.0, grid)
-
-
-def test_log_scale_integrate_values_matches_callable():
-    grid = ScaleGrid(0.1, 10.0, 12)
-    rs = grid.nodes()
-    direct = log_scale_integrate(lambda r: r**0.5, grid)
-    assert log_scale_integrate_values(rs**0.5, grid) == pytest.approx(direct)
-    batch = log_scale_integrate_values(np.stack([rs**0.5, rs**2]), grid)
-    assert batch.shape == (2,) and batch[0] == pytest.approx(direct)
-    with pytest.raises(ValueError):
-        log_scale_integrate_values(rs[:-1], grid)
 
 
 def test_ball_volume_constant_and_scaling():

@@ -7,15 +7,14 @@ import pytest
 
 from heisbeta.fields import catalog, precompose_dilation
 from heisbeta.hgroup import dilate
-from heisbeta.quad import QuadSpec, ScaleGrid
+from heisbeta.quad import QuadSpec, ScaleGrid, ball_template
 from heisbeta import squarefn
 from heisbeta.fields import ScalarField
 from heisbeta.quad import NODE_CEILING
 from heisbeta.squarefn import (
     _meta_spec,
     g_alpha,
-    g_alpha_lp_norm,
-    g_values_at,
+    g_window_values,
     gradient_comparison,
     lq_norm_bound,
     s_alpha,
@@ -86,27 +85,13 @@ def test_s_alpha_gaussian_and_g_bound():
 def test_g_values_at_matches_single_point():
     f = catalog("gaussian")
     xs = np.stack([X, np.zeros(3), np.array([-0.5, 0.4, 0.2])])
-    batch = g_values_at(f, xs, 1.0, 1.0, GRID_R, SPEC)
+    rs = GRID_R.nodes()
+    batch = g_window_values(
+        f, xs, rs, rs**-1.0, GRID_R.log_step, 1, 1.0, ball_template(1, SPEC)
+    )
     single = g_alpha(f, X, 1.0, GRID_R, SPEC).value
     assert batch.shape == (3,)
     assert batch[0] == pytest.approx(single, rel=1e-12)
-
-
-def test_g_alpha_lp_norm_finite_with_tail_accounting():
-    f = catalog("gaussian")
-    grid = ScaleGrid(1e-2, 1e1, 8)
-    val, trunc = g_alpha_lp_norm(
-        f, 1.0, 2.0, 3.0, grid, QuadSpec(samples=20_000)
-    )
-    assert 0.1 < val < 10.0
-    assert 0.0 <= trunc < 0.5 * val
-    zero, zt = g_alpha_lp_norm(
-        catalog("affine", a=[1.0, 1.0], b=0.0), 1.0, 2.0, 2.0, grid,
-        QuadSpec(samples=2_000),
-    )
-    assert zero < 1e-10 and zt == 0.0
-    with pytest.raises(ValueError):
-        g_alpha_lp_norm(f, 1.0, 0.5, 3.0, grid, SPEC)
 
 
 def test_gradient_comparison_orders():

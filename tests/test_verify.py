@@ -1,14 +1,14 @@
 """Inequality harness: exponent gate, ratio reports, and suites."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from heisbeta.fields import catalog
-from heisbeta.quad import QuadSpec
+from heisbeta.quad import QuadSpec, power_head, power_tail
 from heisbeta.verify import (
-    _power_tail,
     ExponentGate,
     HarnessConfig,
     dorronsoro_ratio,
@@ -114,6 +114,12 @@ def test_dorronsoro_gaussian_cheap():
     assert 0.05 < rep.ratio < 20.0
     assert rep.truncation[1] < 0.05 * rep.rhs
     assert rep.params["field"] == "gaussian"
+    # the polar L^p norm of the square function carries a finite tail once
+    # the last four shells lie outside the core; at four shells per decade
+    # they reach into it and the fitted decay reads as unsummable (inf)
+    rep = dorronsoro_ratio(catalog("gaussian"), 2.0, 2.0,
+                           replace(CHEAP, norm_per_decade=8))
+    assert 0.0 <= rep.truncation[0] < 0.5 * rep.lhs
 
 
 def test_dorronsoro_annihilates_affine():
@@ -150,6 +156,28 @@ def test_poincare_gaussian_cheap():
     assert 0.1 < rep.ratio < 10.0
     st = poincare_stability(catalog("gaussian"), 2.0, CHEAP, 1.0, base=rep)
     assert st.lhs == st.rhs == rep.ratio
+
+
+def test_inequalities_and_stabilities_at_n2_grid():
+    # one body per inequality serves the base run and every dilation; at
+    # this budget the n = 2 lhs truncation is inf and the s = 2 Dorronsoro
+    # stability reads about 1.9, so only sanity is asserted, no bands
+    cfg = replace(CHEAP, n=2, spec=QuadSpec(mode="grid", grid_per_axis=6))
+    f = catalog("gaussian", n=2)
+    for base, stability in (
+        (dorronsoro_ratio(f, 2.0, 2.0, cfg),
+         lambda s, base: dorronsoro_stability(f, 2.0, 2.0, cfg, s, base=base)),
+        (poincare_ratio(f, 2.0, cfg),
+         lambda s, base: poincare_stability(f, 2.0, cfg, s, base=base)),
+    ):
+        assert base.params["n"] == 2
+        assert not base.degenerate and 0.0 < base.ratio < math.inf
+        for s in (0.5, 1.0, 2.0):
+            rep = stability(s, base)
+            assert not rep.degenerate and 0.0 < rep.ratio < math.inf
+            assert rep.params["s"] == s
+            if s == 1.0:
+                assert rep.lhs == rep.rhs == base.ratio
 
 
 def test_poincare_exponent_range():
@@ -215,20 +243,39 @@ TAIL_RHO = TAIL_EDGE * 10.0 ** (-(np.arange(5)[::-1] + 0.5) / 8)
     [1e-40, 1e-100, 1e-160, 1e-220, 1e-280],     # steep decay, all positive
 ])
 def test_power_tail_finite_when_shell_means_underflow(means):
-    tail = _power_tail(TAIL_RHO, np.array(means), TAIL_EDGE, 4, 1.0)
+    tail = power_tail(TAIL_RHO, np.array(means), TAIL_EDGE, 4, 1.0)
     assert math.isfinite(tail) and tail >= 0.0
 
 
 def test_power_tail_dead_and_unsummable_cases():
-    assert _power_tail(TAIL_RHO, np.zeros(5), TAIL_EDGE, 4, 1.0) == 0.0
-    assert _power_tail(TAIL_RHO, np.array([1.0, 0.5, 0.2, 0.1, 0.0]),
+    assert power_tail(TAIL_RHO, np.zeros(5), TAIL_EDGE, 4, 1.0) == 0.0
+    assert power_tail(TAIL_RHO, np.array([1.0, 0.5, 0.2, 0.1, 0.0]),
                        TAIL_EDGE, 4, 1.0) == 0.0
     # flat means: decay cannot beat the volume growth
-    assert _power_tail(TAIL_RHO, np.ones(5), TAIL_EDGE, 4, 1.0) == math.inf
+    assert power_tail(TAIL_RHO, np.ones(5), TAIL_EDGE, 4, 1.0) == math.inf
     # a single positive mean leaves no decay rate to continue with
-    assert _power_tail(TAIL_RHO, np.array([0.0, 0.0, 0.0, 0.0, 1e-5]),
+    assert power_tail(TAIL_RHO, np.array([0.0, 0.0, 0.0, 0.0, 1e-5]),
                        TAIL_EDGE, 4, 1.0) == math.inf
     # an exact power law rho^-6 integrates in closed form
     means = TAIL_RHO**-6.0
     want = 4.0 * TAIL_EDGE ** (4 - 6) / (6 - 4)
-    assert _power_tail(TAIL_RHO, means, TAIL_EDGE, 4, 1.0) == pytest.approx(want)
+    assert power_tail(TAIL_RHO, means, TAIL_EDGE, 4, 1.0) == pytest.approx(want)
+
+
+# the first six scale nodes above t_min = 1e-4 at sixteen nodes per decade
+HEAD_TS = 1e-4 * 10.0 ** ((np.arange(6) + 0.5) / 16)
+
+
+def test_power_head_closed_form_on_exact_power_law():
+    # t^a integrates against dt/t from 0 to the edge as edge^a / a
+    for a, edge in ((1.0, 1e-4), (2.5, HEAD_TS[0])):
+        assert power_head(HEAD_TS, HEAD_TS**a, edge) == pytest.approx(edge**a / a)
+
+
+def test_power_head_dead_and_divergent_cases():
+    assert power_head(HEAD_TS, np.zeros(6), 1e-4) == 0.0
+    # fewer than three positive values leave no slope to trust
+    assert power_head(HEAD_TS, np.array([0.0, 0.0, 0.0, 0.0, 1e-3, 1e-2]),
+                      1e-4) == math.inf
+    # a flat integrand does not vanish toward 0: the head diverges
+    assert power_head(HEAD_TS, np.ones(6), 1e-4) == math.inf
