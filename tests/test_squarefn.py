@@ -7,7 +7,13 @@ import pytest
 
 from heisbeta.fields import catalog, precompose_dilation
 from heisbeta.hgroup import dilate
-from heisbeta.quad import QuadSpec, ScaleGrid, ball_template
+from heisbeta.quad import (
+    QuadSpec,
+    ScaleGrid,
+    ball_template,
+    domain_truncation,
+    shell_lp,
+)
 from heisbeta import squarefn
 from heisbeta.fields import ScalarField
 from heisbeta.quad import NODE_CEILING
@@ -19,6 +25,7 @@ from heisbeta.squarefn import (
     lq_norm_bound,
     s_alpha,
 )
+from heisbeta.verify import HarnessConfig, dorronsoro_ratio
 
 SPEC = QuadSpec(samples=40_000)
 GRID_R = ScaleGrid()
@@ -92,6 +99,35 @@ def test_g_values_at_matches_single_point():
     single = g_alpha(f, X, 1.0, GRID_R, SPEC).value
     assert batch.shape == (3,)
     assert batch[0] == pytest.approx(single, rel=1e-12)
+
+
+def test_g_alpha_lp_norm_finite_with_tail_accounting():
+    # the L^p norm of G_1 over the gauge-polar domain, as the Dorronsoro
+    # lhs forms it, with its measured tail and core truncation; 8 shells
+    # per decade keep the last four shells outside the gaussian's core
+    cfg = HarnessConfig(
+        spec=QuadSpec(mode="grid", grid_per_axis=10), norm_dirs=8,
+        norm_per_decade=8, r_min=1e-2, r_max=1e1, per_decade=8,
+        box_radius=3.0,
+    )
+    polar, grid = cfg.domain(), cfg.scale_grid
+    rs = grid.nodes()
+    tpl = ball_template(1, cfg.sweep_spec)
+
+    def lp_norm(f):
+        g = g_window_values(f, polar.pts, rs, rs**-1.0, grid.log_step, 1, 2.0, tpl)
+        val, means = shell_lp(g, polar.vols, 2.0)
+        return val, domain_truncation(polar, means, 2.0, 4)
+
+    f = catalog("gaussian")
+    val, trunc = lp_norm(f)
+    assert 0.1 < val < 10.0
+    assert 0.0 <= trunc < 0.5 * val
+    assert val == pytest.approx(dorronsoro_ratio(f, 2.0, 2.0, cfg).lhs, rel=1e-12)
+    zero, _ = lp_norm(catalog("affine", a=[1.0, 1.0], b=0.0))
+    assert zero < 1e-10
+    with pytest.raises(ValueError):
+        dorronsoro_ratio(f, 0.5, 2.0, cfg)
 
 
 def test_gradient_comparison_orders():
