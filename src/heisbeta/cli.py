@@ -22,13 +22,15 @@ import sys
 import dataclasses
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
+from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .fields import catalog
 from .hgroup import origin
-from .quad import QuadSpec, ScaleGrid, check_template_request
+from .quad import NODE_CEILING, QuadSpec, ScaleGrid, check_template_request
 from .squarefn import g_alpha
 from .beta import beta_profile
 from .verify import (
@@ -51,37 +53,44 @@ class UsageError(ValueError):
     """Configuration problem: unknown key, bad value, inadmissible run."""
 
 
+# metadata of the RunConfig fields that never shape the result rows, which
+# the config echo leaves out
+_UNECHOED = {"echo": False}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully materialized run description.
 
-    field_params are the catalog constructor arguments (from dotted
-    ``field.key`` config lines or the ``name:key=value`` flag syntax).
-    workers and out never influence result bytes.
+    Its fields are the config-file keys (field_params read from dotted
+    ``field.key`` lines or the ``name:key=value`` flag syntax), and their
+    order is the order of the config echo.  Harness and quadrature
+    defaults are those of HarnessConfig and QuadSpec.  workers, out and
+    timestamp never influence result bytes.
     """
 
     suite: str = "identities"
-    n: int = 1
+    n: int = HarnessConfig.n
     field: str = "gaussian"
     field_params: dict = dataclasses.field(default_factory=dict)
-    p: float = 2.0
-    q: float = 1.0
-    alpha: float = 1.0
-    r_min: float = 1e-3
-    r_max: float = 1e2
-    per_decade: int = 16
-    t_min: float = 1e-4
-    t_max: float = 1e2
-    t_per_decade: int = 16
-    box_radius: float = 4.0
-    mode: str = "montecarlo"
-    samples: int = 100_000
-    grid_per_axis: int = 24
-    seed: int = 42
-    workers: int = 1
-    out: str | None = None
+    p: float = HarnessConfig.p
+    q: float = HarnessConfig.q
+    alpha: float = HarnessConfig.alpha
+    r_min: float = HarnessConfig.r_min
+    r_max: float = HarnessConfig.r_max
+    per_decade: int = HarnessConfig.per_decade
+    t_min: float = HarnessConfig.t_min
+    t_max: float = HarnessConfig.t_max
+    t_per_decade: int = HarnessConfig.t_per_decade
+    box_radius: float = HarnessConfig.box_radius
+    mode: str = QuadSpec.mode
+    samples: int = QuadSpec.samples
+    grid_per_axis: int = QuadSpec.grid_per_axis
+    seed: int = QuadSpec.seed
+    workers: int = dataclasses.field(default=1, metadata=_UNECHOED)
+    out: str | None = dataclasses.field(default=None, metadata=_UNECHOED)
     format: str = "csv"
-    timestamp: bool = True
+    timestamp: bool = dataclasses.field(default=True, metadata=_UNECHOED)
 
     @property
     def quad_spec(self) -> QuadSpec:
@@ -97,31 +106,21 @@ class RunConfig:
         return ScaleGrid(self.r_min, self.r_max, self.per_decade)
 
     def harness_config(self) -> HarnessConfig:
+        shared = {f.name for f in fields(HarnessConfig)} & {f.name for f in fields(self)}
         return HarnessConfig(
-            n=self.n,
-            p=self.p,
-            q=self.q,
-            alpha=self.alpha,
-            r_min=self.r_min,
-            r_max=self.r_max,
-            per_decade=self.per_decade,
-            t_min=self.t_min,
-            t_max=self.t_max,
-            t_per_decade=self.t_per_decade,
-            box_radius=self.box_radius,
-            spec=self.quad_spec,
+            spec=self.quad_spec, **{key: getattr(self, key) for key in shared}
         )
 
     def make_field(self):
         return catalog(self.field, n=self.n, **self.field_params)
 
 
-_INT_KEYS = {"n", "per_decade", "t_per_decade", "samples", "grid_per_axis",
-             "seed", "workers"}
-_FLOAT_KEYS = {"p", "q", "alpha", "r_min", "r_max", "t_min", "t_max",
-               "box_radius"}
-_STR_KEYS = {"suite", "field", "mode", "out", "format"}
-_BOOL_KEYS = {"timestamp"}
+# config-file keys and their annotated types; field_params comes from
+# dotted field.NAME keys instead
+_KEY_TYPES = {
+    key: kind for key, kind in get_type_hints(RunConfig).items()
+    if key != "field_params"
+}
 
 
 def _parse_scalar(text: str):
@@ -137,23 +136,25 @@ def _parse_scalar(text: str):
     return text
 
 
-def _coerce(key: str, raw):
-    if isinstance(raw, str):
-        raw = raw.strip()
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+_CASTS = {int: int, float: float, bool: _parse_bool}
+
+
+def _coerce(key: str, raw: str):
+    """Typed value of a config-file (or environment) string for key."""
+    raw = raw.strip()
+    cast = _CASTS.get(_KEY_TYPES[key])
+    if cast is None:
+        return raw
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _BOOL_KEYS:
-            if isinstance(raw, bool):
-                return raw
-            if raw in ("true", "false"):
-                return raw == "true"
-            raise ValueError(raw)
-    except (TypeError, ValueError):
+        return cast(raw)
+    except ValueError:
         raise UsageError(f"bad value for {key}: {raw!r}") from None
-    return raw
 
 
 def _read_config_file(path: str) -> dict:
@@ -162,7 +163,7 @@ def _read_config_file(path: str) -> dict:
     settings: dict = {}
     params: dict = {}
     try:
-        text = open(path, encoding="utf-8").read()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -176,7 +177,7 @@ def _read_config_file(path: str) -> dict:
         value = value.strip()
         if key.startswith("field."):
             params[key[len("field."):]] = _parse_scalar(value)
-        elif key in _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _BOOL_KEYS:
+        elif key in _KEY_TYPES:
             settings[key] = _coerce(key, value)
         else:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
@@ -248,32 +249,23 @@ def parse_config(argv=None) -> RunConfig:
     settings: dict = {}
     if args.config:
         settings.update(_read_config_file(args.config))
-    for key in ("n", "p", "q", "alpha", "r_min", "r_max", "per_decade",
-                "box_radius", "samples", "grid_per_axis", "mode", "seed",
-                "workers", "out", "format", "timestamp"):
-        value = getattr(args, key)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            settings[key] = value
+            settings[f.name] = value
     if args.field is not None:
-        name, params = _parse_field_flag(args.field)
-        settings["field"] = name
         # the flag names a complete field; stale file params must not leak in
-        settings["field_params"] = params
-    if args.suite is not None:
-        settings["suite"] = args.suite
+        settings["field"], settings["field_params"] = _parse_field_flag(args.field)
     if "workers" not in settings:
         env = os.environ.get("HEIS_BETA_WORKERS")
         if env:
             settings["workers"] = _coerce("workers", env)
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(settings) - known
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    config = RunConfig(**settings)
-    return _validated(config)
+    return _validated(RunConfig(**settings))
 
 
 def _validated(config: RunConfig) -> RunConfig:
+    """Checks no library object makes, then the library constructors,
+    whose ValueError becomes a UsageError.  Builds no template."""
     if config.suite not in _SUITES:
         raise UsageError(f"suite must be one of {_SUITES}, got {config.suite!r}")
     if config.mode not in _MODE_ALIASES:
@@ -281,28 +273,24 @@ def _validated(config: RunConfig) -> RunConfig:
     config = replace(config, mode=_MODE_ALIASES[config.mode])
     if config.format not in _FORMATS:
         raise UsageError(f"format must be csv or json, got {config.format!r}")
-    if config.n < 1:
-        raise UsageError(f"n must be a positive integer, got {config.n}")
-    if not config.p > 1:
-        raise UsageError(f"p must exceed 1, got {config.p}")
-    if not config.q >= 1:
-        raise UsageError(f"q must be at least 1, got {config.q}")
-    if not 0.0 < config.alpha < 2.0:
-        raise UsageError(f"alpha must lie in (0, 2), got {config.alpha}")
-    if not 0.0 < config.r_min < config.r_max:
-        raise UsageError(
-            f"need 0 < rmin < rmax, got [{config.r_min}, {config.r_max}]"
-        )
-    if config.samples < 1 or config.grid_per_axis < 1:
-        raise UsageError("samples and grid-per-axis must be positive")
     if config.workers < 1:
         raise UsageError(f"workers must be >= 1, got {config.workers}")
-    if config.box_radius <= 0:
-        raise UsageError(f"box-radius must be positive, got {config.box_radius}")
+    try:
+        harness = config.harness_config()
+        harness.scale_grid  # grids are built on use; build them here
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    try:
+        harness.t_grid
+    except ValueError as exc:
+        raise UsageError(f"t grid: {exc}") from None
     try:
         check_template_request(config.n, config.quad_spec)
     except ValueError as exc:
-        knob = "--grid-per-axis" if config.mode == "grid" else "--samples"
+        if config.mode == "grid":
+            knob = "--grid-per-axis"
+        else:
+            knob = "--samples" if config.samples > NODE_CEILING else "--n"
         raise UsageError(f"{exc}; lower {knob}") from None
     if config.suite == "dorronsoro":
         gate = gate_exponents(config.p, config.q, config.n)
@@ -337,18 +325,18 @@ def _fmt(value) -> str:
 
 
 def _echo_lines(config: RunConfig) -> list[str]:
-    """Effective-config echo: every key that shapes the result rows, in a
-    fixed order, omitting workers/out/timestamp."""
-    keys = ("suite", "n", "field", "p", "q", "alpha", "r_min", "r_max",
-            "per_decade", "t_min", "t_max", "t_per_decade", "box_radius",
-            "mode", "samples", "grid_per_axis", "seed", "format")
-    lines = [f"{key} = {_fmt(getattr(config, key))}" for key in keys]
-    at = keys.index("field") + 1
-    param_lines = [
-        f"field.{key} = {_fmt(config.field_params[key])}"
-        for key in sorted(config.field_params)
-    ]
-    return lines[:at] + param_lines + lines[at:]
+    """Effective-config echo: every key that shapes the result rows, in
+    field order, with one field.NAME line per field parameter."""
+    lines = []
+    for f in fields(config):
+        if f.name == "field_params":
+            lines += [
+                f"field.{key} = {_fmt(config.field_params[key])}"
+                for key in sorted(config.field_params)
+            ]
+        elif f.metadata.get("echo", True):
+            lines.append(f"{f.name} = {_fmt(getattr(config, f.name))}")
+    return lines
 
 
 def _timestamp() -> str:

@@ -69,6 +69,8 @@ class QuadSpec:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if self.grid_per_axis < 1:
             raise ValueError(f"grid_per_axis must be >= 1, got {self.grid_per_axis}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -85,9 +87,9 @@ class ScaleGrid:
     points_per_decade: int = 16
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.r_min < self.r_max):
+        if not (0.0 < self.r_min < self.r_max < math.inf):
             raise ValueError(
-                f"need 0 < r_min < r_max, got [{self.r_min}, {self.r_max}]"
+                f"need 0 < r_min < r_max < inf, got [{self.r_min}, {self.r_max}]"
             )
         if self.points_per_decade < 1:
             raise ValueError(
@@ -177,8 +179,10 @@ def _ball_template_cached(n: int, mode: str, samples: int, seed: int, per_axis: 
 def check_template_request(n: int, spec: QuadSpec) -> None:
     """Reject a ball or box template for spec above NODE_CEILING nodes,
     counted before the ball filter: grid_per_axis^(2n+1) mesh points in
-    grid mode, samples proposals in Monte Carlo mode."""
-    count = spec.grid_per_axis ** (2 * n + 1) if spec.mode == "grid" else spec.samples
+    grid mode; in Monte Carlo mode samples proposals, but at least one
+    full sign orbit of 2^(2n+1) nodes, which every ball template holds."""
+    dim = 2 * n + 1
+    count = spec.grid_per_axis**dim if spec.mode == "grid" else max(spec.samples, 2**dim)
     if count > NODE_CEILING:
         raise ValueError(
             f"template request of {count} nodes at n={n} exceeds the ceiling "

@@ -154,17 +154,20 @@ class HarnessConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
-        if not self.p > 1:
-            raise ValueError(f"p must exceed 1, got {self.p}")
-        if not self.q >= 1:
-            raise ValueError(f"q must be at least 1, got {self.q}")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError(f"p must be finite and exceed 1, got {self.p}")
+        if not 1.0 <= self.q < math.inf:
+            raise ValueError(f"q must be finite and at least 1, got {self.q}")
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.box_radius <= 0:
-            raise ValueError(f"box_radius must be positive, got {self.box_radius}")
+        if not 0.0 < self.box_radius < math.inf:
+            raise ValueError(
+                f"box_radius must be finite and positive, got {self.box_radius}"
+            )
         if not 0.0 < self.rho_min < 2.0 * self.box_radius:
             raise ValueError(
-                f"rho_min must lie in (0, 2 * box_radius), got {self.rho_min}"
+                f"rho_min must lie in (0, 2 * box_radius) = (0, {2.0 * self.box_radius}),"
+                f" got {self.rho_min}"
             )
 
     @property
@@ -398,7 +401,7 @@ def poincare_ratio(f: ScalarField, p: float, config: HarnessConfig) -> RatioRepo
         lhs_trunc = 0.0
     else:
         # small-t continuation from the measured slope of J(t)
-        head = power_head(ts, jvals, ts[0])
+        head = power_head(ts, jvals, tgrid.r_min)
         # large-t tail: |f(x) - f(x * (0,t))| <= 2 max|f|, via the measured
         # field norm on the domain plus its own continuation
         fnorm_p = np.sum(polar.vols * fmeans)

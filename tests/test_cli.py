@@ -195,7 +195,9 @@ def test_runtime_failures_exit_1_with_one_line(monkeypatch, capsys, exc):
     assert err.startswith("heisbeta: error: ") and err.count("\n") == 1
 
 
-def test_oversized_template_rejected_before_allocation(monkeypatch, capsys):
+@pytest.fixture
+def builder_calls(monkeypatch):
+    """Template and ball-constant builders patched to record and refuse."""
     calls = []
 
     def builder(*args):
@@ -203,13 +205,46 @@ def test_oversized_template_rejected_before_allocation(monkeypatch, capsys):
         raise AssertionError("template builder reached")
 
     for name in ("_ball_template_cached", "_grid_ball_template",
-                 "_mc_ball_template", "_unit_box_template_cached"):
+                 "_mc_ball_template", "_sign_orbit", "_unit_box_template_cached",
+                 "_ball_constant"):
         monkeypatch.setattr(quad, name, builder)
+    return calls
+
+
+def test_oversized_template_rejected_before_allocation(builder_calls, capsys):
     # 24^7 = 4.6e9 mesh points
     assert run_main(["identities", "--n", "3", "--mode", "grid"]) == 2
     assert "--grid-per-axis" in capsys.readouterr().err
     assert run_main(["beta", "--samples", str(NODE_CEILING + 1)]) == 2
     assert "--samples" in capsys.readouterr().err
-    assert not calls
+    # the sign orbit alone has 2^25 nodes
+    assert run_main(["beta", "--n", "12"]) == 2
+    assert "lower --n" in capsys.readouterr().err
+    assert not builder_calls
     # the largest default request, 24^5 mesh points at n = 2, is admitted
     assert parse_config(["identities", "--n", "2", "--mode", "grid"]).n == 2
+
+
+@pytest.mark.parametrize("argv, conf", [
+    (["beta", "--per-decade", "0"], None),
+    (["identities", "--box-radius", "0.005"], None),
+    (["beta", "--seed", "-1"], None),
+    (["identities"], "t_min = 5\nt_max = 1\n"),
+    (["identities"], "t_per_decade = 0\n"),
+    (["beta", "--rmax", "inf"], None),
+    (["poincare", "--box-radius", "inf"], None),
+    (["identities"], "t_max = inf\n"),
+    (["dorronsoro", "--p", "inf"], None),
+    (["lemmas", "--q", "inf"], None),
+], ids=["per-decade-0", "box-radius-below-rho-min", "seed-negative", "t-grid-reversed",
+        "t-per-decade-0", "rmax-inf", "box-radius-inf", "t-max-inf", "p-inf", "q-inf"])
+def test_out_of_range_values_exit_2_with_one_line(builder_calls, capsys, tmp_path,
+                                                   argv, conf):
+    if conf is not None:
+        path = tmp_path / "run.conf"
+        path.write_text(conf)
+        argv = argv + ["--config", str(path)]
+    assert run_main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("heisbeta: ") and err.count("\n") == 1
+    assert not builder_calls

@@ -38,6 +38,8 @@ def test_quadspec_validation():
         QuadSpec(samples=0)
     with pytest.raises(ValueError):
         QuadSpec(mode="grid", grid_per_axis=0)
+    with pytest.raises(ValueError, match="seed"):
+        QuadSpec(seed=-1)
 
 
 def test_scale_grid_nodes_and_validation():
@@ -53,6 +55,8 @@ def test_scale_grid_nodes_and_validation():
         ScaleGrid(0.0, 1.0)
     with pytest.raises(ValueError):
         ScaleGrid(1.0, 2.0, 0)
+    with pytest.raises(ValueError):
+        ScaleGrid(1.0, math.inf)
 
 
 def test_ball_volume_constant_and_scaling():
@@ -227,3 +231,7 @@ def test_template_requests_above_ceiling_rejected():
         ball_template(3, huge_grid)
     with pytest.raises(ValueError, match="ceiling"):
         box_nodes(1, 2.0, QuadSpec(samples=NODE_CEILING + 1))
+    # a Monte Carlo ball template holds at least one full sign orbit
+    check_template_request(11, QuadSpec(samples=1))  # 2^23 orbit nodes
+    with pytest.raises(ValueError, match="33554432 nodes"):
+        check_template_request(12, QuadSpec(samples=1))

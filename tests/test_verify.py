@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from heisbeta import verify
 from heisbeta.fields import catalog
 from heisbeta.quad import QuadSpec, power_head, power_tail
 from heisbeta.verify import (
@@ -93,6 +94,9 @@ def test_harness_config_validation():
         HarnessConfig(alpha=2.5)
     with pytest.raises(ValueError, match="box_radius"):
         HarnessConfig(box_radius=0.0)
+    for key in ("p", "q", "box_radius"):
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
+            HarnessConfig(**{key: math.inf})
     with pytest.raises(ValueError, match="rho_min"):
         HarnessConfig(rho_min=10.0, box_radius=1.0)
     cfg = HarnessConfig(spec=QuadSpec(samples=100_000), sweep_samples=4096)
@@ -178,6 +182,19 @@ def test_inequalities_and_stabilities_at_n2_grid():
             assert rep.params["s"] == s
             if s == 1.0:
                 assert rep.lhs == rep.rhs == base.ratio
+
+
+def test_poincare_head_continues_from_t_min(monkeypatch):
+    # the midpoint sum covers [t_min, t_max], so the small-t head ends at t_min
+    edges = []
+
+    def recording_head(xs, integrand, edge):
+        edges.append(edge)
+        return power_head(xs, integrand, edge)
+
+    monkeypatch.setattr(verify, "power_head", recording_head)
+    poincare_ratio(catalog("gaussian"), 2.0, CHEAP)
+    assert edges == [CHEAP.t_min]
 
 
 def test_poincare_exponent_range():
