@@ -211,8 +211,16 @@ def _parse_field_flag(text: str) -> tuple[str, dict]:
     return name.strip(), params
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose rejections are UsageErrors, so that main prints
+    them as one line instead of the usage block."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heisbeta",
         description="Multiscale affine approximation sweeps and inequality "
         "checks on the Heisenberg group.",

@@ -41,6 +41,8 @@ Array = np.ndarray
 _BALL_ROLE = 101
 _DOMAIN_ROLE = 202
 _VOLUME_SEED = 760355
+# rows per block of the c_n estimate: one (block, 2n+1) buffer fits in L2
+_VOLUME_BLOCK = 8192
 
 _MODES = ("grid", "montecarlo")
 
@@ -365,19 +367,39 @@ def ball_integrate(f, center, r: float, spec: QuadSpec) -> tuple[float, float]:
 
 @lru_cache(maxsize=8)
 def _ball_constant(n: int) -> tuple[float, float]:
-    """(c_n, stderr): unit-ball volume from a one-time 4e6-proposal run."""
+    """(c_n, stderr): unit-ball volume from a one-time 4e6-proposal run.
+
+    Proposals are uniform in [-1, 1]^2n x [-1/4, 1/4]; with s = 4t the ball
+    is |z|^4 + s^2 <= 1.  They are streamed through one reused block buffer,
+    so the run needs under a megabyte.  The estimate agrees with the closed
+    form pi^n Gamma(n/2) Gamma(3/2) / (4 Gamma(n) Gamma(n/2 + 3/2)) to within
+    3 stderr at n = 1..4, but the benchmark references were recorded against
+    its bits, so it stays bit-identical until they are re-recorded: the
+    blocks draw the same stream as one uniform(-1, 1) draw of all 4e6 rows,
+    which forms -1 + 2d with 2d exact, and |z|^2 is summed left to right.
+    """
     dim = 2 * n + 1
     box_vol = 2.0 ** (2 * n) * 0.5
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([_VOLUME_SEED, n]))
     )
     total = 4_000_000
+    buf = np.empty((_VOLUME_BLOCK, dim))
+    acc = np.empty(_VOLUME_BLOCK)
     accepted = 0
-    for _ in range(8):
-        u = rng.uniform(-1.0, 1.0, size=(total // 8, dim))
-        u[:, -1] *= 0.25
-        zsq = (u[:, :-1] ** 2).sum(axis=1)
-        accepted += int((zsq * zsq + 16.0 * u[:, -1] ** 2 <= 1.0).sum())
+    for start in range(0, total, _VOLUME_BLOCK):
+        rows = min(_VOLUME_BLOCK, total - start)
+        u, a = buf[:rows], acc[:rows]
+        rng.random(out=u)
+        u *= 2.0
+        u -= 1.0
+        u *= u
+        np.copyto(a, u[:, 0])
+        for j in range(1, dim - 1):
+            a += u[:, j]
+        a *= a
+        a += u[:, -1]
+        accepted += int(np.count_nonzero(a <= 1.0))
     frac = accepted / total
     return box_vol * frac, box_vol * math.sqrt(frac * (1.0 - frac) / total)
 

@@ -248,3 +248,22 @@ def test_out_of_range_values_exit_2_with_one_line(builder_calls, capsys, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("heisbeta: ") and err.count("\n") == 1
     assert not builder_calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["beta", "--n", "abc"],
+    ["beta", "--mode", "quantum"],
+    ["no-such-suite"],
+    ["beta", "--bogus"],
+], ids=["int-value", "choice", "suite", "unknown-flag"])
+def test_argparse_rejections_exit_2_with_one_line(capsys, argv):
+    assert run_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("heisbeta: ") and captured.err.count("\n") == 1
+    assert not captured.out
+
+
+def test_help_prints_usage_to_stdout_and_exits_0(capsys):
+    assert run_main(["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: heisbeta") and not captured.err

@@ -1,6 +1,7 @@
 """Ball templates, volumes, domain integration and scale grids."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,14 +60,51 @@ def test_scale_grid_nodes_and_validation():
         ScaleGrid(1.0, math.inf)
 
 
+def _exact_ball_constant(n):
+    """c_n = pi^n Gamma(n/2) Gamma(3/2) / (4 Gamma(n) Gamma(n/2 + 3/2))."""
+    return (math.pi**n * math.gamma(n / 2) * math.gamma(1.5)
+            / (4.0 * math.gamma(n) * math.gamma(n / 2 + 1.5)))
+
+
 def test_ball_volume_constant_and_scaling():
     c1, se = _ball_constant(1)
     assert abs(c1 - EXACT_C1) <= 3.0 * se
     assert abs(c1 - EXACT_C1) / EXACT_C1 < 2e-3
+    exact = {1: math.pi**2 / 8, 2: math.pi**2 / 6, 3: math.pi**4 / 64, 4: 1.0823232}
+    for n, value in exact.items():
+        assert _exact_ball_constant(n) == pytest.approx(value, rel=1e-7)
+        cn, se = _ball_constant(n)
+        assert abs(cn - _exact_ball_constant(n)) <= 3.0 * se
     assert ball_volume(2.0, 1) == pytest.approx(16.0 * ball_volume(1.0, 1), rel=1e-15)
     assert ball_volume(2.0, 2) == pytest.approx(64.0 * ball_volume(1.0, 2), rel=1e-15)
     with pytest.raises(ValueError):
         ball_volume(0.0)
+
+
+# the estimate every reported norm is scaled by; bench/references.json was
+# recorded against these exact bits
+PINNED_BALL_CONSTANTS = {
+    1: (1.2338605, 0.00048613508064625157),
+    2: (1.64735, 0.001617485546882877),
+    3: (1.527184, 0.0034109235197430036),
+    4: (1.086336, 0.0058709216077014684),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_BALL_CONSTANTS))
+def test_ball_constant_bits_pinned(n):
+    assert _ball_constant(n) == PINNED_BALL_CONSTANTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ball_constant_streams_in_small_memory(n):
+    tracemalloc.start()
+    try:
+        _ball_constant.__wrapped__(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_ball_template_geometry():
