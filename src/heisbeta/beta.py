@@ -9,8 +9,10 @@ random numbers.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +23,22 @@ from .quad import QuadSpec, ScaleGrid, ball_template, mean_stderr
 
 Array = np.ndarray
 
-# cap on ball nodes (centers x radii x template nodes) per sweep block.
-# Blocks this small keep the node buffer and its temporaries in a core's
-# L2 cache: on a 2-vCPU Xeon (2 MB L2 per core) 2M-node blocks ran about
-# 40 % slower per node.
-_NODE_BUDGET = 131_072
+# cap on ball nodes (centers x radii x template nodes) per sweep tile.
+# Tiles this small keep the node buffer and its temporaries in a core's L2
+# cache: on a 2-vCPU Xeon (2 MB L2 per core) 2M-node tiles ran about 40 %
+# slower per node.  One budget serves every worker count, because a tile's
+# shape reaches the last bits of its matrix products.  It is half the
+# serial 131,072 so that two tiles in flight fit in one old tile's memory;
+# smaller tiles hand the interpreter lock between threads so often that
+# CPU time grows.  dorronsoro-norm, bench/run.py --seconds 20 (2 vCPUs,
+# numpy 2.4.6), means of two runs:
+#
+#   budget   workers  wall_s  cpu_s  peak_rss_mb
+#   131,072  1        1.11    1.11   46.9
+#   131,072  2        0.67    1.15   51.7
+#    65,536  2        0.77    1.17   46.0
+#    32,768  2        0.93    1.38   43.5
+_NODE_BUDGET = 65_536
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,9 +82,51 @@ def _blocks(count: int, step: int):
     return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
+def _run_tiles(tile, tiles, workers: int) -> None:
+    """tile(ks, rsl) for every tile, on the calling thread and up to
+    workers - 1 helper threads.
+
+    The threads claim tiles in order from one shared iterator (its next()
+    is one C call, atomic under the interpreter lock); a helper runs in a
+    copy of the caller's context, which carries numpy's errstate.
+    Once a tile fails no thread claims another, and the failure of the
+    first failing tile in serial order is raised: every tile before it had
+    been claimed, so it ran to its end.
+    """
+    claims = enumerate(tiles)
+    stop = threading.Event()
+    failures = {}
+
+    def drain():
+        for i, (ks, rsl) in claims:
+            if stop.is_set():
+                return
+            try:
+                tile(ks, rsl)
+            except BaseException as exc:
+                failures[i] = exc
+                stop.set()
+                return
+
+    helpers = [
+        threading.Thread(target=contextvars.copy_context().run, args=(drain,))
+        for _ in range(min(workers, len(tiles)) - 1)
+    ]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain()
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+
+
 def scale_sweep(
     f, centers: Array, rs, d: int, q: float, template, center_vals=None,
-    want_se: bool = True,
+    want_se: bool = True, workers: int = 1,
 ):
     """Per-(center, radius) ball statistics from one template pass.
 
@@ -83,8 +138,10 @@ def scale_sweep(
     f(x)| over B(x, r).  want_se=False skips the error estimates (norm paths
     evaluate thousands of balls and only need values).
 
-    Centers and radii are taken in blocks of at most _NODE_BUDGET nodes (at
-    least one ball), so callers pass every center at once.
+    Centers and radii are taken in tiles of at most _NODE_BUDGET nodes (at
+    least one ball), so callers pass every center at once.  The tiles run
+    on up to workers threads (f.eval must be thread-safe); the tiles do not
+    depend on workers, so neither do the result bits.
     """
     ev = getattr(f, "eval", f)
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -106,11 +163,17 @@ def scale_sweep(
     uz_t = u[:, :-1].T
     rstep = max(1, min(nr, _NODE_BUDGET // m))
     kstep = max(1, min(k, _NODE_BUDGET // (rstep * m)))
-    buf = np.empty(dim * kstep * rstep * m)
-    for ks, rsl in itertools.product(_blocks(k, kstep), _blocks(nr, rstep)):
+    scratch = threading.local()  # node and model buffers, one set per thread
+
+    def tile(ks, rsl):
+        if not hasattr(scratch, "nodes"):
+            scratch.nodes = np.empty(dim * kstep * rstep * m)
+            scratch.model = np.empty(kstep * rstep * m) if d == 1 else None
         cblock, rblock = centers[ks], rs[rsl]
         shape = (dim, len(cblock), len(rblock), m)
-        nodes = twist_nodes(cblock, rblock, u, buf[: math.prod(shape)].reshape(shape))
+        nodes = twist_nodes(
+            cblock, rblock, u, scratch.nodes[: math.prod(shape)].reshape(shape)
+        )
         vals = np.asarray(ev(np.moveaxis(nodes, 0, -1)), dtype=float)  # (k, R, m)
         amax = np.maximum(vals.max(axis=-1), -vals.min(axis=-1))
         if not np.all(np.isfinite(amax)):
@@ -118,12 +181,20 @@ def scale_sweep(
             node = group_mul(cblock[i], dilate(rblock[j], u[l]))
             raise FloatingPointError(f"non-finite ball integrand at node {node!r}")
         out["amax"][ks, rsl] = amax
+        if center_vals is not None:
+            dgv = np.abs(vals - center_vals[ks, None, None])
+            out["cdiff"][ks, rsl] = dgv.mean(axis=-1)
+            if want_se:
+                out["cdiff_se"][ks, rsl] = mean_stderr(dgv, template)
+            del dgv
         # with r = 1 the returned slopes absorb the radius, so the fitted
         # model at the template nodes is b + a . u for every radius at once
         b, a = fit_from_values(vals, template, 1.0, d)
-        res = vals - b[..., None]
+        # the residual overwrites the field values when they are ours
+        res = vals if vals.flags.owndata and vals.flags.writeable else np.empty_like(vals)
+        np.subtract(vals, b[..., None], out=res)
         if d == 1:
-            res -= a @ uz_t
+            res -= np.matmul(a, uz_t, out=scratch.model[: res.size].reshape(res.shape))
         # |res|^q in place; for q = 2 squaring skips abs with the same bits
         if q == 2.0:
             np.multiply(res, res, out=res)
@@ -144,11 +215,9 @@ def scale_sweep(
                         s > 0, se_s * s ** (1.0 / q - 1.0) / q, se_s ** (1.0 / q)
                     )
             out["beta_se"][ks, rsl] = se
-        if center_vals is not None:
-            dgv = np.abs(vals - center_vals[ks, None, None])
-            out["cdiff"][ks, rsl] = dgv.mean(axis=-1)
-            if want_se:
-                out["cdiff_se"][ks, rsl] = mean_stderr(dgv, template)
+
+    tiles = list(itertools.product(_blocks(k, kstep), _blocks(nr, rstep)))
+    _run_tiles(tile, tiles, workers)
     return out
 
 

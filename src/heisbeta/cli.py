@@ -87,7 +87,7 @@ class RunConfig:
     samples: int = QuadSpec.samples
     grid_per_axis: int = QuadSpec.grid_per_axis
     seed: int = QuadSpec.seed
-    workers: int = dataclasses.field(default=1, metadata=_UNECHOED)
+    workers: int = dataclasses.field(default=HarnessConfig.workers, metadata=_UNECHOED)
     out: str | None = dataclasses.field(default=None, metadata=_UNECHOED)
     format: str = "csv"
     timestamp: bool = dataclasses.field(default=True, metadata=_UNECHOED)
@@ -281,8 +281,6 @@ def _validated(config: RunConfig) -> RunConfig:
     config = replace(config, mode=_MODE_ALIASES[config.mode])
     if config.format not in _FORMATS:
         raise UsageError(f"format must be csv or json, got {config.format!r}")
-    if config.workers < 1:
-        raise UsageError(f"workers must be >= 1, got {config.workers}")
     try:
         harness = config.harness_config()
         harness.scale_grid  # grids are built on use; build them here
@@ -455,9 +453,9 @@ def _run_suite(config: RunConfig):
         return _run_squarefn(config)
     harness = config.harness_config()
     if config.suite == "identities":
-        return _run_reports(config, run_identity_suite(harness, config.workers))
+        return _run_reports(config, run_identity_suite(harness))
     if config.suite == "lemmas":
-        return _run_reports(config, run_lemma_suite(harness, config.workers))
+        return _run_reports(config, run_lemma_suite(harness))
     f = config.make_field()
     if config.suite == "dorronsoro":
         base = dorronsoro_ratio(f, config.p, config.q, harness)

@@ -180,16 +180,16 @@ def s_alpha(f, x, alpha: float, grid: ScaleGrid, spec: QuadSpec) -> SquareFnResu
 
 
 def g_window_values(f, pts: Array, rs: Array, coef: Array, h: float, d: int,
-                    q: float, tpl) -> Array:
+                    q: float, tpl, workers: int = 1) -> Array:
     """Square-function values with an explicit scale window.
 
     Returns sqrt(sum_i (coef_i * beta_{f,d,q}(B(x, rs_i)))^2 * h) for each
     x in pts.  Callers pass coef = w^-alpha with w the window nodes, which
     lets a dilated run keep the undilated weights (the covariance of beta
-    under dilation does the rest).
+    under dilation does the rest).  The sweep runs on workers threads.
     """
     flat = pts.reshape(-1, pts.shape[-1])
-    sweep = scale_sweep(f, flat, rs, d, q, tpl, want_se=False)
+    sweep = scale_sweep(f, flat, rs, d, q, tpl, want_se=False, workers=workers)
     integ = (coef[None, :] * sweep["beta"]) ** 2
     return np.sqrt(integ.sum(axis=1) * h).reshape(pts.shape[:-1])
 

@@ -131,7 +131,9 @@ class HarnessConfig:
     exact at any cap, and fixture values record the capped budget.  The
     truncated domain for norms is the gauge ball of radius 2 * box_radius,
     discretized by norm_per_decade log shells from rho_min outward and
-    norm_dirs template directions per shell.
+    norm_dirs template directions per shell.  workers is the thread count
+    of the norm sweeps and of the suites' task pools; it never changes a
+    result bit and stays out of every report's params.
     """
 
     n: int = 1
@@ -150,6 +152,7 @@ class HarnessConfig:
     norm_dirs: int = 32
     norm_per_decade: int = 8
     rho_min: float = 0.02
+    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -169,6 +172,8 @@ class HarnessConfig:
                 f"rho_min must lie in (0, 2 * box_radius) = (0, {2.0 * self.box_radius}),"
                 f" got {self.rho_min}"
             )
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     @property
     def scale_grid(self) -> ScaleGrid:
@@ -265,7 +270,7 @@ def _dorronsoro_sides(f: ScalarField, p: float, q: float,
     pts = dilate(s, polar.pts)
     gvals = g_window_values(
         f, pts, s * rs, rs**-1.0, grid.log_step, 1, q,
-        ball_template(config.n, config.sweep_spec),
+        ball_template(config.n, config.sweep_spec), workers=config.workers,
     )
     lhs, lhs_means = shell_lp(gvals, polar.vols, p)
     rhs, rhs_means = shell_lp(_grad_magnitude(f, pts), polar.vols, p)
@@ -582,12 +587,13 @@ def _g_lp_report(config: HarnessConfig, name: str, s: float) -> RatioReport:
     polar = config.domain()
     tpl = ball_template(n, spec)
     lhs_vals = g_window_values(
-        fs, polar.pts, rs, rs**-alpha, grid.log_step, d, 1.0, tpl
+        fs, polar.pts, rs, rs**-alpha, grid.log_step, d, 1.0, tpl,
+        workers=config.workers,
     )
     lhs = shell_lp(lhs_vals, polar.vols, p)[0]
     rhs_vals = g_window_values(
         f, dilate(s, polar.pts), s * rs, (s * rs) ** -alpha, grid.log_step,
-        d, 1.0, tpl,
+        d, 1.0, tpl, workers=config.workers,
     )
     rhs_int = float(np.sum(s**big_q * polar.vols * np.mean(rhs_vals**p, axis=-1)))
     rhs = s ** (alpha - big_q / p) * rhs_int ** (1.0 / p)
@@ -597,33 +603,40 @@ def _g_lp_report(config: HarnessConfig, name: str, s: float) -> RatioReport:
     return _finish_identity(f"g-lp:{name}:s={s:g}", lhs, rhs, params)
 
 
-def _run_tasks(tasks: list[Callable[[], RatioReport]], workers: int):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda task: task(), tasks))
-    return [task() for task in tasks]
+def _run_tasks(config: HarnessConfig,
+               tasks: list[Callable[[HarnessConfig], RatioReport]]):
+    """The reports of tasks, in order, on a pool of config.workers threads.
+    Every task gets the config with workers = 1, so the sweeps inside the
+    tasks start no threads of their own: at most config.workers threads
+    are ever busy."""
+    serial = replace(config, workers=1)
+    if config.workers > 1:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            return list(pool.map(lambda task: task(serial), tasks))
+    return [task(serial) for task in tasks]
 
 
-def run_identity_suite(config: HarnessConfig, workers: int = 1) -> list[RatioReport]:
+def run_identity_suite(config: HarnessConfig) -> list[RatioReport]:
     """All scaling-identity checks under common random numbers: L^p norm
     scaling of dilated fields, beta covariance at random placements,
     square-function equivariance pointwise and in L^p.
 
     Each report's params carry a "certified" budget verdict and a "pass"
     verdict (certified and ratio within 1e-2 of 1).  Reports are
-    deterministic for a given config, independent of workers.
+    deterministic for a given config, independent of config.workers.
     """
-    tasks: list[Callable[[], RatioReport]] = [
-        lambda: _lp_scaling_report(config, "gaussian", 2.0),
-        lambda: _lp_scaling_report(config, "vertical-wave", 2.0),
-        lambda: _covariance_report(config, "gaussian", 0.5, 2.0, 4.0, 0.25, 4.0),
-        lambda: _covariance_report(config, "gaussian", 2.0, 2.0, 4.0, 0.25, 4.0),
-        lambda: _covariance_report(config, "bump", 0.5, 0.8, 0.8, 0.25, 2.0),
-        lambda: _g_pointwise_report(config, "gaussian", 0.5),
-        lambda: _g_pointwise_report(config, "gaussian", 2.0),
-        lambda: _g_lp_report(config, "gaussian", 2.0),
+    tasks: list[Callable[[HarnessConfig], RatioReport]] = [
+        lambda c: _lp_scaling_report(c, "gaussian", 2.0),
+        lambda c: _lp_scaling_report(c, "vertical-wave", 2.0),
+        lambda c: _covariance_report(c, "gaussian", 0.5, 2.0, 4.0, 0.25, 4.0),
+        lambda c: _covariance_report(c, "gaussian", 2.0, 2.0, 4.0, 0.25, 4.0),
+        lambda c: _covariance_report(c, "bump", 0.5, 0.8, 0.8, 0.25, 2.0),
+        lambda c: _g_pointwise_report(c, "gaussian", 0.5),
+        lambda c: _g_pointwise_report(c, "gaussian", 2.0),
     ]
-    return _run_tasks(tasks, workers)
+    # the g L^p norm is most of the suite's work: it runs after the task
+    # pool, with its sweeps split over all the workers
+    return _run_tasks(config, tasks) + [_g_lp_report(config, "gaussian", 2.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -661,9 +674,10 @@ def _near_optimal_report(config: HarnessConfig) -> RatioReport:
             continue
         dirs = rng.standard_normal(size=(100, 1 + u.shape[-1]))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        # competitor offsets at unit magnitude, shape (100, m); each
-        # magnitude rescales them into one reused buffer
-        step = dirs[:, :1] + (dirs[:, 1:] * scale_a) @ u.T
+        # competitor offsets at unit magnitude, shape (100, m), formed in
+        # place; each magnitude rescales them into one reused buffer
+        step = (dirs[:, 1:] * scale_a) @ u.T
+        step += dirs[:, :1]
         cand = np.empty_like(step)
         best = base
         for lam in (0.25, 0.5, 1.0):
@@ -826,7 +840,7 @@ def _gradient_pair_report(config: HarnessConfig) -> RatioReport:
     return rep
 
 
-def run_lemma_suite(config: HarnessConfig, workers: int = 1) -> list[RatioReport]:
+def run_lemma_suite(config: HarnessConfig) -> list[RatioReport]:
     """Lemma-level comparisons swept over random placements: projection
     near-optimality, contained-ball monotonicity, pointwise domination of
     the projection square function, the sup bound for fitted models, and
@@ -836,11 +850,10 @@ def run_lemma_suite(config: HarnessConfig, workers: int = 1) -> list[RatioReport
     pointwise domination carries a hard bound, and its "pass" verdict
     enforces ratio <= 1.
     """
-    tasks: list[Callable[[], RatioReport]] = [
-        lambda: _near_optimal_report(config),
-        lambda: _monotonicity_report(config),
-        lambda: _g_vs_s_report(config),
-        lambda: _projection_sup_report(config),
-        lambda: _gradient_pair_report(config),
-    ]
-    return _run_tasks(tasks, workers)
+    return _run_tasks(config, [
+        _near_optimal_report,
+        _monotonicity_report,
+        _g_vs_s_report,
+        _projection_sup_report,
+        _gradient_pair_report,
+    ])

@@ -1,6 +1,9 @@
 """Beta numbers: annihilation, covariance, profiles, monotonicity ratios."""
 
 import math
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,3 +202,95 @@ def test_scale_sweep_matches_group_law_reference(monkeypatch, n, d, q, extras):
         # cdiff_se at the largest radii is rounding noise around 0
         np.testing.assert_allclose(got[key], want[key], rtol=1e-9, atol=1e-15,
                                    err_msg=key)
+
+
+@pytest.mark.parametrize("spec", [QuadSpec(samples=1500, seed=5),
+                                  QuadSpec(mode="grid", grid_per_axis=6)],
+                         ids=["mc", "grid"])
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+def test_scale_sweep_bits_do_not_depend_on_workers(monkeypatch, spec, d, q):
+    f = catalog("gaussian")
+    tpl = ball_template(1, spec)
+    centers = random_points(np.random.default_rng(23), 7, z_extent=1.5, t_extent=2.0)
+    rs = np.geomspace(1e-2, 1e1, 9)
+    # two radii of one center per tile: 35 tiles
+    monkeypatch.setattr(beta, "_NODE_BUDGET", 2 * len(tpl.nodes))
+    for want_se in (False, True):
+        for center_vals in (None, f.eval(centers)):
+            runs = [
+                scale_sweep(f, centers, rs, d, q, tpl, center_vals=center_vals,
+                            want_se=want_se, workers=workers)
+                for workers in (1, 2, 3)
+            ]
+            for key in runs[0]:
+                for other in runs[1:]:
+                    np.testing.assert_array_equal(other[key], runs[0][key], err_msg=key)
+
+
+def test_scale_sweep_raises_the_first_failing_tile_in_serial_order(monkeypatch):
+    tpl = ball_template(1, QuadSpec(samples=1500, seed=5))
+    centers = np.zeros((8, 3))
+    centers[:, 0] = np.arange(8.0)
+    rs = np.geomspace(1e-2, 1e-1, 4)
+    monkeypatch.setattr(beta, "_NODE_BUDGET", 2 * len(tpl.nodes))
+
+    def field(p):
+        x = p[..., 0]
+        if np.any(np.abs(x - 3.0) < 0.5):
+            time.sleep(0.05)  # the first failing tile in serial order ends last
+        bad = (np.abs(x - 3.0) < 0.5) | (np.abs(x - 6.0) < 0.5)
+        return np.where(bad, np.nan, 1.0)
+
+    messages = []
+    for workers in (1, 2, 3):
+        with pytest.raises(FloatingPointError, match="non-finite") as info:
+            scale_sweep(field, centers, rs, 1, 1.0, tpl, workers=workers)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == messages[2]
+    assert "array([3." in messages[0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scale_sweep_tiles_run_under_the_callers_errstate(monkeypatch, workers):
+    tpl = ball_template(1, QuadSpec(samples=1500, seed=5))
+    centers = random_points(np.random.default_rng(29), 4)
+    rs = np.geomspace(1e-2, 1e1, 6)
+    monkeypatch.setattr(beta, "_NODE_BUDGET", 2 * len(tpl.nodes))
+    seen = []
+
+    def field(p):
+        seen.append((threading.get_ident(), np.geterr()["under"]))
+        time.sleep(0.002)  # every thread gets tiles
+        return np.exp(-800.0 - p[..., 0] ** 2)  # underflows to 0
+
+    out = scale_sweep(field, centers, rs, 1, 2.0, tpl, workers=workers)
+    assert not out["beta"].any()
+    seen.clear()
+    with np.errstate(under="raise"):
+        with pytest.raises(FloatingPointError, match="underflow"):
+            scale_sweep(field, centers, rs, 1, 2.0, tpl, workers=workers)
+    assert len({ident for ident, _ in seen}) == workers
+    assert {mode for _, mode in seen} == {"raise"}
+
+
+def test_parallel_sweep_fits_in_the_old_single_tile_footprint(monkeypatch):
+    """Two tiles in flight at the current node budget trace no more memory
+    than one tile at the old 131,072-node budget, on a sweep shaped like
+    the dorronsoro-norm benchmark's (328 template nodes, 40 radii)."""
+    f = catalog("gaussian")
+    tpl = ball_template(1, QuadSpec(samples=512, seed=42))
+    centers = random_points(np.random.default_rng(31), 64)
+    rs = np.geomspace(1e-3, 1e2, 40)
+
+    def peak(workers):
+        tracemalloc.start()
+        try:
+            scale_sweep(f, centers, rs, 1, 2.0, tpl, want_se=False, workers=workers)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    parallel = peak(2)
+    monkeypatch.setattr(beta, "_NODE_BUDGET", 131_072)
+    assert parallel <= peak(1)

@@ -135,6 +135,18 @@ def test_identities_json_and_worker_determinism(tmp_path):
         assert rep["params"]["pass"] is True and rep["ratio"] == 1.0
 
 
+def test_dorronsoro_bytes_do_not_depend_on_workers(capsys):
+    # 576 polar points x 10 radii x 184 nodes: each norm sweep runs 17 tiles
+    argv = ["dorronsoro", "--samples", "256", "--per-decade", "2", "--box-radius", "2",
+            "--format", "json", "--no-timestamp"]
+    outputs = []
+    for workers in ("1", "2", "3"):
+        assert run_main(argv + ["--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert json.loads(outputs[0])["reports"][0]["name"] == "dorronsoro"
+
+
 def test_identities_starved_budget_exits_2(tmp_path):
     out = tmp_path / "starved.csv"
     code = run_main(
@@ -236,8 +248,10 @@ def test_oversized_template_rejected_before_allocation(builder_calls, capsys):
     (["identities"], "t_max = inf\n"),
     (["dorronsoro", "--p", "inf"], None),
     (["lemmas", "--q", "inf"], None),
+    (["dorronsoro", "--workers", "0"], None),
 ], ids=["per-decade-0", "box-radius-below-rho-min", "seed-negative", "t-grid-reversed",
-        "t-per-decade-0", "rmax-inf", "box-radius-inf", "t-max-inf", "p-inf", "q-inf"])
+        "t-per-decade-0", "rmax-inf", "box-radius-inf", "t-max-inf", "p-inf", "q-inf",
+        "workers-0"])
 def test_out_of_range_values_exit_2_with_one_line(builder_calls, capsys, tmp_path,
                                                    argv, conf):
     if conf is not None:

@@ -1,12 +1,13 @@
 """Inequality harness: exponent gate, ratio reports, and suites."""
 
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from heisbeta import verify
+from heisbeta import beta, verify
 from heisbeta.fields import catalog
 from heisbeta.quad import QuadSpec, power_head, power_tail
 from heisbeta.verify import (
@@ -99,6 +100,9 @@ def test_harness_config_validation():
             HarnessConfig(**{key: math.inf})
     with pytest.raises(ValueError, match="rho_min"):
         HarnessConfig(rho_min=10.0, box_radius=1.0)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        HarnessConfig(workers=0)
+    assert "workers" not in HarnessConfig(workers=3).base_params()
     cfg = HarnessConfig(spec=QuadSpec(samples=100_000), sweep_samples=4096)
     assert cfg.sweep_spec.samples == 4096
     assert cfg.scale_grid.count > 0 and cfg.t_grid.count > 0
@@ -222,9 +226,36 @@ def test_identity_suite_starved_budget_fails_honestly():
     assert all(rep.params["certified"] is False for rep in reports)
 
 
+def test_suites_start_threads_only_on_the_calling_thread(monkeypatch):
+    """Sweeps inside pooled suite tasks run serially: the suites' task pools
+    and the g L^p norm's sweep helpers alike start on the caller's thread,
+    so at most config.workers threads are ever busy."""
+    on_main = []
+    start = threading.Thread.start
+
+    def spy_start(thread):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        start(thread)
+
+    sweep_workers = []
+    run_tiles = beta._run_tiles
+
+    def spy_run_tiles(tile, tiles, workers):
+        sweep_workers.append(workers)
+        run_tiles(tile, tiles, workers)
+
+    monkeypatch.setattr(threading.Thread, "start", spy_start)
+    monkeypatch.setattr(beta, "_run_tiles", spy_run_tiles)
+    run_identity_suite(replace(CHEAP, workers=2))
+    run_lemma_suite(replace(CHEAP, workers=2))
+    assert sweep_workers.count(2) == 2  # the two sides of the g L^p norm
+    assert set(sweep_workers) == {1, 2}
+    assert len(on_main) >= 4 and all(on_main)
+
+
 def test_identity_suite_worker_count_invariant():
-    serial = run_identity_suite(CHEAP, workers=1)
-    threaded = run_identity_suite(CHEAP, workers=4)
+    serial = run_identity_suite(replace(CHEAP, workers=1))
+    threaded = run_identity_suite(replace(CHEAP, workers=4))
     for a, b in zip(serial, threaded):
         assert a.name == b.name
         assert a.lhs == b.lhs and a.rhs == b.rhs
