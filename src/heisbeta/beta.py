@@ -221,15 +221,20 @@ def scale_sweep(
     return out
 
 
-def _sweep_with_grid_error(f, centers, rs, d, q, spec: QuadSpec, n: int, center_vals=None):
+def _sweep_with_grid_error(f, centers, rs, d, q, spec: QuadSpec, n: int,
+                           center_vals=None, workers: int = 1):
     """scale_sweep plus honest stderr: orbit stderr for Monte Carlo,
-    half-resolution comparison for grid mode."""
+    half-resolution comparison for grid mode.  Both sweeps run on workers
+    threads."""
     tpl = ball_template(n, spec)
     mc = spec.mode == "montecarlo"
-    out = scale_sweep(f, centers, rs, d, q, tpl, center_vals=center_vals, want_se=mc)
+    out = scale_sweep(
+        f, centers, rs, d, q, tpl, center_vals=center_vals, want_se=mc, workers=workers
+    )
     if spec.mode == "grid":
         coarse = scale_sweep(
-            f, centers, rs, d, q, tpl.coarse, center_vals=center_vals, want_se=False
+            f, centers, rs, d, q, tpl.coarse, center_vals=center_vals, want_se=False,
+            workers=workers,
         )
         out["beta_se"] = np.abs(out["beta"] - coarse["beta"])
         if center_vals is not None:

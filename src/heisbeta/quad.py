@@ -56,7 +56,8 @@ class QuadSpec:
     """Quadrature request: mode, budget, and determinism knobs.
 
     samples is the Monte Carlo proposal budget; grid_per_axis the tensor
-    grid resolution.  Identical specs give bit-identical results.
+    grid resolution, at least 2 so that grid error estimates have a
+    half-resolution twin.  Identical specs give bit-identical results.
     """
 
     mode: str = "montecarlo"
@@ -69,8 +70,8 @@ class QuadSpec:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
-        if self.grid_per_axis < 1:
-            raise ValueError(f"grid_per_axis must be >= 1, got {self.grid_per_axis}")
+        if self.grid_per_axis < 2:
+            raise ValueError(f"grid_per_axis must be >= 2, got {self.grid_per_axis}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -165,8 +166,8 @@ def _grid_ball_template(n: int, per_axis: int, with_coarse: bool = True) -> Ball
     if not len(nodes):
         raise RuntimeError(f"grid_per_axis={per_axis} keeps no ball nodes")
     coarse = None
-    if with_coarse and per_axis >= 2:
-        coarse = _grid_ball_template(n, max(1, per_axis // 2), with_coarse=False)
+    if with_coarse:
+        coarse = _grid_ball_template(n, per_axis // 2, with_coarse=False)
     m2 = (nodes[:, :-1] ** 2).mean(axis=0)
     return BallTemplate(nodes=nodes, units=len(nodes), orbit=1, m2=m2, coarse=coarse)
 

@@ -48,13 +48,14 @@ class SquareFnResult:
 
 
 # box mesh points of the norm estimate; 8^7, so n <= 3 keep their
-# resolutions (32, 12 and 8 per axis) and larger n get coarser meshes
+# resolutions (32, 12 and 8 per axis) and larger n get coarser meshes,
+# down to the 2 per axis every grid spec needs
 _META_NODES = 2_097_152
 
 
 def _meta_spec(n: int) -> QuadSpec:
     per_axis = {1: 32, 2: 12}.get(n, 8)
-    while per_axis ** (2 * n + 1) > _META_NODES:
+    while per_axis > 2 and per_axis ** (2 * n + 1) > _META_NODES:
         per_axis -= 1
     return QuadSpec(mode="grid", grid_per_axis=per_axis)
 

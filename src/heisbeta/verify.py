@@ -14,9 +14,7 @@ use the gauge-polar quadrature of heisbeta.quad.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -29,8 +27,6 @@ from .quad import (
     QuadSpec,
     ScaleGrid,
     ball_template,
-    box_nodes,
-    box_volume,
     domain_truncation,
     polar_domain,
     power_head,
@@ -132,8 +128,8 @@ class HarnessConfig:
     truncated domain for norms is the gauge ball of radius 2 * box_radius,
     discretized by norm_per_decade log shells from rho_min outward and
     norm_dirs template directions per shell.  workers is the thread count
-    of the norm sweeps and of the suites' task pools; it never changes a
-    result bit and stays out of every report's params.
+    of the sweeps that span many tiles; it never changes a result bit and
+    stays out of every report's params.
     """
 
     n: int = 1
@@ -484,19 +480,19 @@ def _finish_identity(name, lhs, rhs, params, truncation=(0.0, 0.0)):
 
 
 def _lp_scaling_report(config: HarnessConfig, name: str, s: float) -> RatioReport:
-    """||f_s||_p over the domain against s^(-Q/p) ||f|| over the dilated
-    domain, on linked box nodes."""
+    """||f_s||_p against s^(-Q/p) ||f||_p on linked gauge-polar domains."""
     f = catalog(name, n=config.n)
     fs = precompose_dilation(f, s)
-    n, p = config.n, config.p
-    big_q = 2 * n + 2
-    xs = box_nodes(n, config.box_radius, config.spec)
-    vol = box_volume(n, config.box_radius)
-    lhs = (vol * np.mean(np.abs(fs.eval(xs)) ** p)) ** (1.0 / p)
-    rhs_int = s**big_q * vol * np.mean(np.abs(f.eval(dilate(s, xs))) ** p)
+    p = config.p
+    big_q = 2 * config.n + 2
+    polar = config.domain()
+    lhs = shell_lp(fs.eval(polar.pts), polar.vols, p)[0]
+    rhs_means = shell_lp(f.eval(dilate(s, polar.pts)), polar.vols, p)[1]
+    rhs_int = float(np.sum(s**big_q * polar.vols * rhs_means))
     rhs = s ** (-big_q / p) * rhs_int ** (1.0 / p)
-    params = _identity_params(config, {"check": "lp-scaling", "field": f.label,
-                                       "s": s, "p": p})
+    params = _identity_params(config, _norm_params(config) | {
+        "check": "lp-scaling", "field": f.label, "s": s, "p": p,
+    })
     return _finish_identity(f"lp-scaling:{name}:s={s:g}", lhs, rhs, params)
 
 
@@ -553,9 +549,12 @@ def _g_pointwise_report(config: HarnessConfig, name: str, s: float) -> RatioRepo
     tpl = ball_template(config.n, spec)
     rng = _rng(spec, _ROLE_POINTS)
     xs = _random_centers(rng, config.n, 5, 1.5, 2.0)
-    lhs_vals = g_window_values(fs, xs, rs, rs**-alpha, grid.log_step, d, 1.0, tpl)
+    lhs_vals = g_window_values(
+        fs, xs, rs, rs**-alpha, grid.log_step, d, 1.0, tpl, workers=config.workers
+    )
     rhs_vals = s**alpha * g_window_values(
-        f, dilate(s, xs), s * rs, (s * rs) ** -alpha, grid.log_step, d, 1.0, tpl
+        f, dilate(s, xs), s * rs, (s * rs) ** -alpha, grid.log_step, d, 1.0, tpl,
+        workers=config.workers,
     )
     ok = rhs_vals > 1e-14
     params = _identity_params(config, {
@@ -603,19 +602,6 @@ def _g_lp_report(config: HarnessConfig, name: str, s: float) -> RatioReport:
     return _finish_identity(f"g-lp:{name}:s={s:g}", lhs, rhs, params)
 
 
-def _run_tasks(config: HarnessConfig,
-               tasks: list[Callable[[HarnessConfig], RatioReport]]):
-    """The reports of tasks, in order, on a pool of config.workers threads.
-    Every task gets the config with workers = 1, so the sweeps inside the
-    tasks start no threads of their own: at most config.workers threads
-    are ever busy."""
-    serial = replace(config, workers=1)
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(lambda task: task(serial), tasks))
-    return [task(serial) for task in tasks]
-
-
 def run_identity_suite(config: HarnessConfig) -> list[RatioReport]:
     """All scaling-identity checks under common random numbers: L^p norm
     scaling of dilated fields, beta covariance at random placements,
@@ -625,18 +611,16 @@ def run_identity_suite(config: HarnessConfig) -> list[RatioReport]:
     verdict (certified and ratio within 1e-2 of 1).  Reports are
     deterministic for a given config, independent of config.workers.
     """
-    tasks: list[Callable[[HarnessConfig], RatioReport]] = [
-        lambda c: _lp_scaling_report(c, "gaussian", 2.0),
-        lambda c: _lp_scaling_report(c, "vertical-wave", 2.0),
-        lambda c: _covariance_report(c, "gaussian", 0.5, 2.0, 4.0, 0.25, 4.0),
-        lambda c: _covariance_report(c, "gaussian", 2.0, 2.0, 4.0, 0.25, 4.0),
-        lambda c: _covariance_report(c, "bump", 0.5, 0.8, 0.8, 0.25, 2.0),
-        lambda c: _g_pointwise_report(c, "gaussian", 0.5),
-        lambda c: _g_pointwise_report(c, "gaussian", 2.0),
+    return [
+        _lp_scaling_report(config, "gaussian", 2.0),
+        _lp_scaling_report(config, "vertical-wave", 2.0),
+        _covariance_report(config, "gaussian", 0.5, 2.0, 4.0, 0.25, 4.0),
+        _covariance_report(config, "gaussian", 2.0, 2.0, 4.0, 0.25, 4.0),
+        _covariance_report(config, "bump", 0.5, 0.8, 0.8, 0.25, 2.0),
+        _g_pointwise_report(config, "gaussian", 0.5),
+        _g_pointwise_report(config, "gaussian", 2.0),
+        _g_lp_report(config, "gaussian", 2.0),
     ]
-    # the g L^p norm is most of the suite's work: it runs after the task
-    # pool, with its sweeps split over all the workers
-    return _run_tasks(config, tasks) + [_g_lp_report(config, "gaussian", 2.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -675,19 +659,21 @@ def _near_optimal_report(config: HarnessConfig) -> RatioReport:
         dirs = rng.standard_normal(size=(100, 1 + u.shape[-1]))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         # competitor offsets at unit magnitude, shape (100, m), formed in
-        # place; each magnitude rescales them into one reused buffer
+        # place; each magnitude rescales them ten rows at a time into one
+        # reused buffer, so no second (100, m) array is ever allocated
         step = (dirs[:, 1:] * scale_a) @ u.T
         step += dirs[:, :1]
-        cand = np.empty_like(step)
+        cand = np.empty((10, step.shape[1]))
         best = base
         for lam in (0.25, 0.5, 1.0):
-            np.multiply(step, lam * base, out=cand)
-            np.subtract(resid, cand, out=cand)
-            np.abs(cand, out=cand)
-            if config.q != 1.0:
-                np.power(cand, config.q, out=cand)
-            cand_beta = cand.mean(axis=1) ** (1.0 / config.q)
-            best = min(best, float(cand_beta.min()))
+            for lo in range(0, 100, 10):
+                np.multiply(step[lo:lo + 10], lam * base, out=cand)
+                np.subtract(resid, cand, out=cand)
+                np.abs(cand, out=cand)
+                if config.q != 1.0:
+                    np.power(cand, config.q, out=cand)
+                cand_beta = cand.mean(axis=1) ** (1.0 / config.q)
+                best = min(best, float(cand_beta.min()))
         ratio = base / best if best > 0 else math.inf
         if ratio > worst[0]:
             worst = (ratio, base, best)
@@ -745,7 +731,8 @@ def _g_vs_s_report(config: HarnessConfig) -> RatioReport:
     xs = _random_centers(rng, config.n, 20, 1.5, 2.0)
     rs = grid.nodes()
     sweep = _sweep_with_grid_error(
-        f, xs, rs, 0, 1.0, spec, config.n, center_vals=f.eval(xs)
+        f, xs, rs, 0, 1.0, spec, config.n, center_vals=f.eval(xs),
+        workers=config.workers,
     )
     cases = []
     for i in range(len(xs)):
@@ -850,10 +837,10 @@ def run_lemma_suite(config: HarnessConfig) -> list[RatioReport]:
     pointwise domination carries a hard bound, and its "pass" verdict
     enforces ratio <= 1.
     """
-    return _run_tasks(config, [
-        _near_optimal_report,
-        _monotonicity_report,
-        _g_vs_s_report,
-        _projection_sup_report,
-        _gradient_pair_report,
-    ])
+    return [
+        _near_optimal_report(config),
+        _monotonicity_report(config),
+        _g_vs_s_report(config),
+        _projection_sup_report(config),
+        _gradient_pair_report(config),
+    ]

@@ -147,6 +147,18 @@ def test_dorronsoro_bytes_do_not_depend_on_workers(capsys):
     assert json.loads(outputs[0])["reports"][0]["name"] == "dorronsoro"
 
 
+def test_lemmas_bytes_do_not_depend_on_workers(capsys):
+    # 20 points x 40 radii x 184 nodes: the g-vs-s sweep runs 3 tiles
+    argv = ["lemmas", "--samples", "256", "--per-decade", "8", "--format", "json",
+            "--no-timestamp"]
+    outputs = []
+    for workers in ("1", "2", "3"):
+        assert run_main(argv + ["--workers", workers]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(json.loads(outputs[0])["reports"]) == 5
+
+
 def test_identities_starved_budget_exits_2(tmp_path):
     out = tmp_path / "starved.csv"
     code = run_main(
@@ -249,9 +261,10 @@ def test_oversized_template_rejected_before_allocation(builder_calls, capsys):
     (["dorronsoro", "--p", "inf"], None),
     (["lemmas", "--q", "inf"], None),
     (["dorronsoro", "--workers", "0"], None),
+    (["squarefn", "--mode", "grid", "--grid-per-axis", "1", "--alpha", "0.5"], None),
 ], ids=["per-decade-0", "box-radius-below-rho-min", "seed-negative", "t-grid-reversed",
         "t-per-decade-0", "rmax-inf", "box-radius-inf", "t-max-inf", "p-inf", "q-inf",
-        "workers-0"])
+        "workers-0", "grid-per-axis-1"])
 def test_out_of_range_values_exit_2_with_one_line(builder_calls, capsys, tmp_path,
                                                    argv, conf):
     if conf is not None:

@@ -71,7 +71,7 @@ def run_configs(draw):
         box_radius=draw(st.floats(0.011, 1e3)),
         mode=draw(st.sampled_from(["grid", "montecarlo"])),
         samples=draw(st.integers(1, 10**6)),
-        grid_per_axis=draw(st.integers(1, 20)),
+        grid_per_axis=draw(st.integers(2, 20)),
         seed=draw(st.integers(0, 2**32)),
         workers=draw(st.integers(1, 8)),
         out=draw(st.sampled_from([None, "run.csv"])),

@@ -39,6 +39,9 @@ def test_quadspec_validation():
         QuadSpec(samples=0)
     with pytest.raises(ValueError):
         QuadSpec(mode="grid", grid_per_axis=0)
+    # grid error estimates need the half-resolution twin
+    with pytest.raises(ValueError, match="grid_per_axis"):
+        QuadSpec(mode="grid", grid_per_axis=1)
     with pytest.raises(ValueError, match="seed"):
         QuadSpec(seed=-1)
 

@@ -227,9 +227,9 @@ def test_identity_suite_starved_budget_fails_honestly():
 
 
 def test_suites_start_threads_only_on_the_calling_thread(monkeypatch):
-    """Sweeps inside pooled suite tasks run serially: the suites' task pools
-    and the g L^p norm's sweep helpers alike start on the caller's thread,
-    so at most config.workers threads are ever busy."""
+    """The suites run their checks in order on the calling thread; only
+    sweep tiles go to helper threads, and every sweep that spans many
+    tiles gets config.workers of them."""
     on_main = []
     start = threading.Thread.start
 
@@ -237,20 +237,43 @@ def test_suites_start_threads_only_on_the_calling_thread(monkeypatch):
         on_main.append(threading.current_thread() is threading.main_thread())
         start(thread)
 
-    sweep_workers = []
+    multi_tile_workers = []
     run_tiles = beta._run_tiles
 
     def spy_run_tiles(tile, tiles, workers):
-        sweep_workers.append(workers)
+        if len(tiles) > 1:
+            multi_tile_workers.append(workers)
         run_tiles(tile, tiles, workers)
 
     monkeypatch.setattr(threading.Thread, "start", spy_start)
     monkeypatch.setattr(beta, "_run_tiles", spy_run_tiles)
     run_identity_suite(replace(CHEAP, workers=2))
     run_lemma_suite(replace(CHEAP, workers=2))
-    assert sweep_workers.count(2) == 2  # the two sides of the g L^p norm
-    assert set(sweep_workers) == {1, 2}
-    assert len(on_main) >= 4 and all(on_main)
+    # four g-pointwise sweeps, the two sides of the g L^p norm and the
+    # fine-grid g-vs-s sweep, each with one helper thread
+    assert multi_tile_workers == [2] * 7
+    assert len(on_main) == 7 and all(on_main)
+
+
+def test_suites_evaluate_fields_under_the_callers_errstate(monkeypatch):
+    divide = []
+    make = verify.catalog
+
+    def spy_catalog(*args, **kwargs):
+        f = make(*args, **kwargs)
+        ev = f.eval
+
+        def spy_eval(p):
+            divide.append(np.geterr()["divide"])
+            return ev(p)
+
+        return replace(f, eval=spy_eval)
+
+    monkeypatch.setattr(verify, "catalog", spy_catalog)
+    with np.errstate(divide="ignore"):
+        run_lemma_suite(replace(CHEAP, workers=2))
+        run_identity_suite(replace(CHEAP, workers=2))
+    assert divide and set(divide) == {"ignore"}
 
 
 def test_identity_suite_worker_count_invariant():
