@@ -26,6 +26,7 @@ from .quad import (
     PolarDomain,
     QuadSpec,
     ScaleGrid,
+    ball_nodes,
     ball_template,
     domain_truncation,
     polar_domain,
@@ -83,11 +84,16 @@ class RatioReport:
     degenerate: bool
 
 
-def _report(name, lhs, rhs, params, truncation, rhs_floor=_DEGENERATE_RHS):
+def _report(name, lhs, rhs, params, truncation=(0.0, 0.0),
+            rhs_floor=_DEGENERATE_RHS, rule=None):
+    """The report of one check.  A suite check passes its rule(ratio); its
+    params get the "pass" verdict, which a degenerate report never earns."""
     lhs = float(lhs)
     rhs = float(rhs)
     degenerate = not rhs > rhs_floor
     ratio = math.nan if degenerate else lhs / rhs
+    if rule is not None:
+        params["pass"] = bool(not degenerate and rule(ratio))
     return RatioReport(
         name=name,
         lhs=lhs,
@@ -288,7 +294,7 @@ def _stability(name: str, s: float, base: RatioReport | None, base_run,
         lhs, rhs, _ = sides()
     params = dict(base.params) | {"s": s, "base_ratio": base.ratio}
     if not rhs > _DEGENERATE_RHS * (1.0 + lhs):
-        return _report(name, lhs, rhs, params, (0.0, 0.0))
+        return _report(name, lhs, rhs, params)
     return _report(name, lhs / rhs, base.ratio, params, base.truncation)
 
 
@@ -362,10 +368,9 @@ def _poincare_sides(f: ScalarField, p: float, config: HarnessConfig,
     ts = tgrid.nodes()
     pts = dilate(s, polar.pts)
     vals = np.asarray(f.eval(pts), dtype=float)
-    shift = np.zeros((len(ts), pts.shape[-1]))
-    shift[:, -1] = s**2 * ts
     # central shifts: x * (0, t) adds t to the vertical coordinate
-    moved = group_mul(pts[None, ...], shift[:, None, None, :])
+    moved = np.repeat(pts[None], len(ts), axis=0)
+    moved[..., -1] += (s**2 * ts)[:, None, None]
     diff = np.abs(np.asarray(f.eval(moved), dtype=float) - vals[None, ...])
     means = np.mean(diff**p, axis=-1)            # (t, n_rho)
     ivals = np.sum(polar.vols[None, :] * means, axis=1)
@@ -459,24 +464,39 @@ def _random_centers(rng, n: int, count: int, z_extent: float, t_extent: float):
     return pts
 
 
-def _identity_params(config, extra):
-    out = config.base_params() | {
-        "certified": _certified(config.spec),
-        "tolerance": _IDENTITY_TOL,
-    }
-    out.update(extra)
-    return out
+def _placements(rng, n: int, count: int, z_extent: float, t_extent: float,
+                r_lo: float, r_hi: float):
+    """count random centers, then their log-uniform radii in [r_lo, r_hi]."""
+    xs = _random_centers(rng, n, count, z_extent, t_extent)
+    return xs, np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), size=count))
 
 
-def _finish_identity(name, lhs, rhs, params, truncation=(0.0, 0.0)):
-    rep = _report(name, lhs, rhs, params, truncation)
-    ok = (
-        not rep.degenerate
-        and params["certified"]
-        and abs(rep.ratio - 1.0) <= _IDENTITY_TOL
+def _worst_case(cases, score=lambda ratio: ratio) -> tuple[float, float]:
+    """(lhs, rhs) of the first valid case with the largest score(lhs / rhs)
+    among (lhs, rhs, valid) cases, or (0, 0) when none is valid."""
+    pick, top = (0.0, 0.0), -math.inf
+    for lhs, rhs, valid in cases:
+        key = score(lhs / rhs if rhs > 0 else math.inf) if valid else -math.inf
+        if key > top:
+            pick, top = (lhs, rhs), key
+    return pick
+
+
+def _off_one(ratio):
+    return abs(ratio - 1.0)
+
+
+def _identity_report(config, name, lhs, rhs, extra):
+    """An identity check passes on a certified budget with its ratio within
+    the suite tolerance of 1."""
+    certified = _certified(config.spec)
+    params = config.base_params() | {
+        "certified": certified, "tolerance": _IDENTITY_TOL,
+    } | extra
+    return _report(
+        name, lhs, rhs, params,
+        rule=lambda ratio: certified and abs(ratio - 1.0) <= _IDENTITY_TOL,
     )
-    rep.params["pass"] = bool(ok)
-    return rep
 
 
 def _lp_scaling_report(config: HarnessConfig, name: str, s: float) -> RatioReport:
@@ -490,10 +510,9 @@ def _lp_scaling_report(config: HarnessConfig, name: str, s: float) -> RatioRepor
     rhs_means = shell_lp(f.eval(dilate(s, polar.pts)), polar.vols, p)[1]
     rhs_int = float(np.sum(s**big_q * polar.vols * rhs_means))
     rhs = s ** (-big_q / p) * rhs_int ** (1.0 / p)
-    params = _identity_params(config, _norm_params(config) | {
-        "check": "lp-scaling", "field": f.label, "s": s, "p": p,
-    })
-    return _finish_identity(f"lp-scaling:{name}:s={s:g}", lhs, rhs, params)
+    extra = {"check": "lp-scaling", "field": f.label, "s": s, "p": p}
+    return _identity_report(config, f"lp-scaling:{name}:s={s:g}", lhs, rhs,
+                            _norm_params(config) | extra)
 
 
 def _covariance_report(config: HarnessConfig, name: str, s: float,
@@ -505,35 +524,21 @@ def _covariance_report(config: HarnessConfig, name: str, s: float,
     fs = precompose_dilation(f, s)
     spec = config.spec
     tpl = ball_template(config.n, spec)
-    rng = _rng(spec, _ROLE_PAIRS)
-    xs = _random_centers(rng, config.n, 10, z_extent, t_extent)
-    rads = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), size=10))
-    worst = 1.0
-    pair = (1.0, 1.0)
-    valid = 0
-    for x, r in zip(xs, rads):
+    cases = []
+    for x, r in zip(*_placements(_rng(spec, _ROLE_PAIRS), config.n, 10,
+                                 z_extent, t_extent, r_lo, r_hi)):
         left = scale_sweep(fs, x[None], [r], 1, config.q, tpl, want_se=False)
         right = scale_sweep(
             f, dilate(s, x)[None], [s * r], 1, config.q, tpl, want_se=False
         )
-        b1 = float(left["beta"][0, 0])
         b2 = float(right["beta"][0, 0])
-        if b2 <= 1e-14 * (1.0 + abs(float(right["mean"][0, 0]))):
-            continue
-        valid += 1
-        ratio = b1 / b2
-        if abs(ratio - 1.0) > abs(worst - 1.0):
-            worst = ratio
-            pair = (b1, b2)
-    params = _identity_params(config, {
+        cases.append((float(left["beta"][0, 0]), b2,
+                      b2 > 1e-14 * (1.0 + abs(float(right["mean"][0, 0])))))
+    lhs, rhs = _worst_case(cases, _off_one)
+    return _identity_report(config, f"beta-covariance:{name}:s={s:g}", lhs, rhs, {
         "check": "beta-covariance", "field": f.label, "s": s, "q": config.q,
-        "placements": 10, "valid": valid,
+        "placements": 10, "valid": sum(valid for _, _, valid in cases),
     })
-    if valid == 0:
-        rep = _report(f"beta-covariance:{name}:s={s:g}", 0.0, 0.0, params, (0.0, 0.0))
-        rep.params["pass"] = False
-        return rep
-    return _finish_identity(f"beta-covariance:{name}:s={s:g}", pair[0], pair[1], params)
 
 
 def _g_pointwise_report(config: HarnessConfig, name: str, s: float) -> RatioReport:
@@ -557,19 +562,11 @@ def _g_pointwise_report(config: HarnessConfig, name: str, s: float) -> RatioRepo
         workers=config.workers,
     )
     ok = rhs_vals > 1e-14
-    params = _identity_params(config, {
+    lhs, rhs = _worst_case(zip(lhs_vals, rhs_vals, ok), _off_one)
+    return _identity_report(config, f"g-pointwise:{name}:s={s:g}", lhs, rhs, {
         "check": "g-pointwise", "field": f.label, "s": s, "alpha": alpha,
         "points": len(xs), "valid": int(ok.sum()),
     })
-    if not ok.any():
-        rep = _report(f"g-pointwise:{name}:s={s:g}", 0.0, 0.0, params, (0.0, 0.0))
-        rep.params["pass"] = False
-        return rep
-    ratios = lhs_vals[ok] / rhs_vals[ok]
-    k = int(np.argmax(np.abs(ratios - 1.0)))
-    return _finish_identity(
-        f"g-pointwise:{name}:s={s:g}", lhs_vals[ok][k], rhs_vals[ok][k], params
-    )
 
 
 def _g_lp_report(config: HarnessConfig, name: str, s: float) -> RatioReport:
@@ -596,10 +593,9 @@ def _g_lp_report(config: HarnessConfig, name: str, s: float) -> RatioReport:
     )
     rhs_int = float(np.sum(s**big_q * polar.vols * np.mean(rhs_vals**p, axis=-1)))
     rhs = s ** (alpha - big_q / p) * rhs_int ** (1.0 / p)
-    params = _identity_params(config, _norm_params(config) | {
-        "check": "g-lp", "field": f.label, "s": s, "alpha": alpha, "p": p,
-    })
-    return _finish_identity(f"g-lp:{name}:s={s:g}", lhs, rhs, params)
+    extra = {"check": "g-lp", "field": f.label, "s": s, "alpha": alpha, "p": p}
+    return _identity_report(config, f"g-lp:{name}:s={s:g}", lhs, rhs,
+                            _norm_params(config) | extra)
 
 
 def run_identity_suite(config: HarnessConfig) -> list[RatioReport]:
@@ -640,50 +636,45 @@ def _near_optimal_report(config: HarnessConfig) -> RatioReport:
     spec = config.sweep_spec
     tpl = ball_template(config.n, spec)
     rng = _rng(spec, _ROLE_COMPETITORS)
-    n = config.n
-    xs = _random_centers(rng, n, 20, 2.0, 4.0)
-    rads = np.exp(rng.uniform(math.log(0.25), math.log(2.0), size=20))
     u = tpl.nodes[:, :-1]
     scale_a = 1.0 / np.sqrt(tpl.m2)
-    worst = (1.0, 1.0, 1.0)
-    for x, r in zip(xs, rads):
-        nodes = group_mul(x[None], dilate(r, tpl.nodes))
-        vals = np.asarray(f.eval(nodes), dtype=float)
+    # competitors go ten at a time: their offsets at unit magnitude to step,
+    # each magnitude's residuals to cand, so no (100, m) array (4 MB at
+    # n = 1) is allocated
+    step = np.empty((10, len(u)))
+    cand = np.empty_like(step)
+    cases = []
+    for x, r in zip(*_placements(rng, config.n, 20, 2.0, 4.0, 0.25, 2.0)):
+        vals = np.asarray(f.eval(ball_nodes(x, r, tpl.nodes)), dtype=float)
         # fit with r = 1: the slopes absorb the radius, so the model at the
         # template nodes is b + u . a
         b, a = fit_from_values(vals, tpl, 1.0, 1)
         resid = vals - b - u @ a
         base = float(np.mean(np.abs(resid) ** config.q) ** (1.0 / config.q))
         if base <= 1e-14:
+            cases.append((base, base, False))
             continue
         dirs = rng.standard_normal(size=(100, 1 + u.shape[-1]))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        # competitor offsets at unit magnitude, shape (100, m), formed in
-        # place; each magnitude rescales them ten rows at a time into one
-        # reused buffer, so no second (100, m) array is ever allocated
-        step = (dirs[:, 1:] * scale_a) @ u.T
-        step += dirs[:, :1]
-        cand = np.empty((10, step.shape[1]))
         best = base
-        for lam in (0.25, 0.5, 1.0):
-            for lo in range(0, 100, 10):
-                np.multiply(step[lo:lo + 10], lam * base, out=cand)
+        for lo in range(0, 100, 10):
+            np.matmul(dirs[lo:lo + 10, 1:] * scale_a, u.T, out=step)
+            step += dirs[lo:lo + 10, :1]
+            for lam in (0.25, 0.5, 1.0):
+                np.multiply(step, lam * base, out=cand)
                 np.subtract(resid, cand, out=cand)
                 np.abs(cand, out=cand)
                 if config.q != 1.0:
                     np.power(cand, config.q, out=cand)
                 cand_beta = cand.mean(axis=1) ** (1.0 / config.q)
                 best = min(best, float(cand_beta.min()))
-        ratio = base / best if best > 0 else math.inf
-        if ratio > worst[0]:
-            worst = (ratio, base, best)
+        cases.append((base, best, True))
     params = config.base_params() | {
         "check": "near-optimal-fit", "field": f.label, "q": config.q,
         "placements": 20, "competitors": 300,
     }
-    rep = _report("lemma:near-optimal-fit", worst[1], worst[2], params, (0.0, 0.0))
-    rep.params["pass"] = bool(math.isfinite(rep.ratio))
-    return rep
+    return _report("lemma:near-optimal-fit", *_worst_case(cases), params,
+                   rule=math.isfinite)
 
 
 def _monotonicity_report(config: HarnessConfig) -> RatioReport:
@@ -696,8 +687,7 @@ def _monotonicity_report(config: HarnessConfig) -> RatioReport:
     big_q = 2 * n + 2
     rng = _rng(spec, _ROLE_PLACEMENTS)
     big_c = 2.0
-    xs = _random_centers(rng, n, 100, 2.0, 4.0)
-    rads = np.exp(rng.uniform(math.log(0.25), math.log(2.0), size=100))
+    xs, rads = _placements(rng, n, 100, 2.0, 4.0, 0.25, 2.0)
     shifts = rng.standard_normal(size=(100, 2 * n + 1))
     shifts = dilate(1.0 / gauge(shifts), shifts)
     worst = 0.0
@@ -709,9 +699,7 @@ def _monotonicity_report(config: HarnessConfig) -> RatioReport:
         "check": "beta-monotonicity", "field": f.label, "q": config.q,
         "enlargement": big_c, "placements": 100,
     }
-    rep = _report("lemma:beta-monotonicity", worst, 1.0, params, (0.0, 0.0))
-    rep.params["pass"] = bool(math.isfinite(rep.ratio))
-    return rep
+    return _report("lemma:beta-monotonicity", worst, 1.0, params, rule=math.isfinite)
 
 
 def _g_vs_s_report(config: HarnessConfig) -> RatioReport:
@@ -743,20 +731,13 @@ def _g_vs_s_report(config: HarnessConfig) -> RatioReport:
             rs, grid.log_step, sweep["cdiff"][i], sweep["cdiff_se"][i], alpha
         )
         bound = 2.0 * s + 3.0 * (g_se + s_se)
-        if bound > 0:
-            cases.append((g, bound))
+        cases.append((g, bound, bool(bound > 0)))
     params = config.base_params() | {
         "check": "g-vs-s", "field": f.label, "alpha": alpha, "points": 20,
-        "valid": len(cases),
+        "valid": sum(valid for _, _, valid in cases),
     }
-    if not cases:
-        rep = _report("lemma:g-vs-s", 0.0, 0.0, params, (0.0, 0.0))
-        rep.params["pass"] = False
-        return rep
-    k = int(np.argmax([lhs / rhs for lhs, rhs in cases]))
-    rep = _report("lemma:g-vs-s", cases[k][0], cases[k][1], params, (0.0, 0.0))
-    rep.params["pass"] = bool(math.isfinite(rep.ratio) and rep.ratio <= 1.0)
-    return rep
+    return _report("lemma:g-vs-s", *_worst_case(cases), params,
+                   rule=lambda ratio: ratio <= 1.0)
 
 
 def _projection_sup_report(config: HarnessConfig) -> RatioReport:
@@ -770,36 +751,24 @@ def _projection_sup_report(config: HarnessConfig) -> RatioReport:
     a = np.zeros(2 * n)
     a[0] = 1.0
     anchor = catalog("affine", n=n, a=a, b=0.0)
-    cases = []
-    vals = np.asarray(anchor.eval(tpl.nodes), dtype=float)
-    b0, a0 = fit_from_values(vals, tpl, 1.0, 1)
-    model = b0 + u @ a0
-    denom = float(np.mean(np.abs(vals)))
-    anchor_ratio = float(np.max(np.abs(model))) / denom
-    cases.append((float(np.max(np.abs(model))), denom))
     f = catalog("gaussian", n=n)
-    rng = _rng(spec, _ROLE_SUP)
-    xs = _random_centers(rng, n, 10, 1.5, 2.0)
-    rads = np.exp(rng.uniform(math.log(0.25), math.log(2.0), size=10))
-    for x, r in zip(xs, rads):
-        nodes = group_mul(x[None], dilate(r, tpl.nodes))
-        fv = np.asarray(f.eval(nodes), dtype=float)
-        b1, a1 = fit_from_values(fv, tpl, 1.0, 1)
-        m1 = b1 + u @ a1
-        d1 = float(np.mean(np.abs(fv)))
-        if d1 <= 1e-14:
-            continue
-        cases.append((float(np.max(np.abs(m1))), d1))
-    sups = np.array([c[0] for c in cases])
-    dens = np.array([c[1] for c in cases])
-    k = int(np.argmax(sups / dens))
+
+    def case(ev, nodes):
+        vals = np.asarray(ev(nodes), dtype=float)
+        b1, a1 = fit_from_values(vals, tpl, 1.0, 1)
+        d1 = float(np.mean(np.abs(vals)))
+        return float(np.max(np.abs(b1 + u @ a1))), d1, d1 > 1e-14
+
+    xs, rads = _placements(_rng(spec, _ROLE_SUP), n, 10, 1.5, 2.0, 0.25, 2.0)
+    cases = [case(anchor.eval, tpl.nodes)] + [
+        case(f.eval, ball_nodes(x, r, tpl.nodes)) for x, r in zip(xs, rads)
+    ]
     params = config.base_params() | {
-        "check": "projection-sup", "anchor_ratio": anchor_ratio,
-        "placements": len(cases),
+        "check": "projection-sup", "anchor_ratio": cases[0][0] / cases[0][1],
+        "placements": sum(valid for _, _, valid in cases),
     }
-    rep = _report("lemma:projection-sup", sups[k], dens[k], params, (0.0, 0.0))
-    rep.params["pass"] = bool(math.isfinite(rep.ratio))
-    return rep
+    return _report("lemma:projection-sup", *_worst_case(cases), params,
+                   rule=math.isfinite)
 
 
 def _gradient_pair_report(config: HarnessConfig) -> RatioReport:
@@ -808,23 +777,17 @@ def _gradient_pair_report(config: HarnessConfig) -> RatioReport:
     C = 4 over random pairs."""
     f = catalog("gaussian", n=config.n)
     spec = config.sweep_spec
-    rng = _rng(spec, _ROLE_GRADPAIRS)
-    xs = _random_centers(rng, config.n, 50, 2.0, 4.0)
-    rads = np.exp(rng.uniform(math.log(0.125), math.log(2.0), size=50))
-    worst = (0.0, 1.0, 0.0)
-    for x, r in zip(xs, rads):
+    cases = []
+    for x, r in zip(*_placements(_rng(spec, _ROLE_GRADPAIRS), config.n, 50,
+                                 2.0, 4.0, 0.125, 2.0)):
         lhs, rhs = gradient_comparison(f, x, float(r), C=4.0, spec=spec)
-        if rhs <= 1e-14:
-            continue
-        if lhs / rhs > worst[2]:
-            worst = (lhs, rhs, lhs / rhs)
+        cases.append((lhs, rhs, rhs > 1e-14))
     params = config.base_params() | {
         "check": "gradient-pair", "field": f.label, "enlargement": 4.0,
         "pairs": 50,
     }
-    rep = _report("lemma:gradient-pair", worst[0], worst[1], params, (0.0, 0.0))
-    rep.params["pass"] = bool(math.isfinite(rep.ratio))
-    return rep
+    return _report("lemma:gradient-pair", *_worst_case(cases), params,
+                   rule=math.isfinite)
 
 
 def run_lemma_suite(config: HarnessConfig) -> list[RatioReport]:

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from heisbeta.beta import beta_number
 from heisbeta.fields import catalog, precompose_dilation
-from heisbeta.hgroup import dilate
+from heisbeta.hgroup import dilate, horizontal_derivative
 from heisbeta.quad import (
     QuadSpec,
     ScaleGrid,
@@ -139,6 +140,34 @@ def test_gradient_comparison_orders():
     assert flhs < 1e-12 and frhs < 1e-12
     with pytest.raises(ValueError, match="C"):
         gradient_comparison(f, X, 0.5, C=0.5, spec=SPEC)
+
+
+def _gradient_comparison_by_beta_number(f, x, r, C, spec):
+    """The pair from one beta_number call per ball, error estimate and all."""
+    n = (len(x) - 1) // 2
+    lhs = beta_number(f, x, r, 1, 1.0, spec)[0]
+    rhs = 0.0
+    for j in range(1, 2 * n + 1):
+        comp = lambda pts, jj=j: horizontal_derivative(f, jj, pts)
+        rhs += beta_number(comp, x, C * r, 0, 1.0, spec)[0]
+    return lhs, r * rhs
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize(
+    "spec", [QuadSpec(samples=4096), QuadSpec(mode="grid", grid_per_axis=6)],
+    ids=["mc", "grid"],
+)
+@pytest.mark.parametrize("analytic", [True, False], ids=["analytic", "differenced"])
+def test_gradient_comparison_equals_beta_number_form(n, spec, analytic):
+    f = catalog("gaussian", n=n)
+    if not analytic:
+        f = ScalarField(label="gaussian-no-grad", n=n, eval=f.eval)
+    x = np.linspace(-0.3, 0.4, 2 * n + 1)
+    got = gradient_comparison(f, x, 0.7, C=3.0, spec=spec)
+    assert got == _gradient_comparison_by_beta_number(f, x, 0.7, 3.0, spec)
+    with pytest.raises(ValueError, match="radius"):
+        gradient_comparison(f, x, 0.0, spec=spec)
 
 
 def test_lq_norm_accounting():

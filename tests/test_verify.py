@@ -284,8 +284,45 @@ def test_identity_suite_worker_count_invariant():
         assert a.lhs == b.lhs and a.rhs == b.rhs
 
 
-def test_lemma_suite_cheap():
-    reports = run_lemma_suite(CHEAP)
+def test_identity_suite_n2_certified_and_passing():
+    # on CHEAP's grid-6/8 templates covariance at s = 2 has no valid
+    # placement at n = 2, so this run takes a certified Monte Carlo budget
+    cfg = replace(CHEAP, n=2, spec=QuadSpec(samples=40_000), sweep_samples=4096)
+    reports = run_identity_suite(cfg)
+    assert len(reports) == 8
+    for rep in reports:
+        assert rep.params["certified"] is True, rep.name
+        assert rep.params["pass"] is True, rep.name
+
+
+def test_covariance_without_valid_placement_is_degenerate():
+    # an affine field has no flatness to compare at any placement
+    rep = verify._covariance_report(CHEAP, "affine", 2.0, 2.0, 4.0, 0.25, 4.0)
+    assert rep.params["valid"] == 0
+    assert rep.degenerate and rep.lhs == rep.rhs == 0.0
+    assert rep.params["pass"] is False
+    # valid placements whose betas all sit below the degeneracy floor
+    cfg = replace(CHEAP, n=2, spec=QuadSpec(mode="grid", grid_per_axis=6))
+    rep = verify._covariance_report(cfg, "gaussian", 2.0, 2.0, 4.0, 0.25, 4.0)
+    assert rep.params["valid"] == 5
+    assert rep.degenerate and 0.0 < rep.rhs <= verify._DEGENERATE_RHS
+    assert rep.params["pass"] is False
+
+
+def test_worst_case_picks_the_first_valid_maximum():
+    cases = [(3.0, 1.0, False), (1.0, 2.0, True), (2.0, 4.0, True), (0.5, 2.0, True)]
+    assert verify._worst_case(cases) == (1.0, 2.0)
+    # |ratio - 1| ties between 0.5 and 1.5; the first valid one wins
+    cases = [(9.0, 1.0, False), (1.0, 2.0, True), (3.0, 2.0, True)]
+    assert verify._worst_case(cases, verify._off_one) == (1.0, 2.0)
+    assert verify._worst_case([(1.0, 1.0, True)], verify._off_one) == (1.0, 1.0)
+    assert verify._worst_case([(5.0, 1.0, False)]) == (0.0, 0.0)
+    assert verify._worst_case([]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_lemma_suite_cheap(n):
+    reports = run_lemma_suite(replace(CHEAP, n=n))
     names = [rep.name for rep in reports]
     assert names == [
         "lemma:near-optimal-fit",
