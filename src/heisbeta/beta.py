@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import fit_from_values
-from .hgroup import dilate, distance, group_mul
-from .quad import QuadSpec, ScaleGrid, ball_template, mean_stderr
+from .hgroup import distance
+from .quad import QuadSpec, ScaleGrid, _check_finite, ball_template, mean_stderr
 
 Array = np.ndarray
 
@@ -135,7 +135,9 @@ def scale_sweep(
     |f| seen on the ball (the scale of unavoidable roundoff in the residual),
     and, when center_vals (f evaluated at the centers) is given,
     "cdiff"/"cdiff_se" for the centered difference average of |f(x * y) -
-    f(x)| over B(x, r).  want_se=False skips the error estimates (norm paths
+    f(x)| over B(x, r).  The error estimates follow the template: orbit
+    standard errors (Monte Carlo) or |fine - twin| from a second pass over
+    the half-resolution twin (grid).  want_se=False skips them (norm paths
     evaluate thousands of balls and only need values).
 
     Centers and radii are taken in tiles of at most _NODE_BUDGET nodes (at
@@ -143,6 +145,18 @@ def scale_sweep(
     on up to workers threads (f.eval must be thread-safe); the tiles do not
     depend on workers, so neither do the result bits.
     """
+    out = _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers)
+    if want_se and template.coarse is not None:
+        # the twin pass starts once the fine pass has freed its tile buffers
+        coarse = _sweep_tiles(f, centers, rs, d, q, template.coarse, center_vals,
+                              False, workers)
+        for key in {"beta", "cdiff"} & coarse.keys():
+            out[key + "_se"] = np.abs(out[key] - coarse[key])
+    return out
+
+
+def _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers):
+    """One tiled pass of scale_sweep; want_se adds orbit standard errors."""
     ev = getattr(f, "eval", f)
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
@@ -171,15 +185,13 @@ def scale_sweep(
             scratch.model = np.empty(kstep * rstep * m) if d == 1 else None
         cblock, rblock = centers[ks], rs[rsl]
         shape = (dim, len(cblock), len(rblock), m)
-        nodes = twist_nodes(
+        pts = np.moveaxis(twist_nodes(
             cblock, rblock, u, scratch.nodes[: math.prod(shape)].reshape(shape)
-        )
-        vals = np.asarray(ev(np.moveaxis(nodes, 0, -1)), dtype=float)  # (k, R, m)
+        ), 0, -1)
+        vals = np.asarray(ev(pts), dtype=float)  # (k, R, m)
         amax = np.maximum(vals.max(axis=-1), -vals.min(axis=-1))
         if not np.all(np.isfinite(amax)):
-            i, j, l = np.argwhere(~np.isfinite(vals))[0]
-            node = group_mul(cblock[i], dilate(rblock[j], u[l]))
-            raise FloatingPointError(f"non-finite ball integrand at node {node!r}")
+            _check_finite(vals, pts, "ball integrand")
         out["amax"][ks, rsl] = amax
         if center_vals is not None:
             dgv = np.abs(vals - center_vals[ks, None, None])
@@ -221,27 +233,6 @@ def scale_sweep(
     return out
 
 
-def _sweep_with_grid_error(f, centers, rs, d, q, spec: QuadSpec, n: int,
-                           center_vals=None, workers: int = 1):
-    """scale_sweep plus honest stderr: orbit stderr for Monte Carlo,
-    half-resolution comparison for grid mode.  Both sweeps run on workers
-    threads."""
-    tpl = ball_template(n, spec)
-    mc = spec.mode == "montecarlo"
-    out = scale_sweep(
-        f, centers, rs, d, q, tpl, center_vals=center_vals, want_se=mc, workers=workers
-    )
-    if spec.mode == "grid":
-        coarse = scale_sweep(
-            f, centers, rs, d, q, tpl.coarse, center_vals=center_vals, want_se=False,
-            workers=workers,
-        )
-        out["beta_se"] = np.abs(out["beta"] - coarse["beta"])
-        if center_vals is not None:
-            out["cdiff_se"] = np.abs(out["cdiff"] - coarse["cdiff"])
-    return out
-
-
 def beta_number(
     f, x, r: float, d: int, q: float, spec: QuadSpec
 ) -> tuple[float, float]:
@@ -250,8 +241,7 @@ def beta_number(
     if r <= 0:
         raise ValueError(f"ball radius must be positive, got {r}")
     x = np.asarray(x, dtype=float)
-    n = (x.shape[-1] - 1) // 2
-    out = _sweep_with_grid_error(f, x[None], [r], d, q, spec, n)
+    out = scale_sweep(f, x[None], [r], d, q, ball_template((x.shape[-1] - 1) // 2, spec))
     return float(out["beta"][0, 0]), float(out["beta_se"][0, 0])
 
 
@@ -261,8 +251,8 @@ def beta_profile(
     """beta_number at every node of the scale grid."""
     _check_dq(d, q)
     x = np.asarray(x, dtype=float)
-    n = (x.shape[-1] - 1) // 2
-    out = _sweep_with_grid_error(f, x[None], grid.nodes(), d, q, spec, n)
+    tpl = ball_template((x.shape[-1] - 1) // 2, spec)
+    out = scale_sweep(f, x[None], grid.nodes(), d, q, tpl)
     return BetaProfile(
         x=x, d=d, q=q, grid=grid, values=out["beta"][0], stderrs=out["beta_se"][0]
     )

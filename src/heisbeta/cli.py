@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .fields import catalog
 from .hgroup import origin
-from .quad import NODE_CEILING, QuadSpec, ScaleGrid, check_template_request
+from .quad import NODE_CEILING, QuadSpec, check_template_request
 from .squarefn import g_alpha
 from .beta import beta_profile
 from .verify import (
@@ -100,10 +100,6 @@ class RunConfig:
             seed=self.seed,
             grid_per_axis=self.grid_per_axis,
         )
-
-    @property
-    def scale_grid(self) -> ScaleGrid:
-        return ScaleGrid(self.r_min, self.r_max, self.per_decade)
 
     def harness_config(self) -> HarnessConfig:
         shared = {f.name for f in fields(HarnessConfig)} & {f.name for f in fields(self)}
@@ -423,18 +419,18 @@ def _probe_points(config: RunConfig):
 
 def _run_beta(config: RunConfig):
     f = config.make_field()
-    prof = beta_profile(
-        f, origin(config.n), 1, config.q, config.scale_grid, config.quad_spec
-    )
+    grid = config.harness_config().scale_grid
+    prof = beta_profile(f, origin(config.n), 1, config.q, grid, config.quad_spec)
     rows = list(zip(prof.grid.nodes(), prof.values, prof.stderrs))
     return ("r", "beta", "stderr"), [tuple(map(float, row)) for row in rows], None, 0
 
 
 def _run_squarefn(config: RunConfig):
     f = config.make_field()
+    grid = config.harness_config().scale_grid
     rows = []
     for x_id, x in enumerate(_probe_points(config)):
-        res = g_alpha(f, x, config.alpha, config.scale_grid, config.quad_spec)
+        res = g_alpha(f, x, config.alpha, grid, config.quad_spec)
         rows.append((x_id, config.alpha, res.value, res.truncation_low,
                      res.truncation_high))
     return ("x_id", "alpha", "value", "trunc_low", "trunc_high"), rows, None, 0

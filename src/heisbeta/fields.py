@@ -113,11 +113,19 @@ def _bump(n: int) -> ScalarField:
     )
 
 
+def _integer(value, what: str) -> int:
+    if not float(value).is_integer():
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _affine(n: int, a, b: float) -> ScalarField:
     a = np.asarray(a, dtype=float)
     if a.shape != (2 * n,):
         raise ValueError(f"affine coefficient vector must have length {2 * n}")
     b = float(b)
+    if not (np.all(np.isfinite(a)) and np.isfinite(b)):
+        raise ValueError(f"affine a and b must be finite, got a={a.tolist()}, b={b}")
 
     def ev(p):
         p = np.asarray(p, dtype=float)
@@ -132,6 +140,8 @@ def _affine(n: int, a, b: float) -> ScalarField:
 
 def _vertical_wave(n: int, omega: float) -> ScalarField:
     omega = float(omega)
+    if not np.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega!r}")
 
     def _parts(p):
         p = np.asarray(p, dtype=float)
@@ -184,7 +194,7 @@ def _coordinate(n: int, axis) -> ScalarField:
             return 0.5 * np.concatenate([-p[..., n:-1], p[..., :n]], axis=-1)
 
         return ScalarField(label="coordinate(t)", n=n, eval=ev, analytic_hgrad=grad)
-    j = int(axis)
+    j = _integer(axis, "coordinate axis")
     if not 1 <= j <= 2 * n:
         raise ValueError(f"coordinate axis must be 't' or an index in 1..{2 * n}")
     e = np.zeros(2 * n)
@@ -202,7 +212,7 @@ def _coordinate(n: int, axis) -> ScalarField:
 
 
 def _quadratic(n: int, j: int, k: int) -> ScalarField:
-    j, k = int(j), int(k)
+    j, k = _integer(j, "quadratic index j"), _integer(k, "quadratic index k")
     if not (1 <= j <= 2 * n and 1 <= k <= 2 * n):
         raise ValueError(f"quadratic indices must lie in 1..{2 * n}")
 
@@ -261,6 +271,25 @@ def catalog(name: str, n: int = 1, **params) -> ScalarField:
     return builder(n, **merged)
 
 
+def _remap(f: ScalarField, label: str, point, gain: float, radius, support):
+    """x -> f(point(x)) with the gradient times gain.  radius(r) bounds N(point(x))
+    from below where N(x) = r, and support(R) solves radius(support(R)) = R."""
+    ev = f.eval
+    new = {"label": label, "eval": lambda p: ev(point(p))}
+    if f.analytic_hgrad is not None:
+        g = f.analytic_hgrad
+        new["analytic_hgrad"] = lambda p: gain * g(point(p))
+    if f.support_radius is not None:
+        new["support_radius"] = support(f.support_radius)
+        if f.decay_bound is not None:
+            db = f.decay_bound
+            new["decay_bound"] = lambda r: db(radius(np.asarray(r, float)))
+        if f.grad_decay_bound is not None:
+            gb = f.grad_decay_bound
+            new["grad_decay_bound"] = lambda r: gain * gb(radius(np.asarray(r, float)))
+    return replace(f, **new)
+
+
 def vertical_translate(f: ScalarField, t: float) -> ScalarField:
     """Right-translate by the central element (0, t): x -> f(x * (0,t)).
 
@@ -277,24 +306,10 @@ def vertical_translate(f: ScalarField, t: float) -> ScalarField:
         p[..., -1] += t
         return p
 
-    ev = f.eval
-    new = {"label": f"{f.label}+v{t:g}", "eval": lambda p: ev(shift(p))}
-    if f.analytic_hgrad is not None:
-        g = f.analytic_hgrad
-        new["analytic_hgrad"] = lambda p: g(shift(p))
-    if f.support_radius is not None:
-        # N(x * (0,t)) >= N(x) - N((0,t)) and N((0,t)) = 2 sqrt|t|
-        off = 2.0 * np.sqrt(abs(t))
-        new["support_radius"] = f.support_radius + off
-        if f.decay_bound is not None:
-            db = f.decay_bound
-            new["decay_bound"] = lambda r: db(np.maximum(np.asarray(r, float) - off, 0.0))
-        if f.grad_decay_bound is not None:
-            gb = f.grad_decay_bound
-            new["grad_decay_bound"] = lambda r: gb(
-                np.maximum(np.asarray(r, float) - off, 0.0)
-            )
-    return replace(f, **new)
+    # N(x * (0,t)) >= N(x) - N((0,t)) and N((0,t)) = 2 sqrt|t|
+    off = 2.0 * np.sqrt(abs(t))
+    return _remap(f, f"{f.label}+v{t:g}", shift, 1.0,
+                  lambda r: np.maximum(r - off, 0.0), lambda big_r: big_r + off)
 
 
 def precompose_dilation(f: ScalarField, s: float) -> ScalarField:
@@ -304,17 +319,5 @@ def precompose_dilation(f: ScalarField, s: float) -> ScalarField:
         raise ValueError(f"dilation factor must be positive, got {s!r}")
     if s == 1.0:
         return f
-    ev = f.eval
-    new = {"label": f"{f.label}@s{s:g}", "eval": lambda p: ev(dilate(s, p))}
-    if f.analytic_hgrad is not None:
-        g = f.analytic_hgrad
-        new["analytic_hgrad"] = lambda p: s * g(dilate(s, p))
-    if f.support_radius is not None:
-        new["support_radius"] = f.support_radius / s
-        if f.decay_bound is not None:
-            db = f.decay_bound
-            new["decay_bound"] = lambda r: db(s * np.asarray(r, float))
-        if f.grad_decay_bound is not None:
-            gb = f.grad_decay_bound
-            new["grad_decay_bound"] = lambda r: s * gb(s * np.asarray(r, float))
-    return replace(f, **new)
+    return _remap(f, f"{f.label}@s{s:g}", lambda p: dilate(s, p), s,
+                  lambda r: s * r, lambda big_r: big_r / s)

@@ -332,7 +332,7 @@ def mean_stderr(vals: Array, template: BallTemplate) -> Array:
 
     Monte Carlo: standard deviation of per-orbit means over sqrt(units).
     Grid templates have no statistical error; callers use a coarse-grid
-    comparison instead (see ball_integrate).
+    comparison instead (see scale_sweep and ball_integrate).
     """
     if template.orbit == 1:
         return np.zeros(np.shape(vals)[:-1])

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .beta import _sweep_with_grid_error, scale_sweep
+from .beta import scale_sweep
 from .hgroup import horizontal_derivative
 from .quad import (
     QuadSpec,
@@ -109,6 +109,18 @@ def _beta_tail_sq(f, d: int, q: float, alpha: float, r_max: float, template) -> 
     return c1**2 * r_max ** (-2.0 * e1) / e1 + c2**2 * r_max ** (-2.0 * e2) / e2
 
 
+def _cdiff_tail_sq(f, fx: float, alpha: float, r_max: float) -> float:
+    """Bound for the integral of [r^-alpha cdiff]^2 dr/r over r > r_max."""
+    l1 = lq_norm_bound(f, 1.0)
+    if not np.isfinite(l1):
+        return np.inf
+    # avg_B |f(x*y) - f(x)| <= |f(x)| + ||f||_1 / (c_n r^Q)
+    c_n = _ball_constant(f.n)[0]
+    e2 = alpha + (2 * f.n + 2)
+    lead = fx**2 * r_max ** (-2.0 * alpha) / alpha
+    return lead + (l1 / c_n) ** 2 * r_max ** (-2.0 * e2) / e2
+
+
 def _square_from_profile(rs, h, prof, se, alpha):
     integrand = (rs**-alpha * prof) ** 2
     vsq = float(integrand.sum() * h)
@@ -120,64 +132,43 @@ def _square_from_profile(rs, h, prof, se, alpha):
     return value, stderr
 
 
-def g_alpha(f, x, alpha: float, grid: ScaleGrid, spec: QuadSpec) -> SquareFnResult:
-    """Square function of the beta profile at x, degree floor(alpha)."""
-    if not 0.0 < alpha < 2.0:
-        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    d = int(alpha >= 1.0)
+def _square_function(f, x, alpha, grid, spec, d, centered) -> SquareFnResult:
+    """g_alpha (degree-d betas) or, when centered, s_alpha at x."""
     x = np.asarray(x, dtype=float)
-    n = (x.shape[-1] - 1) // 2
+    tpl = ball_template((x.shape[-1] - 1) // 2, spec)
     rs = grid.nodes()
-    sweep = _sweep_with_grid_error(f, x[None], rs, d, 1.0, spec, n)
-    prof, se = sweep["beta"][0], sweep["beta_se"][0]
+    fx = np.asarray(f.eval(x[None]), dtype=float) if centered else None
+    sweep = scale_sweep(f, x[None], rs, d, 1.0, tpl, center_vals=fx)
+    key = "cdiff" if centered else "beta"
+    prof, se = sweep[key][0], sweep[key + "_se"][0]
     value, stderr = _square_from_profile(rs, grid.log_step, prof, se, alpha)
     floor = _ANNIHILATION * (1.0 + float(sweep["amax"][0].max(initial=0.0)))
     if float(prof.max(initial=0.0)) <= floor:
         low = high = 0.0
     else:
         low = float(np.sqrt(power_head(rs, (rs**-alpha * prof) ** 2, grid.r_min)))
-        high = float(
-            np.sqrt(_beta_tail_sq(f, d, 1.0, alpha, grid.r_max, ball_template(n, spec)))
-        )
+        high = float(np.sqrt(
+            _cdiff_tail_sq(f, float(fx[0]), alpha, grid.r_max) if centered
+            else _beta_tail_sq(f, d, 1.0, alpha, grid.r_max, tpl)
+        ))
     return SquareFnResult(
         x=x, alpha=alpha, value=value, truncation_low=low, truncation_high=high,
         grid=grid, stderr=stderr,
     )
+
+
+def g_alpha(f, x, alpha: float, grid: ScaleGrid, spec: QuadSpec) -> SquareFnResult:
+    """Square function of the beta profile at x, degree floor(alpha)."""
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+    return _square_function(f, x, alpha, grid, spec, int(alpha >= 1.0), centered=False)
 
 
 def s_alpha(f, x, alpha: float, grid: ScaleGrid, spec: QuadSpec) -> SquareFnResult:
     """Square function of centered differences avg |f(x*y) - f(x)| over B(r)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    x = np.asarray(x, dtype=float)
-    n = (x.shape[-1] - 1) // 2
-    rs = grid.nodes()
-    fx = np.asarray(f.eval(x[None]), dtype=float)
-    sweep = _sweep_with_grid_error(f, x[None], rs, 0, 1.0, spec, n, center_vals=fx)
-    prof, se = sweep["cdiff"][0], sweep["cdiff_se"][0]
-    value, stderr = _square_from_profile(rs, grid.log_step, prof, se, alpha)
-    floor = _ANNIHILATION * (1.0 + float(sweep["amax"][0].max(initial=0.0)))
-    if float(prof.max(initial=0.0)) <= floor:
-        low = high = 0.0
-    else:
-        low = float(np.sqrt(power_head(rs, (rs**-alpha * prof) ** 2, grid.r_min)))
-        l1 = lq_norm_bound(f, 1.0)
-        if np.isfinite(l1):
-            # avg_B |f(x*y) - f(x)| <= |f(x)| + ||f||_1 / (c_n r^Q)
-            c_n = _ball_constant(n)[0]
-            big_q = 2 * n + 2
-            e2 = alpha + big_q
-            tail_sq = (
-                float(fx[0]) ** 2 * grid.r_max ** (-2.0 * alpha) / alpha
-                + (l1 / c_n) ** 2 * grid.r_max ** (-2.0 * e2) / e2
-            )
-            high = float(np.sqrt(tail_sq))
-        else:
-            high = np.inf
-    return SquareFnResult(
-        x=x, alpha=alpha, value=value, truncation_low=low, truncation_high=high,
-        grid=grid, stderr=stderr,
-    )
+    return _square_function(f, x, alpha, grid, spec, 0, centered=True)
 
 
 def g_window_values(f, pts: Array, rs: Array, coef: Array, h: float, d: int,

@@ -19,13 +19,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .affine import fit_from_values
-from .beta import _sweep_with_grid_error, check_monotonicity, scale_sweep
+from .beta import check_monotonicity, scale_sweep
 from .fields import ScalarField, catalog, precompose_dilation
 from .hgroup import dilate, gauge, group_mul, horizontal_derivative
 from .quad import (
     PolarDomain,
     QuadSpec,
     ScaleGrid,
+    _check_finite,
     ball_nodes,
     ball_template,
     domain_truncation,
@@ -220,15 +221,10 @@ def _certified(spec: QuadSpec) -> bool:
 
 
 def _grad_magnitude(f: ScalarField, pts: Array) -> Array:
-    """|horizontal gradient| at pts, analytic when the field carries one."""
-    if f.analytic_hgrad is not None:
-        comp = np.asarray(f.analytic_hgrad(pts), dtype=float)
-    else:
-        comps = [
-            horizontal_derivative(f, j, pts) for j in range(1, pts.shape[-1])
-        ]
-        comp = np.stack(comps, axis=-1)
-    return np.sqrt(np.sum(comp**2, axis=-1))
+    """|horizontal gradient| at pts, from horizontal_derivative."""
+    return np.sqrt(sum(
+        horizontal_derivative(f, j, pts) ** 2 for j in range(1, pts.shape[-1])
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +246,7 @@ def _window_truncation_factor(f, alpha, grid, spec, probe) -> float:
     res = g_alpha(f, probe, alpha, grid, spec)
     if not res.value > 0:
         return 0.0
-    lo = res.truncation_low
-    hi = res.truncation_high
-    if math.isinf(lo) or math.isinf(hi):
-        return math.inf
-    return math.sqrt(lo**2 + hi**2) / res.value
+    return math.sqrt(res.truncation_low**2 + res.truncation_high**2) / res.value
 
 
 def _dorronsoro_sides(f: ScalarField, p: float, q: float,
@@ -368,10 +360,13 @@ def _poincare_sides(f: ScalarField, p: float, config: HarnessConfig,
     ts = tgrid.nodes()
     pts = dilate(s, polar.pts)
     vals = np.asarray(f.eval(pts), dtype=float)
+    _check_finite(vals, pts, "domain integrand")
     # central shifts: x * (0, t) adds t to the vertical coordinate
     moved = np.repeat(pts[None], len(ts), axis=0)
     moved[..., -1] += (s**2 * ts)[:, None, None]
     diff = np.abs(np.asarray(f.eval(moved), dtype=float) - vals[None, ...])
+    # vals are finite, so this checks the shifted values too
+    _check_finite(diff, moved, "domain integrand")
     means = np.mean(diff**p, axis=-1)            # (t, n_rho)
     ivals = np.sum(polar.vols[None, :] * means, axis=1)
     jvals = ivals ** (2.0 / p) / ts
@@ -417,13 +412,8 @@ def poincare_ratio(f: ScalarField, p: float, config: HarnessConfig) -> RatioRepo
         loss = 0.0
         for k in range(len(ts)):
             extra = power_tail(polar.rho, means[k], polar.rho_max, big_q, polar.c_n)
-            if math.isinf(extra):
-                loss = math.inf
-                break
             loss += h * ((ivals[k] + extra) ** (2.0 / p) - ivals[k] ** (2.0 / p)) / ts[k]
-        lhs_trunc = math.sqrt(head + tail_sq) + (
-            math.inf if math.isinf(loss) else math.sqrt(loss)
-        )
+        lhs_trunc = math.sqrt(head + tail_sq) + math.sqrt(loss)
     params = config.base_params() | _norm_params(config) | {
         "field": f.label,
         "p": p,
@@ -718,8 +708,8 @@ def _g_vs_s_report(config: HarnessConfig) -> RatioReport:
     rng = _rng(spec, _ROLE_POINTS)
     xs = _random_centers(rng, config.n, 20, 1.5, 2.0)
     rs = grid.nodes()
-    sweep = _sweep_with_grid_error(
-        f, xs, rs, 0, 1.0, spec, config.n, center_vals=f.eval(xs),
+    sweep = scale_sweep(
+        f, xs, rs, 0, 1.0, ball_template(config.n, spec), center_vals=f.eval(xs),
         workers=config.workers,
     )
     cases = []

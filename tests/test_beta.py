@@ -65,6 +65,14 @@ def test_translation_covariance():
     assert abs(lhs - rhs) <= 1e-10 * max(lhs, 1e-30)
 
 
+def test_beta_number_reports_the_grid_sweep_error():
+    f = catalog("gaussian")
+    val, se = beta_number(f, np.zeros(3), 1.0, 1, 1.0, GRID)
+    out = scale_sweep(f, np.zeros((1, 3)), [1.0], 1, 1.0, ball_template(1, GRID))
+    assert (val, se) == (out["beta"][0, 0], out["beta_se"][0, 0])
+    assert se > 0
+
+
 def test_beta_number_error_reporting():
     f = catalog("gaussian")
     x = np.zeros(3)
@@ -126,7 +134,7 @@ def test_monotonicity_containment_enforced():
 def _monotonicity_from_full_grid(f, inner, outer, q, spec):
     """The ratio read off the diagonal of one 2 x 2 center x radius sweep."""
     (x1, r1), (x2, r2) = inner, outer
-    out = beta._sweep_with_grid_error(f, np.stack([x1, x2]), [r1, r2], 1, q, spec, 1)
+    out = scale_sweep(f, np.stack([x1, x2]), [r1, r2], 1, q, ball_template(1, spec))
     b1, b2 = float(out["beta"][0, 0]), float(out["beta"][1, 1])
     eps = 1e-12 * (1.0 + float(out["amax"][1, 1]))
     if b2 <= eps:
@@ -226,6 +234,30 @@ def test_scale_sweep_bits_do_not_depend_on_workers(monkeypatch, spec, d, q):
             for key in runs[0]:
                 for other in runs[1:]:
                     np.testing.assert_array_equal(other[key], runs[0][key], err_msg=key)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_grid_sweep_error_is_the_fine_twin_difference(monkeypatch, workers, q):
+    """On a grid template want_se reads |fine - twin| for beta and cdiff,
+    where twin is a sweep of the half-resolution twin template."""
+    f = catalog("gaussian")
+    tpl = ball_template(1, QuadSpec(mode="grid", grid_per_axis=8))
+    centers = random_points(np.random.default_rng(37), 5, z_extent=1.5, t_extent=2.0)
+    rs = np.geomspace(1e-2, 1e1, 7)
+    cv = f.eval(centers)
+    monkeypatch.setattr(beta, "_NODE_BUDGET", 2 * len(tpl.nodes))
+    got = scale_sweep(f, centers, rs, 1, q, tpl, center_vals=cv, workers=workers)
+    fine, twin = (
+        scale_sweep(f, centers, rs, 1, q, t, center_vals=cv, want_se=False,
+                    workers=workers)
+        for t in (tpl, tpl.coarse)
+    )
+    for key in ("beta", "cdiff"):
+        assert np.array_equal(got[key], fine[key])
+        assert np.array_equal(got[key + "_se"], np.abs(fine[key] - twin[key]))
+        assert np.array_equal(got[key + "_se"] > 0, fine[key] != twin[key])
+    assert got["beta_se"].any()
 
 
 def test_scale_sweep_raises_the_first_failing_tile_in_serial_order(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from heisbeta import quad
@@ -275,6 +276,28 @@ def test_out_of_range_values_exit_2_with_one_line(builder_calls, capsys, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("heisbeta: ") and err.count("\n") == 1
     assert not builder_calls
+
+
+@pytest.mark.parametrize("field", [
+    "affine:a=inf,1", "affine:b=nan", "vertical-wave:omega=nan",
+    "vertical-wave:omega=inf", "coordinate:axis=1.5", "quadratic:j=1.9,k=2",
+])
+def test_unusable_field_params_exit_2_with_one_line(builder_calls, capsys, field):
+    assert run_main(["squarefn", "--field", field]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("heisbeta: field configuration rejected: ")
+    assert err.count("\n") == 1
+    assert not builder_calls
+
+
+def test_poincare_non_finite_field_exits_1_without_a_report(capsys, tmp_path):
+    out = tmp_path / "p.csv"
+    argv = ["poincare", "--field", "vertical-wave:omega=1e308", "--out", str(out)]
+    with np.errstate(all="ignore"):
+        assert run_main(argv) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("heisbeta: error: non-finite domain integrand at node ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

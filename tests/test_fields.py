@@ -29,6 +29,19 @@ def test_catalog_rejects_unknown_names_and_params():
         catalog("coordinate", axis=5)
     with pytest.raises(ValueError):
         catalog("quadratic", j=0, k=1)
+    for name, params in [("affine", {"a": [np.inf, 1.0]}), ("affine", {"b": np.nan}),
+                         ("vertical-wave", {"omega": np.inf}),
+                         ("vertical-wave", {"omega": -np.inf}),
+                         ("vertical-wave", {"omega": np.nan})]:
+        with pytest.raises(ValueError, match="finite"):
+            catalog(name, **params)
+    for name, params in [("coordinate", {"axis": 1.5}), ("coordinate", {"axis": np.inf}),
+                         ("quadratic", {"j": 1.9, "k": 2}),
+                         ("quadratic", {"j": 1, "k": np.nan})]:
+        with pytest.raises(ValueError, match="integer"):
+            catalog(name, **params)
+    assert catalog("coordinate", axis="t").label == "coordinate(t)"
+    assert catalog("coordinate", axis=2.0).label == "coordinate(z2)"
 
 
 @pytest.mark.parametrize("name", SMOOTH)
@@ -130,6 +143,40 @@ def test_precompose_dilation_exact():
     assert precompose_dilation(f, 1.0) is f
     with pytest.raises(ValueError):
         precompose_dilation(f, -2.0)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "vertical-wave", "affine"])
+def test_remapped_fields_follow_the_closed_forms(name):
+    """Translation and dilation map the points, the gradient (times s for
+    the dilation), the support radius and both decay certificates."""
+    f = catalog(name)
+    pts = random_points(np.random.default_rng(27), 30)
+    rs = np.array([0.0, 0.3, 1.0, 2.5, 7.0])
+    t, s = 0.7, 2.0
+    off = 2.0 * np.sqrt(t)
+    shifted = pts.copy()
+    shifted[:, -1] += t
+    g = vertical_translate(f, t)
+    fs = precompose_dilation(f, s)
+    assert np.array_equal(g.eval(pts), f.eval(shifted))
+    assert np.array_equal(g.analytic_hgrad(pts), f.analytic_hgrad(shifted))
+    assert np.array_equal(fs.eval(pts), f.eval(dilate(s, pts)))
+    assert np.array_equal(fs.analytic_hgrad(pts), s * f.analytic_hgrad(dilate(s, pts)))
+    if f.support_radius is None:
+        for h in (g, fs):
+            assert h.support_radius is h.decay_bound is h.grad_decay_bound is None
+        return
+    assert g.support_radius == f.support_radius + off
+    assert fs.support_radius == f.support_radius / s
+    for r in (rs, 1.5):
+        assert np.array_equal(g.decay_bound(r), f.decay_bound(np.maximum(r - off, 0.0)))
+        assert np.array_equal(
+            g.grad_decay_bound(r), f.grad_decay_bound(np.maximum(r - off, 0.0))
+        )
+        assert np.array_equal(fs.decay_bound(r), f.decay_bound(s * np.asarray(r)))
+        assert np.array_equal(
+            fs.grad_decay_bound(r), s * f.grad_decay_bound(s * np.asarray(r))
+        )
 
 
 def test_affine_field_values():

@@ -57,6 +57,18 @@ def test_s_alpha_annihilates_constants():
     assert res.truncation_low == 0.0 and res.truncation_high == 0.0
 
 
+@pytest.mark.parametrize("name, certified", [("gaussian", True), ("quadratic", False)])
+def test_high_truncation_follows_the_decay_certificate(name, certified):
+    # quadratic carries no decay certificate, so neither tail can be bounded
+    f = catalog(name)
+    for res in (g_alpha(f, X, 0.5, GRID_R, SPEC), s_alpha(f, X, 0.5, GRID_R, SPEC)):
+        assert res.value > 0
+        if certified:
+            assert 0.0 <= res.truncation_high < np.inf
+        else:
+            assert res.truncation_high == np.inf
+
+
 def test_alpha_range_validation():
     f = catalog("gaussian")
     for bad in (0.0, 2.0, -1.0):
