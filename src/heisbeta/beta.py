@@ -60,21 +60,29 @@ def _check_dq(d: int, q: float) -> None:
         raise ValueError(f"exponent q must be >= 1, got {q}")
 
 
-def twist_nodes(centers: Array, rs: Array, u: Array, out: Array) -> Array:
+def _twist(centers: Array, u: Array) -> Array:
+    uz, n = u[:, :-1], (u.shape[-1] - 1) // 2
+    return 0.5 * (centers[:, :-1] @ np.concatenate([uz[:, n:], -uz[:, :n]], axis=1).T)
+
+
+def twist_nodes(centers: Array, rs: Array, u: Array, out: Array, w=None, tmp=None):
     """Write x * delta_r(u) for every (center, radius, template node) into
     out, coordinate-major, shape (2n+1, k, R, m).
 
     Uses x * delta_r(u) = (x_z + r u_z, x_t + r^2 u_t + r W) with the twist
-    W = (1/2) sum_j (x_j u_{n+j} - x_{n+j} u_j), which does not depend on r
-    and so costs one (k x m) product per call.
+    W = (1/2) sum_j (x_j u_{n+j} - x_{n+j} u_j), shape (k, m), which does not
+    depend on r; a caller may pass it as w, and a buffer of k R m floats as
+    tmp for the products r u_j, r^2 u_t and r W.
     """
-    n = (u.shape[-1] - 1) // 2
-    xz, uz = centers[:, :-1], u[:, :-1]
-    for j in range(2 * n):
-        np.add(xz[:, j, None, None], rs[:, None] * uz[:, j], out=out[j])
-    w = 0.5 * (xz @ np.concatenate([uz[:, n:], -uz[:, :n]], axis=1).T)
-    np.add(centers[:, -1, None, None], (rs * rs)[:, None] * u[:, -1], out=out[-1])
-    out[-1] += rs[:, None] * w[:, None, :]
+    w = _twist(centers, u) if w is None else w
+    tmp = np.empty(out[0].size) if tmp is None else tmp
+    rw = tmp[: out[0].size].reshape(out.shape[1:])  # r W; r u_j in its first row
+    for j in range(len(out) - 1):
+        np.add(centers[:, j, None, None], np.multiply(rs[:, None], u[:, j], out=rw[0]),
+               out=out[j])
+    np.multiply((rs * rs)[:, None], u[:, -1], out=rw[0])
+    np.add(centers[:, -1, None, None], rw[0], out=out[-1])
+    out[-1] += np.multiply(rs[:, None], w[:, None, :], out=rw)
     return out
 
 
@@ -143,7 +151,10 @@ def scale_sweep(
     Centers and radii are taken in tiles of at most _NODE_BUDGET nodes (at
     least one ball), so callers pass every center at once.  The tiles run
     on up to workers threads (f.eval must be thread-safe); the tiles do not
-    depend on workers, so neither do the result bits.
+    depend on workers, so neither do the result bits.  A thread keeps its
+    node and product buffers and the twist W of its center block; a tile
+    allocates only what f.eval does (the residual overwrites its result),
+    (k, R) and (k, R, 2n) statistics and, for want_se, (k, R, units) orbit means.
     """
     out = _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers)
     if want_se and template.coarse is not None:
@@ -160,8 +171,7 @@ def _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers):
     ev = getattr(f, "eval", f)
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
-    k, m = len(centers), len(template.nodes)
-    nr = len(rs)
+    k, nr, m = len(centers), len(rs), len(template.nodes)
     out = {
         "beta": np.empty((k, nr)),
         "beta_se": np.zeros((k, nr)),
@@ -177,28 +187,32 @@ def _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers):
     uz_t = u[:, :-1].T
     rstep = max(1, min(nr, _NODE_BUDGET // m))
     kstep = max(1, min(k, _NODE_BUDGET // (rstep * m)))
-    scratch = threading.local()  # node and model buffers, one set per thread
+    scratch = threading.local()  # node, product and twist buffers, one set per thread
 
     def tile(ks, rsl):
         if not hasattr(scratch, "nodes"):
             scratch.nodes = np.empty(dim * kstep * rstep * m)
-            scratch.model = np.empty(kstep * rstep * m) if d == 1 else None
+            scratch.prod = np.empty(kstep * rstep * m)
         cblock, rblock = centers[ks], rs[rsl]
+        if getattr(scratch, "ks", None) != ks:  # tiles come in (center, radius) order
+            scratch.w = None  # drop the old twist before forming the new one
+            scratch.w, scratch.ks = _twist(cblock, u), ks
         shape = (dim, len(cblock), len(rblock), m)
-        pts = np.moveaxis(twist_nodes(
-            cblock, rblock, u, scratch.nodes[: math.prod(shape)].reshape(shape)
-        ), 0, -1)
+        nodes = scratch.nodes[: math.prod(shape)].reshape(shape)
+        twist_nodes(cblock, rblock, u, nodes, scratch.w, scratch.prod)
+        pts = np.moveaxis(nodes, 0, -1)
+        prod = scratch.prod[: nodes[0].size].reshape(shape[1:])
         vals = np.asarray(ev(pts), dtype=float)  # (k, R, m)
         amax = np.maximum(vals.max(axis=-1), -vals.min(axis=-1))
         if not np.all(np.isfinite(amax)):
             _check_finite(vals, pts, "ball integrand")
         out["amax"][ks, rsl] = amax
         if center_vals is not None:
-            dgv = np.abs(vals - center_vals[ks, None, None])
+            dgv = np.subtract(vals, center_vals[ks, None, None], out=prod)
+            np.abs(dgv, out=dgv)
             out["cdiff"][ks, rsl] = dgv.mean(axis=-1)
             if want_se:
                 out["cdiff_se"][ks, rsl] = mean_stderr(dgv, template)
-            del dgv
         # with r = 1 the returned slopes absorb the radius, so the fitted
         # model at the template nodes is b + a . u for every radius at once
         b, a = fit_from_values(vals, template, 1.0, d)
@@ -206,7 +220,7 @@ def _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers):
         res = vals if vals.flags.owndata and vals.flags.writeable else np.empty_like(vals)
         np.subtract(vals, b[..., None], out=res)
         if d == 1:
-            res -= np.matmul(a, uz_t, out=scratch.model[: res.size].reshape(res.shape))
+            res -= np.matmul(a, uz_t, out=prod)
         # |res|^q in place; for q = 2 squaring skips abs with the same bits
         if q == 2.0:
             np.multiply(res, res, out=res)

@@ -31,9 +31,17 @@ class ScalarField:
 
 
 def _zsq(p):
-    # |z|^2 without a squared-coordinates temporary; p may be a strided view
+    # |z|^2 with no squared temporary, an array even for one point; p may be strided
     z = p[..., :-1]
-    return np.einsum("...i,...i->...", z, z)
+    return np.asarray(np.einsum("...i,...i->...", z, z))
+
+
+def _gauss(p):
+    # exp(-|z|^2 - t^2) in place: -a - b equals -(a + b) exactly
+    p = np.asarray(p, dtype=float)
+    g = _zsq(p)
+    g += p[..., -1] ** 2
+    return np.exp(np.negative(g, out=g), out=g)
 
 
 def _gauss_envelope(r):
@@ -44,13 +52,9 @@ def _gauss_envelope(r):
 
 
 def _gaussian(n: int) -> ScalarField:
-    def ev(p):
-        p = np.asarray(p, dtype=float)
-        return np.exp(-_zsq(p) - p[..., -1] ** 2)
-
     def grad(p):
         p = np.asarray(p, dtype=float)
-        g = ev(p)[..., None]
+        g = _gauss(p)[..., None]
         x, y, t = p[..., :n], p[..., n:-1], p[..., -1:]
         return np.concatenate([-2.0 * x + y * t, -2.0 * y - x * t], axis=-1) * g
 
@@ -63,7 +67,7 @@ def _gaussian(n: int) -> ScalarField:
     return ScalarField(
         label="gaussian",
         n=n,
-        eval=ev,
+        eval=_gauss,
         analytic_hgrad=grad,
         support_radius=1.0,
         decay_bound=_gauss_envelope,
@@ -74,22 +78,26 @@ def _gaussian(n: int) -> ScalarField:
 def _bump(n: int) -> ScalarField:
     # exp(-1/(1 - N^2)) inside the unit gauge ball, 0 outside; continuous
     # everywhere, smooth away from the gauge cone at the origin
-    def _parts(p):
-        p = np.asarray(p, dtype=float)
-        zsq = _zsq(p)
-        u = np.sqrt(zsq * zsq + 16.0 * p[..., -1] ** 2)
-        return zsq, u
+    def _nsq(p):
+        # N^2 = sqrt(|z|^4 + 16 t^2), formed in the |z|^2 buffer
+        u, t16 = _zsq(p), p[..., -1] ** 2
+        t16 *= 16.0
+        u *= u
+        u += t16
+        return np.sqrt(u, out=u)
 
     def ev(p):
-        _, u = _parts(p)
-        w = 1.0 - u
+        # exp(-1/(1 - u)) in u's buffer, then 0 wherever u < 1 fails
+        u = _nsq(np.asarray(p, dtype=float))
+        outside = ~(u < 1.0)
         with np.errstate(divide="ignore", over="ignore"):
-            val = np.where(u < 1.0, np.exp(-1.0 / np.where(w > 0, w, 1.0)), 0.0)
-        return val
+            np.exp(np.divide(-1.0, np.subtract(1.0, u, out=u), out=u), out=u)
+        np.copyto(u, 0.0, where=outside)
+        return u
 
     def grad(p):
         p = np.asarray(p, dtype=float)
-        zsq, u = _parts(p)
+        zsq, u = _zsq(p), _nsq(p)
         x, y, t = p[..., :n], p[..., n:-1], p[..., -1:]
         inside = (u > 0.0) & (u < 1.0)
         safe_u = np.where(inside, u, 1.0)
@@ -143,17 +151,15 @@ def _vertical_wave(n: int, omega: float) -> ScalarField:
     if not np.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega!r}")
 
-    def _parts(p):
-        p = np.asarray(p, dtype=float)
-        g = np.exp(-_zsq(p) - p[..., -1] ** 2)
-        return p, g
-
     def ev(p):
-        p, g = _parts(p)
-        return g * np.sin(omega * p[..., -1])
+        p = np.asarray(p, dtype=float)
+        g, s = _gauss(p), np.multiply(omega, p[..., -1], out=np.empty(p.shape[:-1]))
+        g *= np.sin(s, out=s)
+        return g
 
     def grad(p):
-        p, g = _parts(p)
+        p = np.asarray(p, dtype=float)
+        g = _gauss(p)
         x, y, t = p[..., :n], p[..., n:-1], p[..., -1:]
         s = np.sin(omega * t)
         c = np.cos(omega * t)

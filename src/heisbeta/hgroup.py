@@ -137,3 +137,13 @@ def horizontal_derivative(f, j: int, x: Point, h: float | np.ndarray | None = No
             f"non-finite horizontal derivative for direction j={j} at x={x!r}"
         )
     return val
+
+
+def horizontal_gradient(f, x: Point) -> np.ndarray:
+    """(X_1 f, ..., X_2n f)(x) on a new last axis: one analytic_hgrad call
+    when f carries one, else horizontal_derivative's central differences."""
+    x = np.asarray(x, dtype=float)
+    js = range(1, 2 * half_dim(x) + 1)
+    if getattr(f, "analytic_hgrad", None) is not None:
+        return f.analytic_hgrad(x)
+    return np.stack([horizontal_derivative(f, j, x) for j in js], axis=-1)

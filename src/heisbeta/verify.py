@@ -21,7 +21,7 @@ import numpy as np
 from .affine import fit_from_values
 from .beta import check_monotonicity, scale_sweep
 from .fields import ScalarField, catalog, precompose_dilation
-from .hgroup import dilate, gauge, group_mul, horizontal_derivative
+from .hgroup import dilate, gauge, group_mul, horizontal_gradient
 from .quad import (
     PolarDomain,
     QuadSpec,
@@ -221,10 +221,8 @@ def _certified(spec: QuadSpec) -> bool:
 
 
 def _grad_magnitude(f: ScalarField, pts: Array) -> Array:
-    """|horizontal gradient| at pts, from horizontal_derivative."""
-    return np.sqrt(sum(
-        horizontal_derivative(f, j, pts) ** 2 for j in range(1, pts.shape[-1])
-    ))
+    """|horizontal gradient| at pts, from one horizontal_gradient call."""
+    return np.sqrt(sum(g**2 for g in np.moveaxis(horizontal_gradient(f, pts), -1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +474,7 @@ def _off_one(ratio):
     return abs(ratio - 1.0)
 
 
-def _identity_report(config, name, lhs, rhs, extra):
+def _identity_report(config, name, lhs, rhs, extra, rhs_floor=_DEGENERATE_RHS):
     """An identity check passes on a certified budget with its ratio within
     the suite tolerance of 1."""
     certified = _certified(config.spec)
@@ -484,7 +482,7 @@ def _identity_report(config, name, lhs, rhs, extra):
         "certified": certified, "tolerance": _IDENTITY_TOL,
     } | extra
     return _report(
-        name, lhs, rhs, params,
+        name, lhs, rhs, params, rhs_floor=rhs_floor,
         rule=lambda ratio: certified and abs(ratio - 1.0) <= _IDENTITY_TOL,
     )
 
@@ -514,21 +512,22 @@ def _covariance_report(config: HarnessConfig, name: str, s: float,
     fs = precompose_dilation(f, s)
     spec = config.spec
     tpl = ball_template(config.n, spec)
-    cases = []
+    rows = []
     for x, r in zip(*_placements(_rng(spec, _ROLE_PAIRS), config.n, 10,
                                  z_extent, t_extent, r_lo, r_hi)):
         left = scale_sweep(fs, x[None], [r], 1, config.q, tpl, want_se=False)
         right = scale_sweep(
             f, dilate(s, x)[None], [s * r], 1, config.q, tpl, want_se=False
         )
-        b2 = float(right["beta"][0, 0])
-        cases.append((float(left["beta"][0, 0]), b2,
-                      b2 > 1e-14 * (1.0 + abs(float(right["mean"][0, 0])))))
-    lhs, rhs = _worst_case(cases, _off_one)
+        rows.append([left["beta"][0, 0], right["beta"][0, 0], right["amax"][0, 0]])
+    lefts, rights, amax = np.array(rows).T
+    floor = 1e-14 * (1.0 + amax.max())  # one roundoff floor: placements and report
+    valid = rights > floor
+    lhs, rhs = _worst_case(zip(lefts, rights, valid), _off_one)
     return _identity_report(config, f"beta-covariance:{name}:s={s:g}", lhs, rhs, {
         "check": "beta-covariance", "field": f.label, "s": s, "q": config.q,
-        "placements": 10, "valid": sum(valid for _, _, valid in cases),
-    })
+        "placements": 10, "valid": int(valid.sum()),
+    }, rhs_floor=floor)
 
 
 def _g_pointwise_report(config: HarnessConfig, name: str, s: float) -> RatioReport:

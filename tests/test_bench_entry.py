@@ -5,8 +5,15 @@ template, volume and box builders) to warm every workload; a renamed or
 deleted name there would otherwise show only when the benchmark crashes.
 With tracing on, bench/tracer.py also wraps every traced library name
 first.  Setup mode stops after warming and writes no file.
+
+Run mode goes on through every call of the workload, and each report is
+held to the benchmark's own checks: the seed commit's reference values
+(bench/references.json, relative tolerance 1e-9) and the fixture bands of
+tests/fixtures.json.  A kernel change that moves a reported number fails
+here rather than only when the benchmark runs.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -17,6 +24,15 @@ import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 WORKLOADS = ("dorronsoro-norm", "lemma-sweeps", "pointwise-cli")
+
+
+def _bench_workloads():
+    path = BENCH / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("workload, trace", [
@@ -30,3 +46,23 @@ def test_bench_child_setup_runs(workload, trace):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["setup_s"] > 0
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_child_run_passes_the_reference_check(workload):
+    wl = _bench_workloads()
+    argv = [sys.executable, str(BENCH / "child.py"), workload,
+            repr(time.monotonic()), "0", "0", "t", "run"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    outputs = json.loads(proc.stdout.splitlines()[-1])["outputs"]
+    refs = wl.load_references()
+    fixtures = json.loads((BENCH.parent / wl.FIXTURES).read_text())
+    assert [out["label"] for out in outputs] == [c.label for c in wl.WORKLOADS[workload]]
+    for out in outputs:
+        assert out["error"] is None and out["status"] == 0, out
+        assert out["label"] in refs  # recorded with the workload's current argv
+        reports = wl.parse_output(out["text"])
+        reasons = wl.check_call(out["label"], reports, refs[out["label"]], fixtures)
+        failed = {rep["name"]: why for rep, why in zip(reports, reasons) if why}
+        assert not failed, (out["label"], failed)

@@ -290,10 +290,16 @@ def test_scale_sweep_tiles_run_under_the_callers_errstate(monkeypatch, workers):
     rs = np.geomspace(1e-2, 1e1, 6)
     monkeypatch.setattr(beta, "_NODE_BUDGET", 2 * len(tpl.nodes))
     seen = []
+    # every thread gets a tile: the first evaluation of each sweep on each
+    # thread waits until all threads are in one, so none can fail and stop
+    # the sweep before the others start (a thread that never comes breaks
+    # the barrier after 10 s, which fails the sweep)
+    arrived = threading.Barrier(workers, timeout=10.0)
 
     def field(p):
         seen.append((threading.get_ident(), np.geterr()["under"]))
-        time.sleep(0.002)  # every thread gets tiles
+        if len(seen) <= workers:
+            arrived.wait()
         return np.exp(-800.0 - p[..., 0] ** 2)  # underflows to 0
 
     out = scale_sweep(field, centers, rs, 1, 2.0, tpl, workers=workers)
@@ -326,3 +332,113 @@ def test_parallel_sweep_fits_in_the_old_single_tile_footprint(monkeypatch):
     parallel = peak(2)
     monkeypatch.setattr(beta, "_NODE_BUDGET", 131_072)
     assert parallel <= peak(1)
+
+
+def _previous_tile_sweep(ev, centers, rs, d, q, tpl, center_vals, want_se):
+    """scale_sweep as the kernel computed it when every tile rebuilt the
+    twist and allocated its products: same tiles, serial, same operations."""
+
+    def one_pass(tpl, want_se):
+        u = tpl.nodes
+        k, nr, m = len(centers), len(rs), len(u)
+        out = {key: np.zeros((k, nr)) for key in ("beta", "beta_se", "mean", "amax")}
+        if center_vals is not None:
+            out["cdiff"], out["cdiff_se"] = np.zeros((k, nr)), np.zeros((k, nr))
+        rstep = max(1, min(nr, beta._NODE_BUDGET // m))
+        kstep = max(1, min(k, beta._NODE_BUDGET // (rstep * m)))
+        n = (u.shape[-1] - 1) // 2
+        for k0 in range(0, k, kstep):
+            for r0 in range(0, nr, rstep):
+                ks, rsl = slice(k0, min(k0 + kstep, k)), slice(r0, min(r0 + rstep, nr))
+                x, r = centers[ks], rs[rsl]
+                nodes = np.empty((u.shape[-1], len(x), len(r), m))
+                xz, uz = x[:, :-1], u[:, :-1]
+                for j in range(2 * n):
+                    np.add(xz[:, j, None, None], r[:, None] * uz[:, j], out=nodes[j])
+                w = 0.5 * (xz @ np.concatenate([uz[:, n:], -uz[:, :n]], axis=1).T)
+                np.add(x[:, -1, None, None], (r * r)[:, None] * u[:, -1], out=nodes[-1])
+                nodes[-1] += r[:, None] * w[:, None, :]
+                vals = np.asarray(ev(np.moveaxis(nodes, 0, -1)), dtype=float)
+                out["amax"][ks, rsl] = np.maximum(vals.max(axis=-1), -vals.min(axis=-1))
+                if center_vals is not None:
+                    dgv = np.abs(vals - center_vals[ks, None, None])
+                    out["cdiff"][ks, rsl] = dgv.mean(axis=-1)
+                    if want_se:
+                        out["cdiff_se"][ks, rsl] = mean_stderr(dgv, tpl)
+                b, a = beta.fit_from_values(vals, tpl, 1.0, d)
+                res = vals - b[..., None]
+                if d == 1:
+                    res -= np.matmul(a, u[:, :-1].T)
+                res = res * res if q == 2.0 else np.abs(res) ** q
+                s = res.mean(axis=-1)
+                out["beta"][ks, rsl] = s if q == 1.0 else s ** (1.0 / q)
+                out["mean"][ks, rsl] = b
+                if want_se:
+                    se_s = mean_stderr(res, tpl)
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        out["beta_se"][ks, rsl] = se_s if q == 1.0 else np.where(
+                            s > 0, se_s * s ** (1.0 / q - 1.0) / q, se_s ** (1.0 / q))
+        return out
+
+    out = one_pass(tpl, want_se)
+    if want_se and tpl.coarse is not None:
+        coarse = one_pass(tpl.coarse, False)
+        for key in {"beta", "cdiff"} & coarse.keys():
+            out[key + "_se"] = np.abs(out[key] - coarse[key])
+    return out
+
+
+@pytest.mark.parametrize("spec", [QuadSpec(samples=1500, seed=5),
+                                  QuadSpec(mode="grid", grid_per_axis=6)],
+                         ids=["mc", "grid"])
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("layout", ["radius-tiles", "center-tiles"])
+def test_scale_sweep_bits_equal_the_per_tile_twist_formula(monkeypatch, spec, d, q,
+                                                           layout):
+    """The twist once per center block, the products in scratch and the
+    in-place evaluators leave every output bit as it was."""
+    f = catalog("vertical-wave", omega=3.0)
+
+    def previous_eval(p):  # the field as it was formed before evaluating in place
+        zsq = np.einsum("...i,...i->...", p[..., :-1], p[..., :-1])
+        return np.exp(-zsq - p[..., -1] ** 2) * np.sin(3.0 * p[..., -1])
+
+    tpl = ball_template(1, spec)
+    m = len(tpl.nodes)
+    centers = random_points(np.random.default_rng(43), 5, z_extent=1.5, t_extent=2.0)
+    rs = np.geomspace(1e-3, 1e1, 7)
+    # radius-tiles: one center spans three tiles; center-tiles: two centers
+    # share each tile and the last tile holds one
+    budget = 3 * m if layout == "radius-tiles" else 2 * len(rs) * m
+    monkeypatch.setattr(beta, "_NODE_BUDGET", budget)
+    for want_se in (False, True):
+        for center_vals in (None, f.eval(centers)):
+            want = _previous_tile_sweep(previous_eval, centers, rs, d, q, tpl,
+                                        center_vals, want_se)
+            for workers in (1, 2):
+                got = scale_sweep(f, centers, rs, d, q, tpl, center_vals=center_vals,
+                                  want_se=want_se, workers=workers)
+                assert set(got) == set(want)
+                for key in want:
+                    np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_one_ball_sweep_peak_memory(d):
+    """A 1-center x 80-radius sweep on the default template (61,488 Monte
+    Carlo nodes, one ball per tile) traces at most 3.35 MiB: the node and
+    product buffers, the twist, and the field's result with one
+    intermediate."""
+    f = catalog("gaussian")
+    tpl = ball_template(1, QuadSpec())
+    x = np.array([[0.3, 0.1, -0.2]])
+    rs = ScaleGrid(1e-3, 1e2, 16).nodes()
+    assert len(rs) == 80
+    tracemalloc.start()
+    try:
+        scale_sweep(f, x, rs, d, 1.0, tpl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.35 * 2**20

@@ -171,6 +171,20 @@ def test_identities_starved_budget_exits_2(tmp_path):
     assert out.exists()  # report still written for inspection
 
 
+def test_exact_covariance_identity_at_n2_on_a_grid_exits_0(capsys):
+    """Far-out gaussian placements at s = 2 have betas near 6.5e-13 that
+    agree to 15 digits; one amax-scaled roundoff floor decides both which
+    placements count and whether the report is degenerate.  The covariance
+    check does not read --per-decade, which only shortens the g checks."""
+    argv = ["identities", "--n", "2", "--mode", "grid", "--grid-per-axis", "8",
+            "--per-decade", "2", "--format", "json", "--no-timestamp"]
+    assert run_main(argv) == 0
+    reports = {rep["name"]: rep for rep in json.loads(capsys.readouterr().out)["reports"]}
+    rep = reports["beta-covariance:gaussian:s=2"]
+    assert not rep["degenerate"] and rep["params"]["pass"] is True
+    assert rep["rhs"] < 1e-12 and rep["params"]["valid"] == 5
+
+
 def test_report_csv_columns(tmp_path):
     out = tmp_path / "lem.csv"
     assert run_main(["lemmas"] + FAST_SUITE + ["--out", str(out)]) == 0

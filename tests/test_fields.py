@@ -76,6 +76,47 @@ def test_horizontal_derivative_uses_analytic_gradient():
     assert horizontal_derivative(f, 1, x) == f.analytic_hgrad(x)[..., 0]
 
 
+def _previous_zsq(p):
+    return np.einsum("...i,...i->...", p[..., :-1], p[..., :-1])
+
+
+def _previous_bump(p):
+    zsq = _previous_zsq(p)
+    u = np.sqrt(zsq * zsq + 16.0 * p[..., -1] ** 2)
+    w = 1.0 - u
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(u < 1.0, np.exp(-1.0 / np.where(w > 0, w, 1.0)), 0.0)
+
+
+# the catalog evaluators as they were formed before they worked in place
+PREVIOUS_EVALUATORS = {
+    "gaussian": lambda p: np.exp(-_previous_zsq(p) - p[..., -1] ** 2),
+    "bump": _previous_bump,
+    "vertical-wave": lambda p: (np.exp(-_previous_zsq(p) - p[..., -1] ** 2)
+                                * np.sin(7.0 * p[..., -1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREVIOUS_EVALUATORS))
+@pytest.mark.parametrize("n", [1, 2])
+def test_in_place_evaluators_keep_their_bits(name, n):
+    f = catalog(name, n=n, **({"omega": 7.0} if name == "vertical-wave" else {}))
+    previous = PREVIOUS_EVALUATORS[name]
+    rng = np.random.default_rng(53)
+    for scale in (0.2, 0.6, 2.0):
+        pts = rng.normal(scale=scale, size=(40, 6, 2 * n + 1))
+        # the coordinate-major layout of a sweep tile, read as a strided view
+        strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(pts, -1, 0)), 0, -1)
+        for p in (pts, strided):
+            got = f.eval(p)
+            assert got.shape == p.shape[:-1] and got.flags.owndata
+            np.testing.assert_array_equal(got, previous(p))
+        for x in pts[0]:
+            got = f.eval(x)
+            assert np.shape(got) == () and got == previous(x)
+            assert float(got) == float(f.eval(x[None])[0])
+
+
 def test_bump_support():
     f = catalog("bump")
     rng = np.random.default_rng(23)

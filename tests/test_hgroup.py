@@ -11,6 +11,7 @@ from heisbeta.hgroup import (
     group_mul,
     half_dim,
     horizontal_derivative,
+    horizontal_gradient,
     inverse,
     origin,
 )
@@ -165,3 +166,18 @@ def test_horizontal_derivative_argument_errors():
     bad = lambda p: np.where(p[..., 0] > 0, np.inf, 1.0)
     with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
         horizontal_derivative(bad, 1, np.array([1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_horizontal_gradient_stacks_the_frame_derivatives(n):
+    def f(p):  # a bare callable: central differences
+        return np.sin(p[..., 0]) * p[..., -1] + p[..., -2] ** 2
+
+    pts = random_points(np.random.default_rng(61), 9, n=n)
+    grad = horizontal_gradient(f, pts)
+    assert grad.shape == (9, 2 * n)
+    for j in range(1, 2 * n + 1):
+        assert np.array_equal(grad[:, j - 1], horizontal_derivative(f, j, pts))
+    assert horizontal_gradient(f, pts[0]).shape == (2 * n,)
+    with pytest.raises(ValueError, match="odd trailing axis"):
+        horizontal_gradient(f, np.zeros(4))

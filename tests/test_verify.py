@@ -9,6 +9,7 @@ import pytest
 
 from heisbeta import beta, verify
 from heisbeta.fields import catalog
+from heisbeta.hgroup import horizontal_derivative
 from heisbeta.quad import QuadSpec, power_head, power_tail
 from heisbeta.verify import (
     ExponentGate,
@@ -21,6 +22,8 @@ from heisbeta.verify import (
     run_identity_suite,
     run_lemma_suite,
 )
+
+from conftest import random_points
 
 CHEAP = HarnessConfig(
     spec=QuadSpec(mode="grid", grid_per_axis=10),
@@ -301,12 +304,20 @@ def test_covariance_without_valid_placement_is_degenerate():
     assert rep.params["valid"] == 0
     assert rep.degenerate and rep.lhs == rep.rhs == 0.0
     assert rep.params["pass"] is False
-    # valid placements whose betas all sit below the degeneracy floor
-    cfg = replace(CHEAP, n=2, spec=QuadSpec(mode="grid", grid_per_axis=6))
+
+
+@pytest.mark.parametrize("per_axis", [6, 8])
+def test_covariance_floor_is_one_rule_for_placements_and_report(per_axis):
+    """At n = 2 on a grid the far-out gaussian placements at s = 2 have
+    betas of 1e-14 to 1e-12 that agree to 15 digits.  One amax-scaled
+    roundoff floor decides which placements are valid and whether the
+    report is degenerate, so the valid ones make an exact, passing identity
+    rather than a degenerate report under an absolute 1e-12 floor."""
+    cfg = replace(CHEAP, n=2, spec=QuadSpec(mode="grid", grid_per_axis=per_axis))
     rep = verify._covariance_report(cfg, "gaussian", 2.0, 2.0, 4.0, 0.25, 4.0)
     assert rep.params["valid"] == 5
-    assert rep.degenerate and 0.0 < rep.rhs <= verify._DEGENERATE_RHS
-    assert rep.params["pass"] is False
+    assert not rep.degenerate and 0.0 < rep.rhs <= verify._DEGENERATE_RHS
+    assert abs(rep.ratio - 1.0) < 1e-12 and rep.params["pass"] is True
 
 
 def test_worst_case_picks_the_first_valid_maximum():
@@ -387,3 +398,22 @@ def test_power_head_dead_and_divergent_cases():
                       1e-4) == math.inf
     # a flat integrand does not vanish toward 0: the head diverges
     assert power_head(HEAD_TS, np.ones(6), 1e-4) == math.inf
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_grad_magnitude_evaluates_the_gradient_once_with_the_same_bits(n):
+    """|grad_H f| from one horizontal_gradient call equals the sum
+    0 + (X_1 f)^2 + ... + (X_2n f)^2 of separate horizontal_derivative
+    calls, for an analytic gradient and for central differences."""
+    f = catalog("vertical-wave", n=n, omega=2.0)
+    pts = random_points(np.random.default_rng(59), 64, n=n, z_extent=1.5, t_extent=1.0)
+    calls = []
+    counted = replace(f, analytic_hgrad=lambda p: calls.append(p) or f.analytic_hgrad(p))
+    bare = lambda p: f.eval(p)  # no analytic gradient: central differences
+    for field in (counted, bare):
+        want = np.sqrt(sum(
+            horizontal_derivative(field, j, pts) ** 2 for j in range(1, 2 * n + 1)
+        ))
+        calls.clear()
+        assert np.array_equal(verify._grad_magnitude(field, pts), want)
+        assert len(calls) == (1 if field is counted else 0)
