@@ -69,6 +69,7 @@ def twist_nodes(centers: Array, rs: Array, u: Array, out: Array, w=None, tmp=Non
     """Write x * delta_r(u) for every (center, radius, template node) into
     out, coordinate-major, shape (2n+1, k, R, m).
 
+    The radii rs are shared, shape (R,), or one row per center, (k, R).
     Uses x * delta_r(u) = (x_z + r u_z, x_t + r^2 u_t + r W) with the twist
     W = (1/2) sum_j (x_j u_{n+j} - x_{n+j} u_j), shape (k, m), which does not
     depend on r; a caller may pass it as w, and a buffer of k R m floats as
@@ -76,13 +77,14 @@ def twist_nodes(centers: Array, rs: Array, u: Array, out: Array, w=None, tmp=Non
     """
     w = _twist(centers, u) if w is None else w
     tmp = np.empty(out[0].size) if tmp is None else tmp
-    rw = tmp[: out[0].size].reshape(out.shape[1:])  # r W; r u_j in its first row
+    rw = tmp[: out[0].size].reshape(out.shape[1:])  # r W; r u_j in its first row(s)
+    r = rs[..., None]  # (R, 1) shared, (k, R, 1) per center
+    head = rw[0] if rs.ndim == 1 else rw
     for j in range(len(out) - 1):
-        np.add(centers[:, j, None, None], np.multiply(rs[:, None], u[:, j], out=rw[0]),
-               out=out[j])
-    np.multiply((rs * rs)[:, None], u[:, -1], out=rw[0])
-    np.add(centers[:, -1, None, None], rw[0], out=out[-1])
-    out[-1] += np.multiply(rs[:, None], w[:, None, :], out=rw)
+        np.add(centers[:, j, None, None], np.multiply(r, u[:, j], out=head), out=out[j])
+    np.multiply(r * r, u[:, -1], out=head)
+    np.add(centers[:, -1, None, None], head, out=out[-1])
+    out[-1] += np.multiply(r, w[:, None, :], out=rw)
     return out
 
 
@@ -148,8 +150,12 @@ def scale_sweep(
     the half-resolution twin (grid).  want_se=False skips them (norm paths
     evaluate thousands of balls and only need values).
 
+    The radii rs are shared by every center, shape (R,), or form a ball
+    list, one row per center, shape (k, R): with R = 1 that is the k balls
+    B(centers[i], rs[i, 0]), whatever their radii.
+
     Centers and radii are taken in tiles of at most _NODE_BUDGET nodes (at
-    least one ball), so callers pass every center at once.  The tiles run
+    least one ball), so callers pass every ball at once.  The tiles run
     on up to workers threads (f.eval must be thread-safe); the tiles do not
     depend on workers, so neither do the result bits.  A thread keeps its
     node and product buffers and the twist W of its center block; a tile
@@ -171,7 +177,9 @@ def _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers):
     ev = getattr(f, "eval", f)
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
-    k, nr, m = len(centers), len(rs), len(template.nodes)
+    k, nr, m = len(centers), rs.shape[-1], len(template.nodes)
+    if rs.ndim > 2 or rs.ndim == 2 and len(rs) != k:
+        raise ValueError(f"radii of shape {rs.shape} are neither (R,) nor ({k}, R)")
     out = {
         "beta": np.empty((k, nr)),
         "beta_se": np.zeros((k, nr)),
@@ -193,11 +201,11 @@ def _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers):
         if not hasattr(scratch, "nodes"):
             scratch.nodes = np.empty(dim * kstep * rstep * m)
             scratch.prod = np.empty(kstep * rstep * m)
-        cblock, rblock = centers[ks], rs[rsl]
+        cblock, rblock = centers[ks], (rs[ks, rsl] if rs.ndim == 2 else rs[rsl])
         if getattr(scratch, "ks", None) != ks:  # tiles come in (center, radius) order
             scratch.w = None  # drop the old twist before forming the new one
             scratch.w, scratch.ks = _twist(cblock, u), ks
-        shape = (dim, len(cblock), len(rblock), m)
+        shape = (dim, len(cblock), rblock.shape[-1], m)
         nodes = scratch.nodes[: math.prod(shape)].reshape(shape)
         twist_nodes(cblock, rblock, u, nodes, scratch.w, scratch.prod)
         pts = np.moveaxis(nodes, 0, -1)
@@ -272,29 +280,47 @@ def beta_profile(
     )
 
 
-def check_monotonicity(f, inner, outer, q: float = 1.0, spec: QuadSpec = QuadSpec()):
+def _ball_list(x, r, what: str):
+    """(centers (k, dim), radii (k,), single) of one ball or of a list of k."""
+    x, r = np.asarray(x, dtype=float), np.asarray(r, dtype=float)
+    if x.ndim not in (1, 2) or r.shape != x.shape[:-1]:
+        raise ValueError(f"{what}: centers {x.shape} do not match radii {r.shape}")
+    if not np.all(r > 0):
+        raise ValueError(f"ball radius must be positive, got {r[~(r > 0)].flat[0]}")
+    return np.atleast_2d(x), np.atleast_1d(r), x.ndim == 1
+
+
+def check_monotonicity(f, inner, outer, q: float = 1.0, spec: QuadSpec = QuadSpec(),
+                       workers: int = 1):
     """beta ratio of a contained ball pair: beta(inner) / beta(outer), d = 1.
 
     Requires B(x1, r1) inside B(x2, r2).  When both betas vanish (affine f)
     the ratio is defined as 0; an inner beta over a vanishing outer beta
-    returns inf.
+    returns inf.  A list of k pairs (x1, x2 of shape (k, dim), r1, r2 of
+    shape (k,)) returns the k ratios from one sweep per side on workers
+    threads; one pair returns a float.
     """
     (x1, r1), (x2, r2) = inner, outer
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError("ball radii must be positive")
-    if float(distance(x1, x2)) + r1 > r2 * (1.0 + 1e-9):
+    x1, r1, single = _ball_list(x1, r1, "inner balls")
+    x2, r2, _ = _ball_list(x2, r2, "outer balls")
+    if x1.shape != x2.shape:
+        raise ValueError(f"inner balls {x1.shape} do not match outer balls {x2.shape}")
+    dist = distance(x1, x2)
+    bad = np.flatnonzero(dist + r1 > r2 * (1.0 + 1e-9))
+    if bad.size:
+        i = bad[0]
         raise ValueError(
-            f"containment violated: distance {float(distance(x1, x2)):.6g} + "
-            f"r1 {r1:.6g} exceeds r2 {r2:.6g}"
+            f"containment violated{'' if single else f' at index {i}'}: distance "
+            f"{dist[i]:.6g} + r1 {r1[i]:.6g} exceeds r2 {r2[i]:.6g}"
         )
     tpl = ball_template((x1.shape[-1] - 1) // 2, spec)
-    # each ball is swept on its own; the ratio needs no error estimates
-    inner_out = scale_sweep(f, x1[None], [r1], 1, q, tpl, want_se=False)
-    outer_out = scale_sweep(f, x2[None], [r2], 1, q, tpl, want_se=False)
-    b1, b2 = float(inner_out["beta"][0, 0]), float(outer_out["beta"][0, 0])
-    eps = 1e-12 * (1.0 + float(outer_out["amax"][0, 0]))
-    if b2 <= eps:
-        return 0.0 if b1 <= eps else np.inf
-    return b1 / b2
+    # the ratio needs no error estimates
+    inner_out, outer_out = (
+        scale_sweep(f, x, r[:, None], 1, q, tpl, want_se=False, workers=workers)
+        for x, r in ((x1, r1), (x2, r2))
+    )
+    b1, b2 = inner_out["beta"][:, 0], outer_out["beta"][:, 0]
+    eps = 1e-12 * (1.0 + outer_out["amax"][:, 0])
+    ratio = np.where(b1 <= eps, 0.0, np.inf)
+    np.divide(b1, b2, out=ratio, where=b2 > eps)
+    return float(ratio[0]) if single else ratio

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .beta import scale_sweep
+from .beta import _ball_list, scale_sweep
 from .hgroup import horizontal_derivative
 from .quad import (
     QuadSpec,
@@ -187,28 +187,31 @@ def g_window_values(f, pts: Array, rs: Array, coef: Array, h: float, d: int,
 
 
 def gradient_comparison(
-    f, x, r: float, C: float = 4.0, spec: QuadSpec = QuadSpec()
-) -> tuple[float, float]:
+    f, x, r, C: float = 4.0, spec: QuadSpec = QuadSpec(), workers: int = 1
+):
     """(beta_{f,1}(B(x,r)), r * sum_j beta_{X_j f,0}(B(x, C r))).
 
     The gradient components come from horizontal_derivative: analytic when
     the field carries a gradient, group-native central differences
     otherwise.  Only values are needed, so no error estimate is formed.
+    A ball list, x of shape (k, dim) with r of shape (k,), returns the two
+    sides as arrays from 1 + 2n sweeps on workers threads; one ball returns
+    floats.
     """
     if C < 1:
         raise ValueError(f"enlargement factor C must be >= 1, got {C}")
-    if r <= 0:
-        raise ValueError(f"ball radius must be positive, got {r}")
-    x = np.asarray(x, dtype=float)
-    n = (x.shape[-1] - 1) // 2
+    xs, rs, single = _ball_list(x, r, "gradient-comparison balls")
+    n = (xs.shape[-1] - 1) // 2
     tpl = ball_template(n, spec)
 
-    def beta_at(g, d, radius):
-        out = scale_sweep(g, x[None], [radius], d, 1.0, tpl, want_se=False)
-        return float(out["beta"][0, 0])
+    def beta_at(g, d, radii):
+        out = scale_sweep(g, xs, radii[:, None], d, 1.0, tpl, want_se=False,
+                          workers=workers)
+        return out["beta"][:, 0]
 
-    lhs = beta_at(f, 1, r)
+    lhs = beta_at(f, 1, rs)
     rhs = 0.0
     for j in range(1, 2 * n + 1):
-        rhs += beta_at(lambda pts, jj=j: horizontal_derivative(f, jj, pts), 0, C * r)
-    return lhs, r * rhs
+        rhs += beta_at(lambda pts, jj=j: horizontal_derivative(f, jj, pts), 0, C * rs)
+    rhs = rs * rhs
+    return (float(lhs[0]), float(rhs[0])) if single else (lhs, rhs)

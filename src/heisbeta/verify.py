@@ -512,15 +512,13 @@ def _covariance_report(config: HarnessConfig, name: str, s: float,
     fs = precompose_dilation(f, s)
     spec = config.spec
     tpl = ball_template(config.n, spec)
-    rows = []
-    for x, r in zip(*_placements(_rng(spec, _ROLE_PAIRS), config.n, 10,
-                                 z_extent, t_extent, r_lo, r_hi)):
-        left = scale_sweep(fs, x[None], [r], 1, config.q, tpl, want_se=False)
-        right = scale_sweep(
-            f, dilate(s, x)[None], [s * r], 1, config.q, tpl, want_se=False
-        )
-        rows.append([left["beta"][0, 0], right["beta"][0, 0], right["amax"][0, 0]])
-    lefts, rights, amax = np.array(rows).T
+    xs, rads = _placements(_rng(spec, _ROLE_PAIRS), config.n, 10,
+                           z_extent, t_extent, r_lo, r_hi)
+    left = scale_sweep(fs, xs, rads[:, None], 1, config.q, tpl, want_se=False,
+                       workers=config.workers)
+    right = scale_sweep(f, dilate(s, xs), (s * rads)[:, None], 1, config.q, tpl,
+                        want_se=False, workers=config.workers)
+    lefts, rights, amax = left["beta"][:, 0], right["beta"][:, 0], right["amax"][:, 0]
     floor = 1e-14 * (1.0 + amax.max())  # one roundoff floor: placements and report
     valid = rights > floor
     lhs, rhs = _worst_case(zip(lefts, rights, valid), _off_one)
@@ -679,11 +677,10 @@ def _monotonicity_report(config: HarnessConfig) -> RatioReport:
     xs, rads = _placements(rng, n, 100, 2.0, 4.0, 0.25, 2.0)
     shifts = rng.standard_normal(size=(100, 2 * n + 1))
     shifts = dilate(1.0 / gauge(shifts), shifts)
-    worst = 0.0
-    for x, r, v in zip(xs, rads, shifts):
-        x2 = group_mul(x, dilate(0.5 * r, v))
-        raw = check_monotonicity(f, (x, r), (x2, big_c * r), config.q, spec)
-        worst = max(worst, raw * (1.0 / big_c) ** (big_q / config.q))
+    x2s = group_mul(xs, dilate(0.5 * rads, shifts))
+    raw = check_monotonicity(f, (xs, rads), (x2s, big_c * rads), config.q, spec,
+                             workers=config.workers)
+    worst = float(np.max(raw * (1.0 / big_c) ** (big_q / config.q)))
     params = config.base_params() | {
         "check": "beta-monotonicity", "field": f.label, "q": config.q,
         "enlargement": big_c, "placements": 100,
@@ -766,11 +763,11 @@ def _gradient_pair_report(config: HarnessConfig) -> RatioReport:
     C = 4 over random pairs."""
     f = catalog("gaussian", n=config.n)
     spec = config.sweep_spec
-    cases = []
-    for x, r in zip(*_placements(_rng(spec, _ROLE_GRADPAIRS), config.n, 50,
-                                 2.0, 4.0, 0.125, 2.0)):
-        lhs, rhs = gradient_comparison(f, x, float(r), C=4.0, spec=spec)
-        cases.append((lhs, rhs, rhs > 1e-14))
+    xs, rads = _placements(_rng(spec, _ROLE_GRADPAIRS), config.n, 50,
+                           2.0, 4.0, 0.125, 2.0)
+    lhs, rhs = gradient_comparison(f, xs, rads, C=4.0, spec=spec,
+                                   workers=config.workers)
+    cases = zip(lhs, rhs, rhs > 1e-14)
     params = config.base_params() | {
         "check": "gradient-pair", "field": f.label, "enlargement": 4.0,
         "pairs": 50,

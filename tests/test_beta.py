@@ -442,3 +442,81 @@ def test_one_ball_sweep_peak_memory(d):
     finally:
         tracemalloc.stop()
     assert peak <= 3.35 * 2**20
+
+
+@pytest.mark.parametrize("spec", [QuadSpec(samples=1500, seed=5),
+                                  QuadSpec(mode="grid", grid_per_axis=6)],
+                         ids=["mc", "grid"])
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("layout", ["center-tiles", "radius-tiles"])
+def test_ball_list_sweep_matches_per_ball_sweeps(monkeypatch, spec, d, q, workers,
+                                                 layout):
+    """A (k, R) sweep gives each center its own row of radii: it agrees with
+    one sweep per ball to rounding, and bit for bit at k = 1."""
+    f = catalog("gaussian")
+    tpl = ball_template(1, spec)
+    centers = random_points(np.random.default_rng(53), 6, z_extent=1.5, t_extent=2.0)
+    rs = np.exp(np.random.default_rng(59).uniform(np.log(1e-3), np.log(4.0), (6, 3)))
+    # center-tiles: two centers share each of three tiles; radius-tiles: two
+    # radii of one center per tile
+    budget = (6 if layout == "center-tiles" else 2) * len(tpl.nodes)
+    monkeypatch.setattr(beta, "_NODE_BUDGET", budget)
+    for want_se in (False, True):
+        for center_vals in (None, f.eval(centers)):
+            got = scale_sweep(f, centers, rs, d, q, tpl, center_vals=center_vals,
+                              want_se=want_se, workers=workers)
+            one = [
+                scale_sweep(f, centers[i:i + 1], rs[i], d, q, tpl,
+                            center_vals=None if center_vals is None
+                            else center_vals[i:i + 1],
+                            want_se=want_se, workers=workers)
+                for i in range(len(centers))
+            ]
+            first = scale_sweep(f, centers[:1], rs[:1], d, q, tpl,
+                                center_vals=None if center_vals is None
+                                else center_vals[:1],
+                                want_se=want_se, workers=workers)
+            assert set(got) == set(one[0]) == set(first)
+            for key in got:
+                want = np.concatenate([o[key] for o in one])
+                np.testing.assert_allclose(got[key], want, rtol=1e-10, atol=1e-15,
+                                           err_msg=key)
+                np.testing.assert_array_equal(first[key], one[0][key], err_msg=key)
+
+
+def test_ball_list_radii_must_match_the_centers():
+    f = catalog("gaussian")
+    tpl = ball_template(1, QuadSpec(samples=500))
+    centers = np.zeros((4, 3))
+    for rs in (np.ones((3, 2)), np.ones((5, 1)), np.ones((4, 2, 1))):
+        with pytest.raises(ValueError, match="neither"):
+            scale_sweep(f, centers, rs, 1, 1.0, tpl)
+
+
+@pytest.mark.parametrize("spec", [QuadSpec(mode="grid", grid_per_axis=8),
+                                  QuadSpec(samples=2000)], ids=["grid", "mc"])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_monotonicity_ball_list_matches_scalar_calls(spec, q):
+    rng = np.random.default_rng(61)
+    xs = random_points(rng, 7, z_extent=1.5, t_extent=2.0)
+    r1 = rng.uniform(0.2, 2.0, size=7)
+    x2 = group_mul(xs, dilate(0.5 * r1, np.array([0.6, -0.3, 0.2])))
+    for f in (catalog("gaussian"), catalog("affine", a=[2.0, 1.0], b=-1.0)):
+        got = check_monotonicity(f, (xs, r1), (x2, 2.0 * r1), q, spec, workers=2)
+        want = [check_monotonicity(f, (x, r), (y, 2.0 * r), q, spec)
+                for x, r, y in zip(xs, r1, x2)]
+        assert got.shape == (7,) and all(isinstance(w, float) for w in want)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_monotonicity_ball_list_names_the_violated_pair():
+    f = catalog("gaussian")
+    xs = np.zeros((5, 3))
+    x2 = xs.copy()
+    x2[3, 0] = 3.0  # only pair 3 leaves the outer ball
+    with pytest.raises(ValueError, match="containment violated at index 3"):
+        check_monotonicity(f, (xs, np.full(5, 0.5)), (x2, np.ones(5)), spec=GRID)
+    with pytest.raises(ValueError, match="do not match"):
+        check_monotonicity(f, (xs, np.full(4, 0.5)), (x2, np.ones(5)), spec=GRID)

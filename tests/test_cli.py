@@ -149,15 +149,18 @@ def test_dorronsoro_bytes_do_not_depend_on_workers(capsys):
 
 
 def test_lemmas_bytes_do_not_depend_on_workers(capsys):
-    # 20 points x 40 radii x 184 nodes: the g-vs-s sweep runs 3 tiles
-    argv = ["lemmas", "--samples", "256", "--per-decade", "8", "--format", "json",
-            "--no-timestamp"]
-    outputs = []
-    for workers in ("1", "2", "3"):
-        assert run_main(argv + ["--workers", workers]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1] == outputs[2]
-    assert len(json.loads(outputs[0])["reports"]) == 5
+    # at these budgets every sweep of the suite but near-optimal spans 2 to
+    # 40 tiles: the g-vs-s sweep, both sides of the monotonicity ball list
+    # and the 1 + 2n gradient-pair ball lists (5 sweeps at n = 2)
+    for n, samples in (("1", "2048"), ("2", "8192")):
+        argv = ["lemmas", "--n", n, "--samples", samples, "--per-decade", "8",
+                "--format", "json", "--no-timestamp"]
+        outputs = []
+        for workers in ("1", "2", "3"):
+            assert run_main(argv + ["--workers", workers]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(json.loads(outputs[0])["reports"]) == 5
 
 
 def test_identities_starved_budget_exits_2(tmp_path):

@@ -100,8 +100,12 @@ def test_lemma_suite_sweeps_no_ball_twice(monkeypatch):
 
     def keyed_sweep(f, centers, rs, d, q, template, *args, **kwargs):
         ev = getattr(f, "eval", f)
-        for center in np.atleast_2d(np.asarray(centers, dtype=float)):
-            for r in np.atleast_1d(np.asarray(rs, dtype=float)):
+        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        radii = np.asarray(rs, dtype=float)
+        if radii.ndim < 2:  # radii shared by every center
+            radii = np.broadcast_to(np.atleast_1d(radii), (len(centers), radii.size))
+        for center, row in zip(centers, radii):
+            for r in row:
                 key = (ev, center.tobytes(), r.tobytes(), template)
                 if key in seen:
                     repeats.append(key)
@@ -125,3 +129,42 @@ def test_lemma_suite_sweeps_no_ball_twice(monkeypatch):
     assert seen
     assert not repeats, f"{len(repeats)} balls swept more than once"
     assert not norm_calls, f"lq_norm_bound called {len(norm_calls)} times"
+
+
+def _count_sweeps(monkeypatch):
+    """Patch every heisbeta binding of scale_sweep with a counting wrapper;
+    returns the list the calls are appended to."""
+    original = beta.scale_sweep
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("heisbeta"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_lemma_suite_sweeps_each_check_in_few_calls(monkeypatch, n):
+    """Monotonicity (one sweep per side), g-vs-s (one) and gradient-pair
+    (1 + 2n) pass every placement to one ball-list sweep; no per-ball loop
+    of sweeps comes back."""
+    calls = _count_sweeps(monkeypatch)
+    verify.run_lemma_suite(_tiny(n, MC))
+    assert len(calls) <= 8
+
+
+def test_covariance_check_sweeps_each_side_once(monkeypatch):
+    calls = _count_sweeps(monkeypatch)
+    cfg = _tiny(1, GRID)
+    for name, s, z, t, r_lo, r_hi in (("gaussian", 0.5, 2.0, 4.0, 0.25, 4.0),
+                                      ("gaussian", 2.0, 2.0, 4.0, 0.25, 4.0),
+                                      ("bump", 0.5, 0.8, 0.8, 0.25, 2.0)):
+        before = len(calls)
+        verify._covariance_report(cfg, name, s, z, t, r_lo, r_hi)
+        assert len(calls) - before == 2

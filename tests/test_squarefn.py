@@ -219,3 +219,20 @@ def test_meta_spec_fits_the_node_cap_at_every_n():
         # the finest mesh under the cap
         assert spec.grid_per_axis**dim <= cap < (spec.grid_per_axis + 1) ** dim
     assert _meta_spec(4).grid_per_axis == 5
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gradient_comparison_ball_list_matches_scalar_calls(n):
+    f = catalog("gaussian", n=n)
+    spec = QuadSpec(samples=2048)
+    rng = np.random.default_rng(67)
+    xs = rng.uniform(-1.0, 1.0, size=(6, 2 * n + 1))
+    rs = rng.uniform(0.1, 2.0, size=6)
+    lhs, rhs = gradient_comparison(f, xs, rs, C=3.0, spec=spec, workers=2)
+    want = np.array([gradient_comparison(f, x, r, C=3.0, spec=spec)
+                     for x, r in zip(xs, rs)])
+    assert lhs.shape == rhs.shape == (6,)
+    np.testing.assert_allclose(lhs, want[:, 0], rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(rhs, want[:, 1], rtol=1e-10, atol=0.0)
+    with pytest.raises(ValueError, match="radius"):
+        gradient_comparison(f, xs, np.where(np.arange(6) == 2, -1.0, rs), spec=spec)
