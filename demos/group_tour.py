@@ -1,8 +1,9 @@
 """A short tour of Heisenberg group arithmetic.
 
 Walks through the group law, the vertical twist that makes the group
-noncommutative, anisotropic dilations, the gauge quasi-norm, and gauge
-ball volumes.  Everything prints; nothing here needs more than a second.
+noncommutative, anisotropic dilations, the gauge quasi-norm, gauge ball
+volumes and ball averages.  Everything prints; nothing here needs more
+than a second.
 """
 
 import numpy as np
@@ -15,7 +16,9 @@ from heisbeta.hgroup import (
     inverse,
     origin,
 )
-from heisbeta.quad import QuadSpec, ball_integrate, ball_volume
+from heisbeta.beta import scale_sweep
+from heisbeta.fields import catalog
+from heisbeta.quad import QuadSpec, ball_template, ball_volume
 
 
 def main():
@@ -65,11 +68,18 @@ def main():
     print(f"\n|B(0, 1)| = {ball_volume(1.0):.6f}")
     print(f"|B(0, 2)| = {ball_volume(2.0):.6f}   ratio = {ball_volume(2.0) / ball_volume(1.0):.1f}")
 
-    # ball_integrate averages a function over a gauge ball and reports a
-    # standard error; the constant function recovers the exact mean.
-    mean, se = ball_integrate(lambda x: np.ones(x.shape[:-1]), origin(1), 1.0, QuadSpec())
-    print(f"mean of 1 over B(0, 1) = {mean} +/- {se}")
-
+    # scale_sweep evaluates a function on gauge balls through one shared
+    # template.  Its "mean" is the ball average, exact for the constant
+    # function.  With centre value 0 its centred difference "cdiff" is the
+    # average of |f|, which for a nonnegative f is the ball average again,
+    # and "cdiff_se" is that average's standard error.
+    tpl = ball_template(1, QuadSpec())
+    one = scale_sweep(lambda x: np.ones(x.shape[:-1]), origin(1), [1.0], 0, 1.0, tpl)
+    print(f"mean of 1 over B(0, 1) = {one['mean'][0, 0]}")
+    out = scale_sweep(catalog("gaussian"), origin(1), [1.0], 0, 1.0, tpl,
+                      center_vals=[0.0])
+    print(f"mean of exp(-|z|^2 - t^2) over B(0, 1) = "
+          f"{out['cdiff'][0, 0]:.6f} +/- {out['cdiff_se'][0, 0]:.1e}")
 
 if __name__ == "__main__":
     main()

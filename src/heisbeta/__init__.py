@@ -8,7 +8,6 @@ from .affine import AffineMap, fit_moment, fit_normal_equations, residual_orthog
 from .beta import BetaProfile, beta_number, beta_profile, check_monotonicity
 from .fields import ScalarField, catalog, precompose_dilation, vertical_translate
 from .hgroup import (
-    GroupParams,
     dilate,
     distance,
     gauge,
@@ -20,7 +19,6 @@ from .hgroup import (
 from .quad import (
     QuadSpec,
     ScaleGrid,
-    ball_integrate,
     ball_volume,
     box_volume,
     domain_integrate_lp,
@@ -49,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "AffineMap",
-    "ball_integrate",
     "ball_volume",
     "beta_number",
     "beta_profile",
@@ -70,7 +67,6 @@ __all__ = [
     "gauge",
     "gradient_comparison",
     "group_mul",
-    "GroupParams",
     "HarnessConfig",
     "horizontal_derivative",
     "inverse",

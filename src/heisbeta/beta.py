@@ -53,13 +53,6 @@ class BetaProfile:
     stderrs: Array
 
 
-def _check_dq(d: int, q: float) -> None:
-    if d not in (0, 1):
-        raise ValueError(f"degree must be 0 or 1, got {d}")
-    if q < 1:
-        raise ValueError(f"exponent q must be >= 1, got {q}")
-
-
 def _twist(centers: Array, u: Array) -> Array:
     uz, n = u[:, :-1], (u.shape[-1] - 1) // 2
     return 0.5 * (centers[:, :-1] @ np.concatenate([uz[:, n:], -uz[:, :n]], axis=1).T)
@@ -161,7 +154,22 @@ def scale_sweep(
     node and product buffers and the twist W of its center block; a tile
     allocates only what f.eval does (the residual overwrites its result),
     (k, R) and (k, R, 2n) statistics and, for want_se, (k, R, units) orbit means.
+
+    A degree other than 0 or 1, q < 1 or a radius that is not finite and
+    positive raises a one-line ValueError.
     """
+    if d not in (0, 1):
+        raise ValueError(f"degree must be 0 or 1, got {d}")
+    if not 1 <= q < math.inf:
+        raise ValueError(f"exponent q must be finite and >= 1, got {q}")
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    rs = np.atleast_1d(np.asarray(rs, dtype=float))
+    k = len(centers)
+    if rs.ndim > 2 or rs.ndim == 2 and len(rs) != k:
+        raise ValueError(f"radii of shape {rs.shape} are neither (R,) nor ({k}, R)")
+    bad = ~((rs > 0) & (rs < math.inf))  # NaN fails both comparisons
+    if bad.any():
+        raise ValueError(f"ball radius must be positive, got {rs[bad].flat[0]}")
     out = _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers)
     if want_se and template.coarse is not None:
         # the twin pass starts once the fine pass has freed its tile buffers
@@ -173,13 +181,10 @@ def scale_sweep(
 
 
 def _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers):
-    """One tiled pass of scale_sweep; want_se adds orbit standard errors."""
+    """One tiled pass of scale_sweep over its checked centers (k, dim) and
+    radii (R,) or (k, R); want_se adds orbit standard errors."""
     ev = getattr(f, "eval", f)
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    rs = np.atleast_1d(np.asarray(rs, dtype=float))
     k, nr, m = len(centers), rs.shape[-1], len(template.nodes)
-    if rs.ndim > 2 or rs.ndim == 2 and len(rs) != k:
-        raise ValueError(f"radii of shape {rs.shape} are neither (R,) nor ({k}, R)")
     out = {
         "beta": np.empty((k, nr)),
         "beta_se": np.zeros((k, nr)),
@@ -259,9 +264,6 @@ def beta_number(
     f, x, r: float, d: int, q: float, spec: QuadSpec
 ) -> tuple[float, float]:
     """(beta_{f,d,q}(B(x,r)), stderr)."""
-    _check_dq(d, q)
-    if r <= 0:
-        raise ValueError(f"ball radius must be positive, got {r}")
     x = np.asarray(x, dtype=float)
     out = scale_sweep(f, x[None], [r], d, q, ball_template((x.shape[-1] - 1) // 2, spec))
     return float(out["beta"][0, 0]), float(out["beta_se"][0, 0])
@@ -271,7 +273,6 @@ def beta_profile(
     f, x, d: int, q: float, grid: ScaleGrid, spec: QuadSpec
 ) -> BetaProfile:
     """beta_number at every node of the scale grid."""
-    _check_dq(d, q)
     x = np.asarray(x, dtype=float)
     tpl = ball_template((x.shape[-1] - 1) // 2, spec)
     out = scale_sweep(f, x[None], grid.nodes(), d, q, tpl)
@@ -285,8 +286,6 @@ def _ball_list(x, r, what: str):
     x, r = np.asarray(x, dtype=float), np.asarray(r, dtype=float)
     if x.ndim not in (1, 2) or r.shape != x.shape[:-1]:
         raise ValueError(f"{what}: centers {x.shape} do not match radii {r.shape}")
-    if not np.all(r > 0):
-        raise ValueError(f"ball radius must be positive, got {r[~(r > 0)].flat[0]}")
     return np.atleast_2d(x), np.atleast_1d(r), x.ndim == 1
 
 

@@ -17,32 +17,9 @@ and X_j at the origin is the j-th standard basis vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 Point = np.ndarray
-
-
-@dataclass(frozen=True)
-class GroupParams:
-    """Dimension bundle for H^n."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-
-    @property
-    def Q(self) -> int:
-        """Homogeneous dimension 2n + 2 (volume scales as s^Q under delta_s)."""
-        return 2 * self.n + 2
-
-    @property
-    def dim(self) -> int:
-        """Topological dimension 2n + 1 of the coordinate array."""
-        return 2 * self.n + 1
 
 
 def half_dim(a: np.ndarray) -> int:

@@ -94,6 +94,11 @@ class ScaleGrid:
             raise ValueError(
                 f"need 0 < r_min < r_max < inf, got [{self.r_min}, {self.r_max}]"
             )
+        # count and log_step take log(r_max / r_min), which must be finite
+        if not math.isfinite(self.r_max / self.r_min):
+            raise ValueError(
+                f"r_max / r_min overflows, got [{self.r_min}, {self.r_max}]"
+            )
         if self.points_per_decade < 1:
             raise ValueError(
                 f"points_per_decade must be >= 1, got {self.points_per_decade}"
@@ -331,8 +336,8 @@ def mean_stderr(vals: Array, template: BallTemplate) -> Array:
     """Standard error of mean(vals) over the template's independent units.
 
     Monte Carlo: standard deviation of per-orbit means over sqrt(units).
-    Grid templates have no statistical error; callers use a coarse-grid
-    comparison instead (see scale_sweep and ball_integrate).
+    Grid templates have no statistical error; scale_sweep compares against
+    the half-resolution twin instead.
     """
     if template.orbit == 1:
         return np.zeros(np.shape(vals)[:-1])
@@ -340,30 +345,6 @@ def mean_stderr(vals: Array, template: BallTemplate) -> Array:
     if template.units < 2:
         return np.full(np.shape(vals)[:-1], np.inf)
     return w.std(axis=-1, ddof=1) / math.sqrt(template.units)
-
-
-def ball_integrate(f, center, r: float, spec: QuadSpec) -> tuple[float, float]:
-    """Average of f over the Koranyi ball B(center, r), with error estimate.
-
-    Returns (value, stderr): the Monte Carlo standard error, or for grid
-    mode the difference against a half-resolution grid.
-    """
-    if r <= 0:
-        raise ValueError(f"ball radius must be positive, got {r}")
-    ev = getattr(f, "eval", f)
-    center = np.asarray(center, dtype=float)
-    n = (center.shape[-1] - 1) // 2
-    tpl = ball_template(n, spec)
-    nodes = ball_nodes(center, r, tpl.nodes)
-    vals = np.asarray(ev(nodes), dtype=float)
-    _check_finite(vals, nodes, "ball integrand")
-    value = float(vals.mean())
-    if spec.mode == "grid":
-        cnodes = ball_nodes(center, r, tpl.coarse.nodes)
-        cvals = np.asarray(ev(cnodes), dtype=float)
-        _check_finite(cvals, cnodes, "ball integrand")
-        return value, abs(value - float(cvals.mean()))
-    return value, float(mean_stderr(vals, tpl))
 
 
 @lru_cache(maxsize=8)

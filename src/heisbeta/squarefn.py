@@ -92,21 +92,19 @@ def _sup_constant(template, d: int) -> float:
     return 1.0 + float((1.0 / template.m2).sum())
 
 
-def _beta_tail_sq(f, d: int, q: float, alpha: float, r_max: float, template) -> float:
-    """Bound for the integral of [r^-alpha beta]^2 dr/r over r > r_max."""
+def _beta_tail_sq(f, d: int, alpha: float, r_max: float, template) -> float:
+    """Bound for the integral of [r^-alpha beta_1]^2 dr/r over r > r_max."""
     n = f.n
     big_q = 2 * n + 2
     c_n = _ball_constant(n)[0]
     l1 = lq_norm_bound(f, 1.0)
-    lq = l1 if q == 1.0 else lq_norm_bound(f, q)
-    if not (np.isfinite(l1) and np.isfinite(lq)):
+    if not np.isfinite(l1):
         return np.inf
-    # beta_q(x, r) <= (||f||_q^q / (c_n r^Q))^(1/q) + K_sup ||f||_1 / (c_n r^Q)
-    c1 = lq / c_n ** (1.0 / q)
+    # beta_1(x, r) <= ||f||_1 / (c_n r^Q) + K_sup ||f||_1 / (c_n r^Q)
+    c1 = l1 / c_n
     c2 = (1.0 + _sup_constant(template, d)) * l1 / c_n
-    e1 = alpha + big_q / q
-    e2 = alpha + big_q
-    return c1**2 * r_max ** (-2.0 * e1) / e1 + c2**2 * r_max ** (-2.0 * e2) / e2
+    e1 = alpha + big_q
+    return c1**2 * r_max ** (-2.0 * e1) / e1 + c2**2 * r_max ** (-2.0 * e1) / e1
 
 
 def _cdiff_tail_sq(f, fx: float, alpha: float, r_max: float) -> float:
@@ -149,7 +147,7 @@ def _square_function(f, x, alpha, grid, spec, d, centered) -> SquareFnResult:
         low = float(np.sqrt(power_head(rs, (rs**-alpha * prof) ** 2, grid.r_min)))
         high = float(np.sqrt(
             _cdiff_tail_sq(f, float(fx[0]), alpha, grid.r_max) if centered
-            else _beta_tail_sq(f, d, 1.0, alpha, grid.r_max, tpl)
+            else _beta_tail_sq(f, d, alpha, grid.r_max, tpl)
         ))
     return SquareFnResult(
         x=x, alpha=alpha, value=value, truncation_low=low, truncation_high=high,

@@ -495,6 +495,32 @@ def test_ball_list_radii_must_match_the_centers():
             scale_sweep(f, centers, rs, 1, 1.0, tpl)
 
 
+BAD_BALL_INPUTS = [
+    (1, 1.0, [0.0], "radius must be positive"),
+    (1, 1.0, [-1.0], "radius must be positive"),
+    (1, 1.0, [1.0, math.nan], "radius must be positive"),
+    (1, 1.0, [math.inf], "radius must be positive"),
+    (0, 2.0, [[1.0], [-0.5]], "radius must be positive"),
+    (1, 0.5, [1.0], "exponent q"),
+    (1, math.nan, [1.0], "exponent q"),
+    (2, 1.0, [1.0], "degree"),
+    (-1, 1.0, [1.0], "degree"),
+]
+BAD_BALL_IDS = ["r-zero", "r-negative", "r-nan", "r-inf", "ball-list-r-negative",
+                "q-below-1", "q-nan", "d-2", "d-minus-1"]
+
+
+@pytest.mark.parametrize("d, q, rs, match", BAD_BALL_INPUTS, ids=BAD_BALL_IDS)
+def test_scale_sweep_rejects_bad_ball_inputs_with_one_line(d, q, rs, match):
+    """r < 0 would mirror the ball through the symmetric template and r = 0
+    collapse it; neither may come back as a beta."""
+    f = catalog("gaussian")
+    tpl = ball_template(1, QuadSpec(samples=500))
+    with pytest.raises(ValueError, match=match) as err:
+        scale_sweep(f, np.zeros((2, 3)), rs, d, q, tpl, center_vals=np.ones(2))
+    assert "\n" not in str(err.value)
+
+
 @pytest.mark.parametrize("spec", [QuadSpec(mode="grid", grid_per_axis=8),
                                   QuadSpec(samples=2000)], ids=["grid", "mc"])
 @pytest.mark.parametrize("q", [1.0, 2.0])

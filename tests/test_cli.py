@@ -280,9 +280,11 @@ def test_oversized_template_rejected_before_allocation(builder_calls, capsys):
     (["lemmas", "--q", "inf"], None),
     (["dorronsoro", "--workers", "0"], None),
     (["squarefn", "--mode", "grid", "--grid-per-axis", "1", "--alpha", "0.5"], None),
+    (["beta", "--rmin", "1e-300", "--rmax", "1e300", "--per-decade", "1"], None),
+    (["poincare"], "t_min = 1e-300\nt_max = 1e300\n"),
 ], ids=["per-decade-0", "box-radius-below-rho-min", "seed-negative", "t-grid-reversed",
         "t-per-decade-0", "rmax-inf", "box-radius-inf", "t-max-inf", "p-inf", "q-inf",
-        "workers-0", "grid-per-axis-1"])
+        "workers-0", "grid-per-axis-1", "scale-range-overflows", "t-range-overflows"])
 def test_out_of_range_values_exit_2_with_one_line(builder_calls, capsys, tmp_path,
                                                    argv, conf):
     if conf is not None:

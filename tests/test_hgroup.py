@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from heisbeta.hgroup import (
-    GroupParams,
     dilate,
     distance,
     gauge,
@@ -102,16 +101,12 @@ def test_distance_left_invariant_and_symmetric():
     assert np.max(distance(a, a)) < 1e-12
 
 
-def test_half_dim_and_group_params():
+def test_half_dim():
     assert half_dim(np.zeros((4, 5))) == 2
     with pytest.raises(ValueError):
         half_dim(np.zeros((4, 4)))
     with pytest.raises(ValueError):
         half_dim(np.zeros((4, 1)))
-    p = GroupParams(3)
-    assert p.Q == 8 and p.dim == 7
-    with pytest.raises(ValueError):
-        GroupParams(0)
 
 
 def test_group_mul_dimension_mismatch():

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from heisbeta.beta import scale_sweep
 from heisbeta.fields import catalog
 from heisbeta.hgroup import gauge, group_mul
 from heisbeta.quad import (
@@ -13,7 +14,6 @@ from heisbeta.quad import (
     QuadSpec,
     ScaleGrid,
     _ball_constant,
-    ball_integrate,
     ball_nodes,
     ball_template,
     ball_volume,
@@ -61,6 +61,10 @@ def test_scale_grid_nodes_and_validation():
         ScaleGrid(1.0, 2.0, 0)
     with pytest.raises(ValueError):
         ScaleGrid(1.0, math.inf)
+    # log(r_max / r_min) sets the node count; an infinite ratio has none
+    with pytest.raises(ValueError, match="overflows"):
+        ScaleGrid(1e-300, 1e300, 1)
+    assert ScaleGrid(1e-150, 1e150, 1).count == 300
 
 
 def _exact_ball_constant(n):
@@ -146,42 +150,50 @@ def test_ball_template_deterministic():
     assert not np.array_equal(a.nodes, c.nodes)
 
 
-def test_ball_integrate_constants_and_center():
+def _ball_average(f, x, r, spec):
+    """(value, stderr) of a nonnegative f averaged over B(x, r): the sweep's
+    centred difference at centre value 0."""
+    tpl = ball_template((len(x) - 1) // 2, spec)
+    out = scale_sweep(f, x, [r], 0, 1.0, tpl, center_vals=[0.0])
+    return float(out["cdiff"][0, 0]), float(out["cdiff_se"][0, 0])
+
+
+def test_sweep_mean_of_constants_and_center():
     spec = QuadSpec(samples=40_000)
-    val, err = ball_integrate(lambda p: np.ones(p.shape[:-1]), np.zeros(3), 2.0, spec)
-    assert val == 1.0 and err == 0.0
+    tpl = ball_template(1, spec)
+    one = lambda p: np.ones(p.shape[:-1])
+    assert scale_sweep(one, np.zeros(3), [2.0], 0, 1.0, tpl)["mean"][0, 0] == 1.0
+    assert _ball_average(one, np.zeros(3), 2.0, spec) == (1.0, 0.0)
     f = catalog("affine", a=[2.0, -1.0], b=0.5)
     x = np.array([0.3, 0.7, -0.2])
-    val, err = ball_integrate(f, x, 0.5, spec)
+    val = scale_sweep(f, x, [0.5], 1, 1.0, tpl)["mean"][0, 0]
     # odd template moments vanish, so the ball average is the center value
     assert val == pytest.approx(f.eval(x), abs=1e-13)
 
 
-def test_ball_integrate_vertical_moment():
-    val, err = ball_integrate(
-        lambda p: np.abs(p[..., -1]), np.zeros(3), 1.0, QuadSpec()
-    )
+def test_sweep_ball_average_vertical_moment():
+    val, err = _ball_average(lambda p: np.abs(p[..., -1]), np.zeros(3), 1.0, QuadSpec())
     assert err > 0
     assert abs(val - EXACT_MT) <= 3.0 * err
 
 
-def test_ball_integrate_translation_invariance():
+def test_sweep_ball_mean_translation_invariance():
     f = catalog("gaussian")
-    spec = QuadSpec(samples=20_000)
+    tpl = ball_template(1, QuadSpec(samples=20_000))
     g = np.array([0.4, -0.3, 0.2])
     x = np.array([0.1, 0.2, -0.1])
-    moved = ball_integrate(f, group_mul(g, x), 0.7, spec)[0]
-    pulled = ball_integrate(
-        lambda p: f.eval(group_mul(g, p)), x, 0.7, spec
-    )[0]
+    moved = scale_sweep(f, group_mul(g, x), [0.7], 0, 1.0, tpl)["mean"][0, 0]
+    pulled = scale_sweep(
+        lambda p: f.eval(group_mul(g, p)), x, [0.7], 0, 1.0, tpl
+    )["mean"][0, 0]
     assert abs(moved - pulled) <= 1e-13 * max(1.0, abs(moved))
 
 
-def test_ball_integrate_stderr_honest():
+def test_sweep_ball_average_stderr_honest():
     f = catalog("gaussian")
     vals, errs = [], []
     for seed in range(50):
-        v, e = ball_integrate(f, np.zeros(3), 1.0, QuadSpec(samples=8_000, seed=seed))
+        v, e = _ball_average(f, np.zeros(3), 1.0, QuadSpec(samples=8_000, seed=seed))
         vals.append(v)
         errs.append(e)
     spread = np.std(vals, ddof=1)
@@ -189,14 +201,14 @@ def test_ball_integrate_stderr_honest():
     assert 0.5 < ratio < 2.0
 
 
-def test_ball_integrate_grid_error_estimate():
+def test_sweep_ball_average_grid_error_estimate():
     f = catalog("gaussian")
-    val, err = ball_integrate(f, np.zeros(3), 1.0, GRID)
-    ref = ball_integrate(f, np.zeros(3), 1.0, QuadSpec(samples=400_000))[0]
+    val, err = _ball_average(f, np.zeros(3), 1.0, GRID)
+    ref = _ball_average(f, np.zeros(3), 1.0, QuadSpec(samples=400_000))[0]
     assert abs(val - ref) < 5e-3
     assert err > 0
-    with pytest.raises(ValueError):
-        ball_integrate(f, np.zeros(3), -1.0, GRID)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        _ball_average(f, np.zeros(3), -1.0, GRID)
 
 
 def test_ball_nodes_mapping():

@@ -114,6 +114,23 @@ def test_g_values_at_matches_single_point():
     assert batch[0] == pytest.approx(single, rel=1e-12)
 
 
+@pytest.mark.parametrize("d, q, rs, match", [
+    (1, 1.0, [1.0, 0.0], "radius must be positive"),
+    (1, 1.0, [-1.0], "radius must be positive"),
+    (1, 1.0, [math.inf], "radius must be positive"),
+    (1, 1.0, [math.nan], "radius must be positive"),
+    (1, 0.5, [1.0], "exponent q"),
+    (2, 1.0, [1.0], "degree"),
+], ids=["r-zero", "r-negative", "r-inf", "r-nan", "q-below-1", "d-2"])
+def test_g_window_values_rejects_bad_ball_inputs_with_one_line(d, q, rs, match):
+    f = catalog("gaussian")
+    rs = np.array(rs)
+    with pytest.raises(ValueError, match=match) as err:
+        g_window_values(f, np.zeros((2, 3)), rs, np.ones_like(rs), 0.1, d, q,
+                        ball_template(1, SPEC))
+    assert "\n" not in str(err.value)
+
+
 def test_g_alpha_lp_norm_finite_with_tail_accounting():
     # the L^p norm of G_1 over the gauge-polar domain, as the Dorronsoro
     # lhs forms it, with its measured tail and core truncation; 8 shells
