@@ -6,7 +6,9 @@ coefficients b = mean(f), a_j = mean(f * (y_j - x_j)) / mean((y_j - x_j)^2),
 which are the exact projection only because odd and mixed template moments
 vanish; fit_normal_equations assembles and solves the Gram system without
 assuming any symmetry.  Their agreement is a standing cross-check of the
-template's symmetry.
+template's symmetry.  Both evaluate the field through quad.ball_values, the
+ball map and input checks of the beta sweep; on B(x, r) the monomials
+y_j - x_j are r u_j for template nodes u.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quad import QuadSpec, ball_nodes, ball_template
+from .quad import QuadSpec, ball_template, ball_values
 
 Array = np.ndarray
 
@@ -71,26 +73,21 @@ def fit_from_values(vals: Array, template, r: float, d: int):
 
 def fit_moment(f, x, r: float, d: int, spec: QuadSpec) -> AffineMap:
     """Closed-form projection coefficients over B(x, r)."""
-    if r <= 0:
-        raise ValueError(f"ball radius must be positive, got {r}")
     x = np.asarray(x, dtype=float)
     tpl = ball_template((x.shape[-1] - 1) // 2, spec)
-    vals = np.asarray(f.eval(ball_nodes(x, r, tpl.nodes)), dtype=float)
+    vals = ball_values(f, x, r, tpl)[0, 0]
     b, a = fit_from_values(vals, tpl, r, d)
     return AffineMap(degree=d, base=x, b=float(b), a=a)
 
 
 def fit_normal_equations(f, x, r: float, d: int, spec: QuadSpec) -> AffineMap:
     """Projection via the Gram system of {1, y_1-x_1, ..., y_2n-x_2n}."""
-    if r <= 0:
-        raise ValueError(f"ball radius must be positive, got {r}")
     if d not in (0, 1):
         raise ValueError(f"degree must be 0 or 1, got {d}")
     x = np.asarray(x, dtype=float)
     n = (x.shape[-1] - 1) // 2
     tpl = ball_template(n, spec)
-    nodes = ball_nodes(x, r, tpl.nodes)
-    vals = np.asarray(f.eval(nodes), dtype=float)
+    vals = ball_values(f, x, r, tpl)[0, 0]
     if d == 0:
         return AffineMap(degree=0, base=x, b=float(vals.mean()), a=np.zeros(2 * n))
     m = len(tpl.nodes)
@@ -107,11 +104,8 @@ def residual_orthogonality(f, A: AffineMap, x, r: float, spec: QuadSpec) -> Arra
     Returns the vector (mean(res), mean(res * (y_1 - x_1)), ...); all entries
     are near zero when A is the projection of f on B(x, r).
     """
-    if r <= 0:
-        raise ValueError(f"ball radius must be positive, got {r}")
     x = np.asarray(x, dtype=float)
     tpl = ball_template((x.shape[-1] - 1) // 2, spec)
-    nodes = ball_nodes(x, r, tpl.nodes)
-    res = np.asarray(f.eval(nodes), dtype=float) - A.eval(nodes)
-    monos = nodes[:, :-1] - x[:-1]
+    res = ball_values(f, x, r, tpl)[0, 0] - A.eval(x + r * tpl.nodes)
+    monos = r * tpl.nodes[:, :-1]
     return np.concatenate([[res.mean()], res @ monos / len(res)])

@@ -19,7 +19,8 @@ import numpy as np
 
 from .affine import fit_from_values
 from .hgroup import distance
-from .quad import QuadSpec, ScaleGrid, _check_finite, ball_template, mean_stderr
+from .quad import (QuadSpec, ScaleGrid, _balls, _check_finite, _twist, ball_template,
+                   mean_stderr, twist_nodes)
 
 Array = np.ndarray
 
@@ -51,34 +52,6 @@ class BetaProfile:
     grid: ScaleGrid
     values: Array
     stderrs: Array
-
-
-def _twist(centers: Array, u: Array) -> Array:
-    uz, n = u[:, :-1], (u.shape[-1] - 1) // 2
-    return 0.5 * (centers[:, :-1] @ np.concatenate([uz[:, n:], -uz[:, :n]], axis=1).T)
-
-
-def twist_nodes(centers: Array, rs: Array, u: Array, out: Array, w=None, tmp=None):
-    """Write x * delta_r(u) for every (center, radius, template node) into
-    out, coordinate-major, shape (2n+1, k, R, m).
-
-    The radii rs are shared, shape (R,), or one row per center, (k, R).
-    Uses x * delta_r(u) = (x_z + r u_z, x_t + r^2 u_t + r W) with the twist
-    W = (1/2) sum_j (x_j u_{n+j} - x_{n+j} u_j), shape (k, m), which does not
-    depend on r; a caller may pass it as w, and a buffer of k R m floats as
-    tmp for the products r u_j, r^2 u_t and r W.
-    """
-    w = _twist(centers, u) if w is None else w
-    tmp = np.empty(out[0].size) if tmp is None else tmp
-    rw = tmp[: out[0].size].reshape(out.shape[1:])  # r W; r u_j in its first row(s)
-    r = rs[..., None]  # (R, 1) shared, (k, R, 1) per center
-    head = rw[0] if rs.ndim == 1 else rw
-    for j in range(len(out) - 1):
-        np.add(centers[:, j, None, None], np.multiply(r, u[:, j], out=head), out=out[j])
-    np.multiply(r * r, u[:, -1], out=head)
-    np.add(centers[:, -1, None, None], head, out=out[-1])
-    out[-1] += np.multiply(r, w[:, None, :], out=rw)
-    return out
 
 
 def _blocks(count: int, step: int):
@@ -162,14 +135,7 @@ def scale_sweep(
         raise ValueError(f"degree must be 0 or 1, got {d}")
     if not 1 <= q < math.inf:
         raise ValueError(f"exponent q must be finite and >= 1, got {q}")
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    rs = np.atleast_1d(np.asarray(rs, dtype=float))
-    k = len(centers)
-    if rs.ndim > 2 or rs.ndim == 2 and len(rs) != k:
-        raise ValueError(f"radii of shape {rs.shape} are neither (R,) nor ({k}, R)")
-    bad = ~((rs > 0) & (rs < math.inf))  # NaN fails both comparisons
-    if bad.any():
-        raise ValueError(f"ball radius must be positive, got {rs[bad].flat[0]}")
+    centers, rs = _balls(centers, rs)
     out = _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers)
     if want_se and template.coarse is not None:
         # the twin pass starts once the fine pass has freed its tile buffers

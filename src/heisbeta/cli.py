@@ -281,11 +281,12 @@ def _validated(config: RunConfig) -> RunConfig:
         harness = config.harness_config()
         harness.scale_grid  # grids are built on use; build them here
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError(str(exc).replace("points_per_decade", "--per-decade")) from None
     try:
         harness.t_grid
     except ValueError as exc:
-        raise UsageError(f"t grid: {exc}") from None
+        message = f"t grid: {exc}".replace("points_per_decade", "t_per_decade")
+        raise UsageError(message) from None
     try:
         check_template_request(config.n, config.quad_spec)
     except ValueError as exc:

@@ -4,6 +4,9 @@ Ball integration maps one cached centered template (nodes of gauge-unit-ball
 quadrature) through y = center * delta_r(u).  Reusing the template across all
 centers, radii, and both sides of an identity is what makes translation and
 dilation identities hold to machine precision under common random numbers.
+twist_nodes is the one such map, and one rule checks every ball list and
+radius; the beta sweep, ball_values (the field on a ball list, for the
+affine fits and the lemma checks) and ball_volume share them.
 
 The Monte Carlo template is symmetrized over the full sign orbit
 {(+-z_1, ..., +-t)}: the gauge ball is invariant under flipping any single
@@ -34,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hgroup import dilate, gauge, group_mul
+from .hgroup import dilate, gauge
 
 Array = np.ndarray
 
@@ -102,6 +105,14 @@ class ScaleGrid:
         if self.points_per_decade < 1:
             raise ValueError(
                 f"points_per_decade must be >= 1, got {self.points_per_decade}"
+            )
+        # count converts points_per_decade to a float, which fails past
+        # 1.8e308; from 1e300 up, every range exceeds the ceiling
+        count = self.count if self.points_per_decade < 1e300 else math.inf
+        if count > NODE_CEILING:
+            raise ValueError(
+                f"scale grid of {count} nodes exceeds the ceiling of "
+                f"{NODE_CEILING}; lower points_per_decade"
             )
 
     @property
@@ -206,10 +217,60 @@ def ball_template(n: int, spec: QuadSpec) -> BallTemplate:
     return _ball_template_cached(n, "grid", 0, 0, spec.grid_per_axis)
 
 
-def ball_nodes(center, r: float, template_nodes: Array) -> Array:
-    """Map template nodes u to the ball B(center, r) via center * delta_r(u)."""
-    center = np.asarray(center, dtype=float)
-    return group_mul(center[..., None, :], dilate(r, template_nodes))
+def _twist(centers: Array, u: Array) -> Array:
+    uz, n = u[:, :-1], (u.shape[-1] - 1) // 2
+    return 0.5 * (centers[:, :-1] @ np.concatenate([uz[:, n:], -uz[:, :n]], axis=1).T)
+
+
+def twist_nodes(centers: Array, rs: Array, u: Array, out: Array, w=None, tmp=None):
+    """Write x * delta_r(u) for every (center, radius, template node) into
+    out, coordinate-major, shape (2n+1, k, R, m).
+
+    The radii rs are shared, shape (R,), or one row per center, (k, R).
+    Uses x * delta_r(u) = (x_z + r u_z, x_t + r^2 u_t + r W) with the twist
+    W = (1/2) sum_j (x_j u_{n+j} - x_{n+j} u_j), shape (k, m), which does not
+    depend on r; a caller may pass it as w, and a buffer of k R m floats as
+    tmp for the products r u_j, r^2 u_t and r W.
+    """
+    w = _twist(centers, u) if w is None else w
+    tmp = np.empty(out[0].size) if tmp is None else tmp
+    rw = tmp[: out[0].size].reshape(out.shape[1:])  # r W; r u_j in its first row(s)
+    r = rs[..., None]  # (R, 1) shared, (k, R, 1) per center
+    head = rw[0] if rs.ndim == 1 else rw
+    for j in range(len(out) - 1):
+        np.add(centers[:, j, None, None], np.multiply(r, u[:, j], out=head), out=out[j])
+    np.multiply(r * r, u[:, -1], out=head)
+    np.add(centers[:, -1, None, None], head, out=out[-1])
+    out[-1] += np.multiply(r, w[:, None, :], out=rw)
+    return out
+
+
+def _check_radii(rs) -> None:
+    rs = np.asarray(rs, dtype=float)
+    bad = ~((rs > 0) & (rs < math.inf))  # NaN fails both comparisons
+    if bad.any():
+        raise ValueError(f"ball radius must be positive, got {rs[bad].flat[0]}")
+
+
+def _balls(centers, rs) -> tuple[Array, Array]:
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    rs = np.atleast_1d(np.asarray(rs, dtype=float))
+    k = len(centers)
+    if rs.ndim > 2 or rs.ndim == 2 and len(rs) != k:
+        raise ValueError(f"radii of shape {rs.shape} are neither (R,) nor ({k}, R)")
+    _check_radii(rs)
+    return centers, rs
+
+
+def ball_values(f, centers, rs, template: BallTemplate) -> Array:
+    """Values (k, R, m) of f on a ball list, radii as in beta.scale_sweep."""
+    centers, rs = _balls(centers, rs)
+    u = template.nodes
+    out = np.empty((u.shape[-1], len(centers), rs.shape[-1], len(u)))
+    pts = np.moveaxis(twist_nodes(centers, rs, u, out), 0, -1)
+    vals = np.asarray(f.eval(pts), dtype=float)
+    _check_finite(vals, pts, "ball integrand")
+    return vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,6 +408,12 @@ def mean_stderr(vals: Array, template: BallTemplate) -> Array:
     return w.std(axis=-1, ddof=1) / math.sqrt(template.units)
 
 
+def _log_ball_constant(n: int) -> float:
+    """log c_n from the closed form quoted in _ball_constant."""
+    return (n * math.log(math.pi) + math.lgamma(n / 2) + math.lgamma(1.5) - math.log(4.0)
+            - math.lgamma(n) - math.lgamma(n / 2 + 1.5))
+
+
 @lru_cache(maxsize=8)
 def _ball_constant(n: int) -> tuple[float, float]:
     """(c_n, stderr): unit-ball volume from a one-time 4e6-proposal run.
@@ -388,8 +455,7 @@ def _ball_constant(n: int) -> tuple[float, float]:
 
 def ball_volume(r: float, n: int = 1) -> float:
     """Volume of a gauge ball of radius r: c_n * r^Q with cached c_n."""
-    if r <= 0:
-        raise ValueError(f"ball radius must be positive, got {r}")
+    _check_radii(r)
     return _ball_constant(n)[0] * r ** (2 * n + 2)
 
 

@@ -27,8 +27,9 @@ from .quad import (
     QuadSpec,
     ScaleGrid,
     _check_finite,
-    ball_nodes,
+    _log_ball_constant,
     ball_template,
+    ball_values,
     domain_truncation,
     polar_domain,
     power_head,
@@ -169,6 +170,16 @@ class HarnessConfig:
         if not 0.0 < self.box_radius < math.inf:
             raise ValueError(
                 f"box_radius must be finite and positive, got {self.box_radius}"
+            )
+        # the norm domain's volume c_n (2R)^Q must be a float: c_n from its
+        # closed form, with a tenth to spare for the estimate the shells use
+        # (at most 5 % above it, at n = 7), in logs because float ** overflows
+        big_q = 2 * self.n + 2
+        log_volume = _log_ball_constant(self.n) + big_q * math.log(2.0 * self.box_radius)
+        if log_volume + math.log(1.1) >= math.log(np.finfo(float).max):
+            raise ValueError(
+                f"box_radius {self.box_radius} overflows the domain volume "
+                f"c_n (2 box_radius)^{big_q}"
             )
         if not 0.0 < self.rho_min < 2.0 * self.box_radius:
             raise ValueError(
@@ -631,8 +642,8 @@ def _near_optimal_report(config: HarnessConfig) -> RatioReport:
     step = np.empty((10, len(u)))
     cand = np.empty_like(step)
     cases = []
-    for x, r in zip(*_placements(rng, config.n, 20, 2.0, 4.0, 0.25, 2.0)):
-        vals = np.asarray(f.eval(ball_nodes(x, r, tpl.nodes)), dtype=float)
+    xs, rads = _placements(rng, config.n, 20, 2.0, 4.0, 0.25, 2.0)
+    for vals in ball_values(f, xs, rads[:, None], tpl)[:, 0]:
         # fit with r = 1: the slopes absorb the radius, so the model at the
         # template nodes is b + u . a
         b, a = fit_from_values(vals, tpl, 1.0, 1)
@@ -739,15 +750,14 @@ def _projection_sup_report(config: HarnessConfig) -> RatioReport:
     anchor = catalog("affine", n=n, a=a, b=0.0)
     f = catalog("gaussian", n=n)
 
-    def case(ev, nodes):
-        vals = np.asarray(ev(nodes), dtype=float)
+    def case(vals):
         b1, a1 = fit_from_values(vals, tpl, 1.0, 1)
         d1 = float(np.mean(np.abs(vals)))
         return float(np.max(np.abs(b1 + u @ a1))), d1, d1 > 1e-14
 
     xs, rads = _placements(_rng(spec, _ROLE_SUP), n, 10, 1.5, 2.0, 0.25, 2.0)
-    cases = [case(anchor.eval, tpl.nodes)] + [
-        case(f.eval, ball_nodes(x, r, tpl.nodes)) for x, r in zip(xs, rads)
+    cases = [case(ball_values(anchor, np.zeros(2 * n + 1), 1.0, tpl)[0, 0])] + [
+        case(vals) for vals in ball_values(f, xs, rads[:, None], tpl)[:, 0]
     ]
     params = config.base_params() | {
         "check": "projection-sup", "anchor_ratio": cases[0][0] / cases[0][1],

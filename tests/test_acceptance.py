@@ -18,7 +18,7 @@ from heisbeta.beta import beta_number
 from heisbeta.cli import main as cli_main
 from heisbeta.fields import catalog, precompose_dilation
 from heisbeta.hgroup import dilate, distance, gauge, group_mul, inverse, origin
-from heisbeta.quad import QuadSpec, ball_nodes, ball_template, mean_stderr
+from heisbeta.quad import QuadSpec, ball_template, mean_stderr
 from heisbeta.verify import (
     HarnessConfig,
     dorronsoro_ratio,
@@ -111,7 +111,7 @@ def test_criterion_2_projection_correctness():
         Am = fit_moment(f, x, r, 1, mc)
         vec = residual_orthogonality(f, Am, x, r, mc)
         tpl = ball_template(1, mc)
-        nodes = ball_nodes(x, r, tpl.nodes)
+        nodes = group_mul(x, dilate(r, tpl.nodes))
         res = np.asarray(f.eval(nodes)) - Am.eval(nodes)
         comps = np.concatenate([res[None], res[None] * (nodes[:, :-1] - x[:-1]).T])
         ses = np.array([float(mean_stderr(comp, tpl)) for comp in comps])

@@ -11,7 +11,8 @@ from heisbeta.affine import (
     residual_orthogonality,
 )
 from heisbeta.fields import catalog
-from heisbeta.quad import QuadSpec, ball_nodes, ball_template, mean_stderr
+from heisbeta.hgroup import dilate, group_mul
+from heisbeta.quad import QuadSpec, ball_template, mean_stderr
 
 from conftest import random_points
 
@@ -23,7 +24,7 @@ def orthogonality_with_stderr(f, A, x, r, spec):
     """Recompute the orthogonality vector together with its MC stderr."""
     n = (len(x) - 1) // 2
     tpl = ball_template(n, spec)
-    nodes = ball_nodes(x, r, tpl.nodes)
+    nodes = group_mul(x, dilate(r, tpl.nodes))
     res = np.asarray(f.eval(nodes)) - A.eval(nodes)
     monos = nodes[:, :-1] - x[:-1]
     comps = np.concatenate([res[None], (res * monos.T)], axis=0)
@@ -100,7 +101,7 @@ def test_fit_from_values_matches_fit_moment():
     x = np.array([0.2, -0.4, 0.3])
     r = 0.9
     tpl = ball_template(1, GRID)
-    vals = f.eval(ball_nodes(x, r, tpl.nodes))
+    vals = f.eval(group_mul(x, dilate(r, tpl.nodes)))
     b, a = fit_from_values(vals, tpl, r, 1)
     A = fit_moment(f, x, r, 1, GRID)
     assert b == pytest.approx(A.b, rel=1e-14)
@@ -131,6 +132,35 @@ def test_fit_argument_errors():
     A = fit_moment(f, x, 1.0, 1, GRID)
     with pytest.raises(ValueError, match="radius"):
         residual_orthogonality(f, A, x, 0.0, GRID)
+
+
+@pytest.mark.parametrize("r", [np.nan, np.inf], ids=["nan", "inf"])
+def test_fits_reject_non_finite_radii_with_one_line(r):
+    f = catalog("gaussian")
+    x = np.zeros(3)
+    A = fit_moment(f, x, 1.0, 1, GRID)
+    for fit in (
+        lambda: fit_moment(f, x, r, 1, GRID),
+        lambda: fit_normal_equations(f, x, r, 1, GRID),
+        lambda: residual_orthogonality(f, A, x, r, GRID),
+    ):
+        with pytest.raises(ValueError, match="ball radius must be positive") as info:
+            fit()
+        assert "\n" not in str(info.value)
+
+
+class _NanAtOneNode:
+    """The gaussian, but NaN at the eighth ball node."""
+
+    def eval(self, pts):
+        vals = catalog("gaussian").eval(pts)
+        vals.flat[7] = np.nan
+        return vals
+
+
+def test_fit_moment_raises_on_a_non_finite_field_value():
+    with pytest.raises(FloatingPointError, match="non-finite ball integrand at node"):
+        fit_moment(_NanAtOneNode(), np.array([0.2, -0.1, 0.3]), 0.8, 1, GRID)
 
 
 def test_degenerate_template_raises():

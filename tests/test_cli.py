@@ -282,9 +282,12 @@ def test_oversized_template_rejected_before_allocation(builder_calls, capsys):
     (["squarefn", "--mode", "grid", "--grid-per-axis", "1", "--alpha", "0.5"], None),
     (["beta", "--rmin", "1e-300", "--rmax", "1e300", "--per-decade", "1"], None),
     (["poincare"], "t_min = 1e-300\nt_max = 1e300\n"),
+    (["poincare", "--box-radius", "1e77", "--mode", "grid", "--grid-per-axis", "6"], None),
+    (["dorronsoro", "--box-radius", "1e200"], None),
 ], ids=["per-decade-0", "box-radius-below-rho-min", "seed-negative", "t-grid-reversed",
         "t-per-decade-0", "rmax-inf", "box-radius-inf", "t-max-inf", "p-inf", "q-inf",
-        "workers-0", "grid-per-axis-1", "scale-range-overflows", "t-range-overflows"])
+        "workers-0", "grid-per-axis-1", "scale-range-overflows", "t-range-overflows",
+        "domain-volume-overflows", "domain-volume-overflows-far"])
 def test_out_of_range_values_exit_2_with_one_line(builder_calls, capsys, tmp_path,
                                                    argv, conf):
     if conf is not None:
@@ -295,6 +298,24 @@ def test_out_of_range_values_exit_2_with_one_line(builder_calls, capsys, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("heisbeta: ") and err.count("\n") == 1
     assert not builder_calls
+
+
+def test_scale_grid_above_the_ceiling_is_a_usage_error(builder_calls, tmp_path):
+    # parsed only: a run would ask for 5e8 radii
+    with pytest.raises(UsageError, match="exceeds the ceiling.*lower --per-decade$"):
+        parse_config(["beta", "--per-decade", "100000000"])
+    path = tmp_path / "run.conf"
+    path.write_text("t_per_decade = 100000000\n")
+    with pytest.raises(UsageError, match="^t grid: .*lower t_per_decade$"):
+        parse_config(["poincare", "--config", str(path)])
+    assert not builder_calls
+
+
+def test_working_box_radii_are_admitted():
+    # the domain volume c_1 (2e70)^4 is about 2e281
+    assert parse_config(["poincare", "--box-radius", "1e70"]).box_radius == 1e70
+    with pytest.raises(UsageError, match="overflows the domain volume"):
+        parse_config(["poincare", "--n", "2", "--box-radius", "1e70"])
 
 
 @pytest.mark.parametrize("field", [

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from heisbeta.beta import twist_nodes
 from heisbeta.cli import _SUITES, RunConfig, _echo_lines, parse_config
+from heisbeta.fields import catalog
 from heisbeta.hgroup import dilate, group_mul
+from heisbeta.quad import BallTemplate, ball_values, twist_nodes
 
 
 @settings(max_examples=200, deadline=None)
@@ -32,6 +33,27 @@ def test_twist_nodes_equal_group_law(data, n, k, nr, m):
     xs = np.abs(x)
     scale = xs[:, None, None, -1] + r * r + r * xs[:, None, None, :-1].sum(-1)
     assert np.all(np.abs(got[..., -1] - want[..., -1]) <= 1e-14 * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 2), k=st.integers(1, 3),
+       nr=st.integers(1, 4), m=st.integers(1, 6), per_center=st.booleans())
+def test_ball_values_equal_field_at_group_law_nodes(data, n, k, nr, m, per_center):
+    dim = 2 * n + 1
+    finite = dict(allow_nan=False, allow_infinity=False)
+    x = data.draw(hnp.arrays(float, (k, dim), elements=st.floats(-3, 3, **finite)))
+    u = data.draw(hnp.arrays(float, (m, dim), elements=st.floats(-1, 1, **finite)))
+    shape = (k, nr) if per_center else (nr,)
+    rs = data.draw(hnp.arrays(float, shape, elements=st.floats(1e-3, 3.0, **finite)))
+    tpl = BallTemplate(nodes=u, units=m, orbit=1, m2=(u[:, :-1] ** 2).mean(axis=0))
+    f = catalog("gaussian", n=n)
+    got = ball_values(f, x, rs, tpl)
+    r = rs[..., None] if per_center else rs[None, :, None]
+    want = f.eval(group_mul(x[:, None, None, :], dilate(r, u)))
+    assert got.shape == (k, nr, m)
+    # the nodes agree to 1e-14 of their largest term (above), at most about
+    # 40 here, and the gaussian's slope is below 1
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
 def _field(n):

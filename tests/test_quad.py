@@ -2,20 +2,22 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from heisbeta.beta import scale_sweep
 from heisbeta.fields import catalog
-from heisbeta.hgroup import gauge, group_mul
+from heisbeta.hgroup import dilate, gauge, group_mul
 from heisbeta.quad import (
     NODE_CEILING,
     QuadSpec,
     ScaleGrid,
     _ball_constant,
-    ball_nodes,
+    _log_ball_constant,
     ball_template,
+    ball_values,
     ball_volume,
     box_nodes,
     box_volume,
@@ -65,6 +67,12 @@ def test_scale_grid_nodes_and_validation():
     with pytest.raises(ValueError, match="overflows"):
         ScaleGrid(1e-300, 1e300, 1)
     assert ScaleGrid(1e-150, 1e150, 1).count == 300
+    # more nodes than a template may hold are refused before any is made
+    with pytest.raises(ValueError, match="ceiling"):
+        ScaleGrid(1e-3, 1e2, 100_000_000)
+    with pytest.raises(ValueError, match="ceiling"):
+        ScaleGrid(1e-3, 1e2, 10**400)
+    assert ScaleGrid(1e-3, 1e2, 2_000_000).count == 10_000_000
 
 
 def _exact_ball_constant(n):
@@ -84,8 +92,12 @@ def test_ball_volume_constant_and_scaling():
         assert abs(cn - _exact_ball_constant(n)) <= 3.0 * se
     assert ball_volume(2.0, 1) == pytest.approx(16.0 * ball_volume(1.0, 1), rel=1e-15)
     assert ball_volume(2.0, 2) == pytest.approx(64.0 * ball_volume(1.0, 2), rel=1e-15)
-    with pytest.raises(ValueError):
-        ball_volume(0.0)
+    for r in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="ball radius must be positive"):
+            ball_volume(r)
+    for n in range(1, 8):
+        assert math.exp(_log_ball_constant(n)) == pytest.approx(
+            _exact_ball_constant(n), rel=1e-12)
 
 
 # the estimate every reported norm is scaled by; bench/references.json was
@@ -211,11 +223,22 @@ def test_sweep_ball_average_grid_error_estimate():
         _ball_average(f, np.zeros(3), -1.0, GRID)
 
 
-def test_ball_nodes_mapping():
+def test_ball_values_mapping():
     tpl = ball_template(1, QuadSpec(samples=5_000))
     x = np.array([1.0, -2.0, 0.5])
-    nodes = ball_nodes(x, 0.25, tpl.nodes)
-    assert np.all(gauge(group_mul(-x, nodes)) <= 0.25 * (1 + 1e-12))
+    # a field that reads the distance from x: every ball node lies in B(x, r)
+    dist = SimpleNamespace(eval=lambda pts: gauge(group_mul(-x, pts)))
+    vals = ball_values(dist, x, [0.25, 1.0], tpl)
+    assert vals.shape == (1, 2, len(tpl.nodes))
+    assert np.all(vals <= np.array([0.25, 1.0])[:, None] * (1 + 1e-12))
+    f = catalog("gaussian")
+    want = f.eval(group_mul(x, dilate(0.25, tpl.nodes)))
+    assert np.allclose(ball_values(f, x, 0.25, tpl)[0, 0], want, rtol=0, atol=1e-14)
+    nan_past = SimpleNamespace(eval=lambda pts: np.where(pts[..., 0] > 1.1, np.nan, 0.0))
+    with pytest.raises(FloatingPointError, match="non-finite ball integrand at node"):
+        ball_values(nan_past, x, 0.25, tpl)
+    with pytest.raises(ValueError, match="ball radius must be positive"):
+        ball_values(f, x, [0.25, np.nan], tpl)
 
 
 def test_box_nodes_and_volume():
