@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hgroup import half_dim
 from .quad import QuadSpec, ball_template, ball_values
 
 Array = np.ndarray
@@ -74,7 +75,7 @@ def fit_from_values(vals: Array, template, r: float, d: int):
 def fit_moment(f, x, r: float, d: int, spec: QuadSpec) -> AffineMap:
     """Closed-form projection coefficients over B(x, r)."""
     x = np.asarray(x, dtype=float)
-    tpl = ball_template((x.shape[-1] - 1) // 2, spec)
+    tpl = ball_template(half_dim(x), spec)
     vals = ball_values(f, x, r, tpl)[0, 0]
     b, a = fit_from_values(vals, tpl, r, d)
     return AffineMap(degree=d, base=x, b=float(b), a=a)
@@ -85,7 +86,7 @@ def fit_normal_equations(f, x, r: float, d: int, spec: QuadSpec) -> AffineMap:
     if d not in (0, 1):
         raise ValueError(f"degree must be 0 or 1, got {d}")
     x = np.asarray(x, dtype=float)
-    n = (x.shape[-1] - 1) // 2
+    n = half_dim(x)
     tpl = ball_template(n, spec)
     vals = ball_values(f, x, r, tpl)[0, 0]
     if d == 0:
@@ -105,7 +106,7 @@ def residual_orthogonality(f, A: AffineMap, x, r: float, spec: QuadSpec) -> Arra
     are near zero when A is the projection of f on B(x, r).
     """
     x = np.asarray(x, dtype=float)
-    tpl = ball_template((x.shape[-1] - 1) // 2, spec)
+    tpl = ball_template(half_dim(x), spec)
     res = ball_values(f, x, r, tpl)[0, 0] - A.eval(x + r * tpl.nodes)
     monos = r * tpl.nodes[:, :-1]
     return np.concatenate([[res.mean()], res @ monos / len(res)])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .affine import fit_from_values
-from .hgroup import distance
+from .hgroup import distance, half_dim
 from .quad import (QuadSpec, ScaleGrid, _balls, _check_finite, _twist, ball_template,
                    mean_stderr, twist_nodes)
 
@@ -135,7 +135,7 @@ def scale_sweep(
         raise ValueError(f"degree must be 0 or 1, got {d}")
     if not 1 <= q < math.inf:
         raise ValueError(f"exponent q must be finite and >= 1, got {q}")
-    centers, rs = _balls(centers, rs)
+    centers, rs = _balls(centers, rs, template)
     out = _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers)
     if want_se and template.coarse is not None:
         # the twin pass starts once the fine pass has freed its tile buffers
@@ -231,7 +231,7 @@ def beta_number(
 ) -> tuple[float, float]:
     """(beta_{f,d,q}(B(x,r)), stderr)."""
     x = np.asarray(x, dtype=float)
-    out = scale_sweep(f, x[None], [r], d, q, ball_template((x.shape[-1] - 1) // 2, spec))
+    out = scale_sweep(f, x[None], [r], d, q, ball_template(half_dim(x), spec))
     return float(out["beta"][0, 0]), float(out["beta_se"][0, 0])
 
 
@@ -240,7 +240,7 @@ def beta_profile(
 ) -> BetaProfile:
     """beta_number at every node of the scale grid."""
     x = np.asarray(x, dtype=float)
-    tpl = ball_template((x.shape[-1] - 1) // 2, spec)
+    tpl = ball_template(half_dim(x), spec)
     out = scale_sweep(f, x[None], grid.nodes(), d, q, tpl)
     return BetaProfile(
         x=x, d=d, q=q, grid=grid, values=out["beta"][0], stderrs=out["beta_se"][0]
@@ -278,7 +278,7 @@ def check_monotonicity(f, inner, outer, q: float = 1.0, spec: QuadSpec = QuadSpe
             f"containment violated{'' if single else f' at index {i}'}: distance "
             f"{dist[i]:.6g} + r1 {r1[i]:.6g} exceeds r2 {r2[i]:.6g}"
         )
-    tpl = ball_template((x1.shape[-1] - 1) // 2, spec)
+    tpl = ball_template(half_dim(x1), spec)
     # the ratio needs no error estimates
     inner_out, outer_out = (
         scale_sweep(f, x, r[:, None], 1, q, tpl, want_se=False, workers=workers)

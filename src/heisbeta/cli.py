@@ -290,11 +290,12 @@ def _validated(config: RunConfig) -> RunConfig:
     try:
         check_template_request(config.n, config.quad_spec)
     except ValueError as exc:
-        if config.mode == "grid":
-            knob = "--grid-per-axis"
+        if config.mode == "grid":  # too many mesh points, or too few to keep a node
+            over = config.grid_per_axis ** (2 * config.n + 1) > NODE_CEILING
+            knob = ("lower" if over else "raise") + " --grid-per-axis"
         else:
-            knob = "--samples" if config.samples > NODE_CEILING else "--n"
-        raise UsageError(f"{exc}; lower {knob}") from None
+            knob = "lower --samples" if config.samples > NODE_CEILING else "lower --n"
+        raise UsageError(f"{exc}; {knob}") from None
     if config.suite == "dorronsoro":
         gate = gate_exponents(config.p, config.q, config.n)
         if not gate.admissible:

@@ -16,6 +16,9 @@ exactly.  Closed-form moment fits assume exactly that.  The quoted budget
 size land within it.  Standard errors treat one orbit as one independent
 unit.  Grid mode uses a per-axis midpoint tensor grid, which has the same
 symmetries, and estimates error by comparing against a half-resolution grid.
+The gauge box |z_j| <= R, |t| <= R^2 (box_nodes, domain_integrate_lp) has
+grid mode only: the same midpoint mesh, formed at R.  It gives
+squarefn.lq_norm_bound the L^1 mass behind its large-scale truncation bound.
 
 L^p norms over the truncated domain use a gauge-polar quadrature:
 log-spaced shells of exact volume times a direction average on the unit
@@ -42,7 +45,6 @@ from .hgroup import dilate, gauge
 Array = np.ndarray
 
 _BALL_ROLE = 101
-_DOMAIN_ROLE = 202
 _VOLUME_SEED = 760355
 # rows per block of the c_n estimate: one (block, 2n+1) buffer fits in L2
 _VOLUME_BLOCK = 8192
@@ -172,15 +174,19 @@ def _mc_ball_template(n: int, samples: int, seed: int) -> BallTemplate:
     return BallTemplate(nodes=nodes, units=len(kept), orbit=orbit, m2=m2)
 
 
-def _grid_ball_template(n: int, per_axis: int, with_coarse: bool = True) -> BallTemplate:
-    dim = 2 * n + 1
+def _midpoint_mesh(dim: int, per_axis: int) -> Array:
+    """Midpoint tensor mesh of [-1, 1]^dim, shape (per_axis^dim, dim), formed
+    in one array: meshgrid's broadcast views are stacked without copies."""
     mids = (2.0 * np.arange(per_axis) + 1.0) / per_axis - 1.0
-    axes = [mids] * (2 * n) + [0.25 * mids]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    mesh = np.meshgrid(*[mids] * dim, indexing="ij", copy=False)
+    return np.stack(mesh, axis=-1).reshape(-1, dim)
+
+
+def _grid_ball_template(n: int, per_axis: int, with_coarse: bool = True) -> BallTemplate:
+    mesh = _midpoint_mesh(2 * n + 1, per_axis)
+    mesh[:, -1] *= 0.25
     zsq = (mesh[:, :-1] ** 2).sum(axis=1)
     nodes = mesh[zsq * zsq + 16.0 * mesh[:, -1] ** 2 <= 1.0]
-    if not len(nodes):
-        raise RuntimeError(f"grid_per_axis={per_axis} keeps no ball nodes")
     coarse = None
     if with_coarse:
         coarse = _grid_ball_template(n, per_axis // 2, with_coarse=False)
@@ -195,18 +201,33 @@ def _ball_template_cached(n: int, mode: str, samples: int, seed: int, per_axis: 
     return _grid_ball_template(n, per_axis)
 
 
-def check_template_request(n: int, spec: QuadSpec) -> None:
-    """Reject a ball or box template for spec above NODE_CEILING nodes,
-    counted before the ball filter: grid_per_axis^(2n+1) mesh points in
-    grid mode; in Monte Carlo mode samples proposals, but at least one
-    full sign orbit of 2^(2n+1) nodes, which every ball template holds."""
-    dim = 2 * n + 1
-    count = spec.grid_per_axis**dim if spec.mode == "grid" else max(spec.samples, 2**dim)
+def _check_node_count(n: int, count: int) -> None:
     if count > NODE_CEILING:
         raise ValueError(
             f"template request of {count} nodes at n={n} exceeds the ceiling "
             f"of {NODE_CEILING}"
         )
+
+
+def check_template_request(n: int, spec: QuadSpec) -> None:
+    """Reject a ball template for spec above NODE_CEILING nodes, counted
+    before the ball filter: grid_per_axis^(2n+1) mesh points in grid mode;
+    in Monte Carlo mode samples proposals, but at least one full sign orbit
+    of 2^(2n+1) nodes, which every ball template holds.  Also reject a grid
+    whose mesh or half-resolution twin keeps no ball node: an odd count
+    keeps the origin, and the mesh points of an even count p nearest the
+    origin, |z_j| = 1/p and |t| = 1/(4p), lie in the ball iff
+    4n^2 / p^4 + 1 / p^2 <= 1."""
+    dim = 2 * n + 1
+    if spec.mode != "grid":
+        return _check_node_count(n, max(spec.samples, 2**dim))
+    _check_node_count(n, spec.grid_per_axis**dim)
+    for p in (spec.grid_per_axis, spec.grid_per_axis // 2):
+        if p % 2 == 0 and 4 * n * n + p * p > p**4:
+            twin = "" if p == spec.grid_per_axis else f" in its {p}-per-axis twin"
+            raise ValueError(
+                f"grid_per_axis={spec.grid_per_axis} keeps no ball node at n={n}{twin}"
+            )
 
 
 def ball_template(n: int, spec: QuadSpec) -> BallTemplate:
@@ -252,10 +273,12 @@ def _check_radii(rs) -> None:
         raise ValueError(f"ball radius must be positive, got {rs[bad].flat[0]}")
 
 
-def _balls(centers, rs) -> tuple[Array, Array]:
+def _balls(centers, rs, template: BallTemplate) -> tuple[Array, Array]:
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     rs = np.atleast_1d(np.asarray(rs, dtype=float))
-    k = len(centers)
+    k, dim = len(centers), template.nodes.shape[-1]
+    if centers.ndim > 2 or centers.shape[-1] != dim:
+        raise ValueError(f"centers of shape {centers.shape} are not (k, {dim})")
     if rs.ndim > 2 or rs.ndim == 2 and len(rs) != k:
         raise ValueError(f"radii of shape {rs.shape} are neither (R,) nor ({k}, R)")
     _check_radii(rs)
@@ -264,7 +287,7 @@ def _balls(centers, rs) -> tuple[Array, Array]:
 
 def ball_values(f, centers, rs, template: BallTemplate) -> Array:
     """Values (k, R, m) of f on a ball list, radii as in beta.scale_sweep."""
-    centers, rs = _balls(centers, rs)
+    centers, rs = _balls(centers, rs, template)
     u = template.nodes
     out = np.empty((u.shape[-1], len(centers), rs.shape[-1], len(u)))
     pts = np.moveaxis(twist_nodes(centers, rs, u, out), 0, -1)
@@ -459,35 +482,18 @@ def ball_volume(r: float, n: int = 1) -> float:
     return _ball_constant(n)[0] * r ** (2 * n + 2)
 
 
-@lru_cache(maxsize=64)
-def _unit_box_template_cached(n: int, mode: str, samples: int, seed: int, per_axis: int):
-    dim = 2 * n + 1
-    if mode == "montecarlo":
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, _DOMAIN_ROLE, n]))
-        )
-        return rng.uniform(-1.0, 1.0, size=(samples, dim))
-    mids = (2.0 * np.arange(per_axis) + 1.0) / per_axis - 1.0
-    return np.stack(np.meshgrid(*([mids] * dim), indexing="ij"), axis=-1).reshape(
-        -1, dim
-    )
-
-
 def box_nodes(n: int, box_radius: float, spec: QuadSpec) -> Array:
-    """Quadrature nodes for the gauge box |z_j| <= R, |t| <= R^2."""
+    """Grid midpoint nodes for the gauge box |z_j| <= R, |t| <= R^2: the
+    unit mesh scaled in place by R, its t column once more by R."""
+    if spec.mode != "grid":
+        raise ValueError(f"the box quadrature is grid-only, got mode {spec.mode!r}")
     if box_radius <= 0:
         raise ValueError(f"box_radius must be positive, got {box_radius}")
-    check_template_request(n, spec)
-    if spec.mode == "montecarlo":
-        unit = _unit_box_template_cached(n, "montecarlo", spec.samples, spec.seed, 0)
-    else:
-        unit = _unit_box_template_cached(n, "grid", 0, 0, spec.grid_per_axis)
-    return scale_box_nodes(unit, box_radius)
-
-
-def scale_box_nodes(unit: Array, box_radius: float) -> Array:
-    out = unit * box_radius
-    out[..., -1] *= box_radius
+    dim = 2 * n + 1
+    _check_node_count(n, spec.grid_per_axis**dim)
+    out = _midpoint_mesh(dim, spec.grid_per_axis)
+    out *= box_radius
+    out[:, -1] *= box_radius
     return out
 
 
@@ -520,24 +526,19 @@ def lp_tail_bound(decay_bound, p: float, box_radius: float, n: int = 1) -> float
 
 
 def domain_integrate_lp(
-    f, p: float, box_radius: float, spec: QuadSpec, tail=None, n: int | None = None
+    f, p: float, box_radius: float, spec: QuadSpec
 ) -> tuple[float, float]:
-    """L^p norm of f over the gauge box |z_j| <= R, |t| <= R^2.
+    """L^p norm of the field f over the gauge box |z_j| <= R, |t| <= R^2
+    on the grid of box_nodes.
 
     Returns (value, tail_bound) where tail_bound bounds the L^p norm of f
-    outside the box, computed from the supplied decay bound (0 when none is
-    given; the caller owns tail accounting in that case).  n is inferred
-    from a ScalarField argument and must be passed for bare callables.
+    outside the box through f.decay_bound (0 when f carries none; the
+    caller owns tail accounting in that case).
     """
     if p < 1:
         raise ValueError(f"exponent p must be >= 1, got {p}")
-    if n is None:
-        n = getattr(f, "n", None)
-        if n is None:
-            raise ValueError("pass n explicitly when integrating a bare callable")
-    ev = getattr(f, "eval", f)
-    nodes = box_nodes(n, box_radius, spec)
-    vals = np.asarray(ev(nodes), dtype=float)
+    nodes = box_nodes(f.n, box_radius, spec)
+    vals = np.asarray(f.eval(nodes), dtype=float)
     _check_finite(vals, nodes, "domain integrand")
-    value = (box_volume(n, box_radius) * float(np.mean(np.abs(vals) ** p))) ** (1.0 / p)
-    return value, lp_tail_bound(tail, p, box_radius, n)
+    value = (box_volume(f.n, box_radius) * float(np.mean(np.abs(vals) ** p))) ** (1.0 / p)
+    return value, lp_tail_bound(f.decay_bound, p, box_radius, f.n)

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .beta import _ball_list, scale_sweep
-from .hgroup import horizontal_derivative
+from .hgroup import half_dim, horizontal_derivative
 from .quad import (
     QuadSpec,
     ScaleGrid,
@@ -78,9 +78,7 @@ def _lq_norm_bound_cached(f, q: float) -> float:
     if f.decay_bound is None:
         return np.inf
     radius = max(4.0, 2.0 * (f.support_radius or 1.0))
-    value, tail = domain_integrate_lp(
-        f, q, radius, _meta_spec(f.n), tail=f.decay_bound
-    )
+    value, tail = domain_integrate_lp(f, q, radius, _meta_spec(f.n))
     return (value**q + tail**q) ** (1.0 / q)
 
 
@@ -133,7 +131,7 @@ def _square_from_profile(rs, h, prof, se, alpha):
 def _square_function(f, x, alpha, grid, spec, d, centered) -> SquareFnResult:
     """g_alpha (degree-d betas) or, when centered, s_alpha at x."""
     x = np.asarray(x, dtype=float)
-    tpl = ball_template((x.shape[-1] - 1) // 2, spec)
+    tpl = ball_template(half_dim(x), spec)
     rs = grid.nodes()
     fx = np.asarray(f.eval(x[None]), dtype=float) if centered else None
     sweep = scale_sweep(f, x[None], rs, d, 1.0, tpl, center_vals=fx)
@@ -199,7 +197,7 @@ def gradient_comparison(
     if C < 1:
         raise ValueError(f"enlargement factor C must be >= 1, got {C}")
     xs, rs, single = _ball_list(x, r, "gradient-comparison balls")
-    n = (xs.shape[-1] - 1) // 2
+    n = half_dim(xs)
     tpl = ball_template(n, spec)
 
     def beta_at(g, d, radii):

@@ -12,7 +12,9 @@ from heisbeta import beta
 from heisbeta.beta import beta_number, beta_profile, check_monotonicity, scale_sweep
 from heisbeta.fields import catalog, precompose_dilation, vertical_translate
 from heisbeta.hgroup import dilate, group_mul
-from heisbeta.quad import QuadSpec, ScaleGrid, ball_template, mean_stderr
+from heisbeta.affine import fit_moment, fit_normal_equations
+from heisbeta.quad import QuadSpec, ScaleGrid, ball_template, ball_values, mean_stderr
+from heisbeta.squarefn import g_alpha, gradient_comparison, s_alpha
 
 from conftest import random_points
 
@@ -493,6 +495,32 @@ def test_ball_list_radii_must_match_the_centers():
     for rs in (np.ones((3, 2)), np.ones((5, 1)), np.ones((4, 2, 1))):
         with pytest.raises(ValueError, match="neither"):
             scale_sweep(f, centers, rs, 1, 1.0, tpl)
+
+
+def test_centers_must_match_the_template_dimension():
+    f = catalog("gaussian")
+    tpl = ball_template(1, QuadSpec(samples=500))
+    for centers in (np.zeros((2, 5)), np.zeros(1), np.zeros((2, 1, 3))):
+        for call in (lambda: scale_sweep(f, centers, [1.0], 1, 1.0, tpl),
+                     lambda: ball_values(f, centers, [1.0], tpl)):
+            with pytest.raises(ValueError, match=r"shape .* are not \(k, 3\)$"):
+                call()
+
+
+def test_points_outside_every_heisenberg_group_are_rejected():
+    f, h0 = catalog("gaussian"), np.zeros(1)
+    spec, grid = QuadSpec(samples=2000), ScaleGrid(0.1, 10.0, 2)
+    calls = (lambda: beta_number(f, h0, 1.0, 0, 1.0, spec),
+             lambda: beta_profile(f, h0, 0, 1.0, grid, spec),
+             lambda: g_alpha(f, h0, 0.5, grid, spec),
+             lambda: s_alpha(f, h0, 0.5, grid, spec),
+             lambda: gradient_comparison(f, h0, 1.0, spec=spec),
+             lambda: fit_moment(f, h0, 1.0, 1, spec),
+             lambda: fit_normal_equations(f, h0, 1.0, 1, spec),
+             lambda: check_monotonicity(f, (h0, 0.5), (h0, 1.0), spec=spec))
+    for call in calls:
+        with pytest.raises(ValueError, match="odd trailing axis >= 3, got 1$"):
+            call()
 
 
 BAD_BALL_INPUTS = [

@@ -247,7 +247,7 @@ def builder_calls(monkeypatch):
         raise AssertionError("template builder reached")
 
     for name in ("_ball_template_cached", "_grid_ball_template",
-                 "_mc_ball_template", "_sign_orbit", "_unit_box_template_cached",
+                 "_mc_ball_template", "_sign_orbit", "_midpoint_mesh",
                  "_ball_constant"):
         monkeypatch.setattr(quad, name, builder)
     return calls
@@ -265,6 +265,17 @@ def test_oversized_template_rejected_before_allocation(builder_calls, capsys):
     assert not builder_calls
     # the largest default request, 24^5 mesh points at n = 2, is admitted
     assert parse_config(["identities", "--n", "2", "--mode", "grid"]).n == 2
+
+
+@pytest.mark.parametrize("n, per_axis", [(2, 2), (2, 4), (2, 5), (3, 2), (3, 4), (3, 5)])
+def test_ball_grid_that_keeps_no_node_rejected_before_building(builder_calls, capsys,
+                                                                n, per_axis):
+    argv = ["beta", "--n", str(n), "--mode", "grid", "--grid-per-axis", str(per_axis)]
+    assert run_main(argv) == 2
+    err = capsys.readouterr().err
+    assert "keeps no ball node" in err and "raise --grid-per-axis" in err
+    assert err.count("\n") == 1
+    assert not builder_calls
 
 
 @pytest.mark.parametrize("argv, conf", [

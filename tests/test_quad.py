@@ -16,6 +16,7 @@ from heisbeta.quad import (
     ScaleGrid,
     _ball_constant,
     _log_ball_constant,
+    _midpoint_mesh,
     ball_template,
     ball_values,
     ball_volume,
@@ -25,7 +26,6 @@ from heisbeta.quad import (
     lp_tail_bound,
     check_template_request,
     mean_stderr,
-    scale_box_nodes,
 )
 
 GRID = QuadSpec(mode="grid")
@@ -242,41 +242,100 @@ def test_ball_values_mapping():
 
 
 def test_box_nodes_and_volume():
-    spec = QuadSpec(samples=5_000)
+    spec = QuadSpec(mode="grid", grid_per_axis=6)
     nodes = box_nodes(1, 3.0, spec)
+    assert nodes.shape == (216, 3)
     assert np.all(np.abs(nodes[:, :-1]) <= 3.0)
     assert np.all(np.abs(nodes[:, -1]) <= 9.0)
     assert box_volume(1, 3.0) == pytest.approx(6.0 * 6.0 * 18.0)
     gnodes = box_nodes(1, 2.0, QuadSpec(mode="grid", grid_per_axis=5))
     assert gnodes.shape == (125, 3)
-    unit = np.ones((2, 3))
-    scaled = scale_box_nodes(unit.copy(), 4.0)
-    assert np.array_equal(scaled, [[4.0, 4.0, 16.0], [4.0, 4.0, 16.0]])
+    # z scales by R, t by R^2
+    assert np.array_equal(box_nodes(1, 4.0, spec), box_nodes(1, 1.0, spec) * [4, 4, 16])
+    corners = box_nodes(1, 4.0, QuadSpec(mode="grid", grid_per_axis=2))
+    assert np.array_equal(np.abs(corners), np.tile([2.0, 2.0, 8.0], (8, 1)))
     with pytest.raises(ValueError):
         box_nodes(1, 0.0, spec)
+    with pytest.raises(ValueError, match="grid-only"):
+        box_nodes(1, 3.0, QuadSpec(samples=5_000))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_grid_templates_and_boxes_keep_the_meshgrid_bits(n):
+    def reference(per_axis, t_scale):
+        mids = (2.0 * np.arange(per_axis) + 1.0) / per_axis - 1.0
+        axes = [mids] * (2 * n) + [t_scale * mids]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * n + 1)
+
+    for per_axis in (3, 6, 8, 12):
+        spec = QuadSpec(mode="grid", grid_per_axis=per_axis)
+        tpl = ball_template(n, spec)
+        for nodes, p in ((tpl.nodes, per_axis), (tpl.coarse.nodes, per_axis // 2)):
+            mesh = reference(p, 0.25)
+            zsq = (mesh[:, :-1] ** 2).sum(axis=1)
+            assert np.array_equal(nodes, mesh[zsq * zsq + 16.0 * mesh[:, -1] ** 2 <= 1.0])
+        for radius in (0.7, 1.0, 3.0, 16.0):
+            want = reference(per_axis, 1.0) * radius
+            want[:, -1] *= radius
+            assert np.array_equal(box_nodes(n, radius, spec), want)
+
+
+def test_ball_grid_that_keeps_no_node_is_rejected():
+    def keeps_a_node(n, p):
+        mesh = _midpoint_mesh(2 * n + 1, p)
+        mesh[:, -1] *= 0.25
+        zsq = (mesh[:, :-1] ** 2).sum(axis=1)
+        return bool(np.any(zsq * zsq + 16.0 * mesh[:, -1] ** 2 <= 1.0))
+
+    for n, top in ((1, 12), (2, 8), (3, 6), (4, 4)):
+        for p in range(2, top + 1):
+            spec = QuadSpec(mode="grid", grid_per_axis=p)
+            if keeps_a_node(n, p) and keeps_a_node(n, p // 2):
+                check_template_request(n, spec)
+            else:
+                with pytest.raises(ValueError, match=f"={p} keeps no ball node"):
+                    check_template_request(n, spec)
+    for p in (2, 4, 5):
+        with pytest.raises(ValueError, match="keeps no ball node at n=2"):
+            ball_template(2, QuadSpec(mode="grid", grid_per_axis=p))
+    # the box is a full cube, so the rule does not apply to it
+    assert box_nodes(3, 1.0, QuadSpec(mode="grid", grid_per_axis=2)).shape == (128, 7)
+
+
+def test_box_nodes_peak_is_its_output():
+    tracemalloc.start()
+    try:
+        nodes = box_nodes(2, 1.0, QuadSpec(mode="grid", grid_per_axis=12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nodes.shape == (12**5, 5)
+    assert peak <= 1.05 * nodes.nbytes
 
 
 def test_domain_integrate_gaussian_l2():
     f = catalog("gaussian")
     exact = (math.pi / 2.0) ** 0.75  # closed-form L^2 norm over all of H^1
-    val, tail = domain_integrate_lp(
-        f, 2.0, 6.0, QuadSpec(samples=1_000_000), tail=f.decay_bound
-    )
-    assert abs(val - exact) / exact < 1e-2
-    assert tail < 1e-10
+    fine = QuadSpec(mode="grid", grid_per_axis=64)
+    val, tail = domain_integrate_lp(f, 2.0, 4.0, fine)
+    assert abs(val - exact) / exact < 1e-8
+    assert tail < 1e-5
+    _, far_tail = domain_integrate_lp(f, 2.0, 6.0, QuadSpec(mode="grid", grid_per_axis=8))
+    assert far_tail < 1e-10
 
 
 def test_domain_integrate_trivial_cases():
-    zero = lambda p: np.zeros(p.shape[:-1])
-    assert domain_integrate_lp(zero, 2.0, 1.0, QuadSpec(samples=100), n=1) == (0.0, 0.0)
+    grid = QuadSpec(mode="grid", grid_per_axis=8)
+    zero = catalog("affine", a=[0.0, 0.0], b=0.0)
+    assert domain_integrate_lp(zero, 2.0, 1.0, grid) == (0.0, 0.0)
     bump = catalog("bump")
-    val, tail = domain_integrate_lp(
-        bump, 1.0, 2.0, QuadSpec(samples=10_000), tail=bump.decay_bound
-    )
+    # 24 per axis puts mesh points inside the bump's support, gauge < 1
+    fine = QuadSpec(mode="grid", grid_per_axis=24)
+    val, tail = domain_integrate_lp(bump, 1.0, 2.0, fine)
     assert val > 0 and tail == 0.0
     with pytest.raises(ValueError):
-        domain_integrate_lp(zero, 0.5, 1.0, QuadSpec(samples=100), n=1)
-    with pytest.raises(ValueError):
+        domain_integrate_lp(zero, 0.5, 1.0, grid)
+    with pytest.raises(ValueError, match="grid-only"):
         domain_integrate_lp(zero, 2.0, 1.0, QuadSpec(samples=100))
 
 
@@ -306,7 +365,7 @@ def test_template_requests_above_ceiling_rejected():
     with pytest.raises(ValueError, match="ceiling"):
         ball_template(3, huge_grid)
     with pytest.raises(ValueError, match="ceiling"):
-        box_nodes(1, 2.0, QuadSpec(samples=NODE_CEILING + 1))
+        box_nodes(1, 2.0, QuadSpec(mode="grid", grid_per_axis=216))  # 216^3 mesh points
     # a Monte Carlo ball template holds at least one full sign orbit
     check_template_request(11, QuadSpec(samples=1))  # 2^23 orbit nodes
     with pytest.raises(ValueError, match="33554432 nodes"):
