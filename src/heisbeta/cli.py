@@ -296,6 +296,17 @@ def _validated(config: RunConfig) -> RunConfig:
         else:
             knob = "lower --samples" if config.samples > NODE_CEILING else "lower --n"
         raise UsageError(f"{exc}; {knob}") from None
+    # beta, dorronsoro (through its alpha = 1 window probe) and squarefn at
+    # alpha >= 1 fit slopes with error estimates, and at 2 or 3 per axis
+    # the half-resolution twin is the origin alone
+    slopes = config.suite in ("beta", "dorronsoro") or (
+        config.suite == "squarefn" and config.alpha >= 1.0)
+    if config.mode == "grid" and config.grid_per_axis < 4 and slopes:
+        raise UsageError(
+            f"{config.suite} fits slopes on the half-resolution twin, which at "
+            f"grid_per_axis={config.grid_per_axis} holds only the origin; "
+            f"raise --grid-per-axis"
+        )
     if config.suite == "dorronsoro":
         gate = gate_exponents(config.p, config.q, config.n)
         if not gate.admissible:

@@ -45,9 +45,6 @@ from .hgroup import dilate, gauge
 Array = np.ndarray
 
 _BALL_ROLE = 101
-_VOLUME_SEED = 760355
-# rows per block of the c_n estimate: one (block, 2n+1) buffer fits in L2
-_VOLUME_BLOCK = 8192
 
 _MODES = ("grid", "montecarlo")
 
@@ -437,47 +434,37 @@ def _log_ball_constant(n: int) -> float:
             - math.lgamma(n) - math.lgamma(n / 2 + 1.5))
 
 
+# accepted proposals, out of _BALL_PROPOSALS, of the c_n estimate that
+# bench/references.json was recorded against; see _ball_constant
+_BALL_HITS = {1: 2_467_721, 2: 823_675, 3: 190_898, 4: 33_948}
+_BALL_PROPOSALS = 4_000_000
+
+
 @lru_cache(maxsize=8)
 def _ball_constant(n: int) -> tuple[float, float]:
-    """(c_n, stderr): unit-ball volume from a one-time 4e6-proposal run.
+    """(c_n, stderr): the gauge unit-ball volume.
 
-    Proposals are uniform in [-1, 1]^2n x [-1/4, 1/4]; with s = 4t the ball
-    is |z|^4 + s^2 <= 1.  They are streamed through one reused block buffer,
-    so the run needs under a megabyte.  The estimate agrees with the closed
-    form pi^n Gamma(n/2) Gamma(3/2) / (4 Gamma(n) Gamma(n/2 + 3/2)) to within
-    3 stderr at n = 1..4, but the benchmark references were recorded against
-    its bits, so it stays bit-identical until they are re-recorded: the
-    blocks draw the same stream as one uniform(-1, 1) draw of all 4e6 rows,
-    which forms -1 + 2d with 2d exact, and |z|^2 is summed left to right.
+    At n = 1..4 it is the estimate the benchmark references were recorded
+    against: _BALL_HITS of 4e6 proposals, uniform in [-1, 1]^2n x
+    [-1/4, 1/4], landed in the ball, drawn from PCG64 seeded with
+    SeedSequence([760355, n]) (tests/test_quad.py keeps that stream and
+    checks the counts).  The counts agree with the closed form within
+    3 stderr, but they hold only until the references are re-recorded;
+    then deleting _BALL_HITS gives the closed form
+    pi^n Gamma(n/2) Gamma(3/2) / (4 Gamma(n) Gamma(n/2 + 3/2)) at every n,
+    as it is above n = 4, with stderr 0.
     """
-    dim = 2 * n + 1
+    if n not in _BALL_HITS:
+        return math.exp(_log_ball_constant(n)), 0.0
     box_vol = 2.0 ** (2 * n) * 0.5
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([_VOLUME_SEED, n]))
-    )
-    total = 4_000_000
-    buf = np.empty((_VOLUME_BLOCK, dim))
-    acc = np.empty(_VOLUME_BLOCK)
-    accepted = 0
-    for start in range(0, total, _VOLUME_BLOCK):
-        rows = min(_VOLUME_BLOCK, total - start)
-        u, a = buf[:rows], acc[:rows]
-        rng.random(out=u)
-        u *= 2.0
-        u -= 1.0
-        u *= u
-        np.copyto(a, u[:, 0])
-        for j in range(1, dim - 1):
-            a += u[:, j]
-        a *= a
-        a += u[:, -1]
-        accepted += int(np.count_nonzero(a <= 1.0))
-    frac = accepted / total
-    return box_vol * frac, box_vol * math.sqrt(frac * (1.0 - frac) / total)
+    frac = _BALL_HITS[n] / _BALL_PROPOSALS
+    return box_vol * frac, box_vol * math.sqrt(frac * (1.0 - frac) / _BALL_PROPOSALS)
 
 
 def ball_volume(r: float, n: int = 1) -> float:
     """Volume of a gauge ball of radius r: c_n * r^Q with cached c_n."""
+    if n < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
     _check_radii(r)
     return _ball_constant(n)[0] * r ** (2 * n + 2)
 

@@ -172,8 +172,9 @@ class HarnessConfig:
                 f"box_radius must be finite and positive, got {self.box_radius}"
             )
         # the norm domain's volume c_n (2R)^Q must be a float: c_n from its
-        # closed form, with a tenth to spare for the estimate the shells use
-        # (at most 5 % above it, at n = 7), in logs because float ** overflows
+        # closed form, with a tenth to spare for the recorded estimate the
+        # shells use at n <= 4 (at most 0.4 % above it), in logs because
+        # float ** overflows
         big_q = 2 * self.n + 2
         log_volume = _log_ball_constant(self.n) + big_q * math.log(2.0 * self.box_radius)
         if log_volume + math.log(1.1) >= math.log(np.finfo(float).max):

@@ -278,6 +278,34 @@ def test_ball_grid_that_keeps_no_node_rejected_before_building(builder_calls, ca
     assert not builder_calls
 
 
+@pytest.mark.parametrize("argv", [
+    ["beta", "--grid-per-axis", "2"],
+    ["beta", "--grid-per-axis", "3"],
+    ["beta", "--n", "2", "--grid-per-axis", "3"],
+    ["squarefn", "--grid-per-axis", "2"],
+    ["squarefn", "--grid-per-axis", "3", "--alpha", "1.5"],
+    ["dorronsoro", "--grid-per-axis", "2"],
+    ["dorronsoro", "--n", "2", "--grid-per-axis", "3"],
+], ids=lambda argv: "-".join(argv).replace("--", ""))
+def test_slope_fits_on_an_origin_only_twin_rejected_before_building(builder_calls,
+                                                                     capsys, argv):
+    assert run_main(argv + ["--mode", "grid"]) == 2
+    err = capsys.readouterr().err
+    assert "holds only the origin" in err and "raise --grid-per-axis" in err
+    assert err.count("\n") == 1
+    assert not builder_calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["squarefn", "--alpha", "0.5"], ["lemmas"], ["identities"], ["poincare"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("per_axis", ["2", "3"])
+def test_suites_without_twin_slopes_run_on_grids_of_2_and_3(tmp_path, argv, per_axis):
+    argv = argv + ["--mode", "grid", "--grid-per-axis", per_axis,
+                   "--out", str(tmp_path / "x.csv")]
+    assert run_main(argv) == 0
+
+
 @pytest.mark.parametrize("argv, conf", [
     (["beta", "--per-decade", "0"], None),
     (["identities", "--box-radius", "0.005"], None),

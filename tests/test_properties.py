@@ -73,19 +73,25 @@ def _field(n):
 @st.composite
 def run_configs(draw):
     """A RunConfig every suite accepts: p in (1, 2] and q below the
-    exponent window's lowest edge, Q / (Q - 1) at n = 2, and at n = 2 no
-    grid count (2, 4 or 5) whose mesh or half-resolution twin keeps no
-    ball node."""
+    exponent window's lowest edge, Q / (Q - 1) at n = 2; at n = 2 no grid
+    count (2, 4 or 5) whose mesh or half-resolution twin keeps no ball
+    node; and no grid count 2 or 3, whose twin is the origin alone, for a
+    suite that fits slopes with error estimates."""
     n = draw(st.integers(1, 2))
     field, params = draw(_field(n))
+    suite = draw(st.sampled_from(_SUITES))
+    alpha = draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True))
+    mode = draw(st.sampled_from(["grid", "montecarlo"]))
+    slopes = mode == "grid" and (
+        suite in ("beta", "dorronsoro") or suite == "squarefn" and alpha >= 1.0)
     return RunConfig(
-        suite=draw(st.sampled_from(_SUITES)),
+        suite=suite,
         n=n,
         field=field,
         field_params=params,
         p=draw(st.floats(1.0, 2.0, exclude_min=True)),
         q=draw(st.floats(1.0, 1.15)),
-        alpha=draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True)),
+        alpha=alpha,
         r_min=draw(st.floats(1e-6, 1.0)),
         r_max=draw(st.floats(2.0, 1e6)),
         per_decade=draw(st.integers(1, 64)),
@@ -93,10 +99,11 @@ def run_configs(draw):
         t_max=draw(st.floats(2.0, 1e6)),
         t_per_decade=draw(st.integers(1, 64)),
         box_radius=draw(st.floats(0.011, 1e3)),
-        mode=draw(st.sampled_from(["grid", "montecarlo"])),
+        mode=mode,
         samples=draw(st.integers(1, 10**6)),
         grid_per_axis=draw(
-            st.integers(2, 20).filter(lambda p: n == 1 or p not in (2, 4, 5))
+            st.integers(4 if slopes else 2, 20).filter(
+                lambda p: n == 1 or p not in (2, 4, 5))
         ),
         seed=draw(st.integers(0, 2**32)),
         workers=draw(st.integers(1, 8)),

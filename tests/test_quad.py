@@ -115,6 +115,59 @@ def test_ball_constant_bits_pinned(n):
     assert _ball_constant(n) == PINNED_BALL_CONSTANTS[n]
 
 
+def _streamed_ball_constant(n):
+    """The 4e6-proposal estimate of c_n the references were recorded
+    against, as quad once ran it in every process: uniform proposals in
+    [-1, 1]^2n x [-1/4, 1/4] (s = 4t), streamed in blocks of 8192 rows."""
+    dim, total, block = 2 * n + 1, 4_000_000, 8192
+    box_vol = 2.0 ** (2 * n) * 0.5
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([760355, n])))
+    buf, acc = np.empty((block, dim)), np.empty(block)
+    accepted = 0
+    for start in range(0, total, block):
+        rows = min(block, total - start)
+        u, a = buf[:rows], acc[:rows]
+        rng.random(out=u)
+        u *= 2.0
+        u -= 1.0
+        u *= u
+        np.copyto(a, u[:, 0])
+        for j in range(1, dim - 1):
+            a += u[:, j]
+        a *= a
+        a += u[:, -1]
+        accepted += int(np.count_nonzero(a <= 1.0))
+    frac = accepted / total
+    return box_vol * frac, box_vol * math.sqrt(frac * (1.0 - frac) / total)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_ball_constant_is_the_recorded_stream(n):
+    assert _ball_constant(n) == _streamed_ball_constant(n)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_ball_constant_is_the_closed_form_above_n_4(n):
+    assert _ball_constant(n) == (math.exp(_log_ball_constant(n)), 0.0)
+
+
+def test_ball_constant_draws_no_random_numbers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("random stream built")
+
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    monkeypatch.setattr(np.random, "PCG64", refuse)
+    for n in range(1, 9):
+        _ball_constant.__wrapped__(n)
+
+
+def test_ball_volume_rejects_groups_below_n_1():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^n must be a positive integer, got") as info:
+            ball_volume(1.0, n)
+        assert "\n" not in str(info.value)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ball_constant_streams_in_small_memory(n):
     tracemalloc.start()
