@@ -132,10 +132,15 @@ class ScaleGrid:
 class BallTemplate:
     """Quadrature nodes for the gauge unit ball at the origin.
 
-    nodes has shape (m, 2n+1) with gauge <= 1.  For Monte Carlo templates,
-    nodes.reshape(units, orbit, dim) groups each accepted point with its
-    sign orbit; units is the independent-sample count for standard errors.
-    m2 holds the template's second moments mean(u_j^2) per horizontal axis.
+    nodes has shape (m, 2n+1) with gauge <= 1.  It is the transpose view of
+    one C-contiguous (2n+1, m) array: the template is stored coordinate-major,
+    so nodes[:, j] is a contiguous row, and the sweep kernel's per-coordinate
+    reads (the twist, the ball map, the slope fit and the residual) stream
+    through memory instead of striding across it.  For Monte Carlo
+    templates, nodes.reshape(units, orbit, dim) groups each accepted point
+    with its sign orbit; units is the independent-sample count for standard
+    errors.  m2 holds the template's second moments mean(u_j^2) per
+    horizontal axis.
     """
 
     nodes: Array
@@ -147,6 +152,13 @@ class BallTemplate:
 
 def _sign_orbit(dim: int) -> Array:
     return np.array(list(itertools.product((1.0, -1.0), repeat=dim)))
+
+
+def _template(rows: Array, units: int, orbit: int, coarse=None) -> BallTemplate:
+    """BallTemplate on coordinate rows (2n+1, m).  m2 averages the squares
+    laid out node-major, so it keeps the bits of a row-major template."""
+    m2 = np.square(rows[:-1].T, order="C").mean(axis=0)
+    return BallTemplate(nodes=rows.T, units=units, orbit=orbit, m2=m2, coarse=coarse)
 
 
 def _mc_ball_template(n: int, samples: int, seed: int) -> BallTemplate:
@@ -166,29 +178,33 @@ def _mc_ball_template(n: int, samples: int, seed: int) -> BallTemplate:
             break
     if not len(kept):
         raise RuntimeError("rejection sampling produced no ball nodes")
-    nodes = (kept[:, None, :] * _sign_orbit(dim)[None, :, :]).reshape(-1, dim)
-    m2 = (nodes[:, :-1] ** 2).mean(axis=0)
-    return BallTemplate(nodes=nodes, units=len(kept), orbit=orbit, m2=m2)
+    units = len(kept)
+    # row j holds coordinate j of every (unit, orbit member), written in place
+    rows = np.multiply(kept.T[:, :, None], _sign_orbit(dim).T[:, None, :],
+                       out=np.empty((dim, units, orbit)))
+    return _template(rows.reshape(dim, -1), units, orbit)
 
 
-def _midpoint_mesh(dim: int, per_axis: int) -> Array:
-    """Midpoint tensor mesh of [-1, 1]^dim, shape (per_axis^dim, dim), formed
-    in one array: meshgrid's broadcast views are stacked without copies."""
+def _midpoint_mesh(dim: int, per_axis: int, coordinate_major: bool = False) -> Array:
+    """Midpoint tensor mesh of [-1, 1]^dim, shape (per_axis^dim, dim), or
+    (dim, per_axis^dim) when coordinate_major, formed in one array:
+    meshgrid's broadcast views are stacked without copies."""
     mids = (2.0 * np.arange(per_axis) + 1.0) / per_axis - 1.0
     mesh = np.meshgrid(*[mids] * dim, indexing="ij", copy=False)
+    if coordinate_major:
+        return np.stack(mesh).reshape(dim, -1)
     return np.stack(mesh, axis=-1).reshape(-1, dim)
 
 
 def _grid_ball_template(n: int, per_axis: int, with_coarse: bool = True) -> BallTemplate:
-    mesh = _midpoint_mesh(2 * n + 1, per_axis)
-    mesh[:, -1] *= 0.25
-    zsq = (mesh[:, :-1] ** 2).sum(axis=1)
-    nodes = mesh[zsq * zsq + 16.0 * mesh[:, -1] ** 2 <= 1.0]
+    mesh = _midpoint_mesh(2 * n + 1, per_axis, coordinate_major=True)
+    mesh[-1] *= 0.25
+    zsq = (mesh[:-1] ** 2).sum(axis=0)
+    rows = np.compress(zsq * zsq + 16.0 * mesh[-1] ** 2 <= 1.0, mesh, axis=1)
     coarse = None
     if with_coarse:
         coarse = _grid_ball_template(n, per_axis // 2, with_coarse=False)
-    m2 = (nodes[:, :-1] ** 2).mean(axis=0)
-    return BallTemplate(nodes=nodes, units=len(nodes), orbit=1, m2=m2, coarse=coarse)
+    return _template(rows, rows.shape[1], 1, coarse)
 
 
 @lru_cache(maxsize=64)
@@ -236,8 +252,8 @@ def ball_template(n: int, spec: QuadSpec) -> BallTemplate:
 
 
 def _twist(centers: Array, u: Array) -> Array:
-    uz, n = u[:, :-1], (u.shape[-1] - 1) // 2
-    return 0.5 * (centers[:, :-1] @ np.concatenate([uz[:, n:], -uz[:, :n]], axis=1).T)
+    rows, n = u.T, (u.shape[-1] - 1) // 2
+    return 0.5 * (centers[:, :-1] @ np.concatenate([rows[n:-1], -rows[:n]]))
 
 
 def twist_nodes(centers: Array, rs: Array, u: Array, out: Array, w=None, tmp=None):
@@ -248,7 +264,10 @@ def twist_nodes(centers: Array, rs: Array, u: Array, out: Array, w=None, tmp=Non
     Uses x * delta_r(u) = (x_z + r u_z, x_t + r^2 u_t + r W) with the twist
     W = (1/2) sum_j (x_j u_{n+j} - x_{n+j} u_j), shape (k, m), which does not
     depend on r; a caller may pass it as w, and a buffer of k R m floats as
-    tmp for the products r u_j, r^2 u_t and r W.
+    tmp for the products r u_j, r^2 u_t and r W.  Every step reads one
+    template coordinate u[:, j]; a template's nodes are stored
+    coordinate-major (see BallTemplate), so each such read is one
+    contiguous row.
     """
     w = _twist(centers, u) if w is None else w
     tmp = np.empty(out[0].size) if tmp is None else tmp
@@ -422,7 +441,16 @@ def mean_stderr(vals: Array, template: BallTemplate) -> Array:
     """
     if template.orbit == 1:
         return np.zeros(np.shape(vals)[:-1])
-    w = vals.reshape(vals.shape[:-1] + (template.units, template.orbit)).mean(axis=-1)
+    a = vals.reshape(vals.shape[:-1] + (template.units, template.orbit))
+    if template.orbit == 8:
+        # the 8 orbit members as strided slices, summed in numpy's pairwise
+        # order: the bits of a.mean(axis=-1) at half its cost; from orbit 32
+        # (n = 2) up, numpy's own reduction is the faster one
+        s = [a[..., i] for i in range(8)]
+        w = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
+        w /= 8
+    else:
+        w = a.mean(axis=-1)
     if template.units < 2:
         return np.full(np.shape(vals)[:-1], np.inf)
     return w.std(axis=-1, ddof=1) / math.sqrt(template.units)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .affine import fit_from_values
-from .beta import check_monotonicity, scale_sweep
+from .beta import _NODE_BUDGET, _blocks, check_monotonicity, scale_sweep
 from .fields import ScalarField, catalog, precompose_dilation
 from .hgroup import dilate, gauge, group_mul, horizontal_gradient
 from .quad import (
@@ -371,13 +371,21 @@ def _poincare_sides(f: ScalarField, p: float, config: HarnessConfig,
     pts = dilate(s, polar.pts)
     vals = np.asarray(f.eval(pts), dtype=float)
     _check_finite(vals, pts, "domain integrand")
-    # central shifts: x * (0, t) adds t to the vertical coordinate
-    moved = np.repeat(pts[None], len(ts), axis=0)
-    moved[..., -1] += (s**2 * ts)[:, None, None]
-    diff = np.abs(np.asarray(f.eval(moved), dtype=float) - vals[None, ...])
-    # vals are finite, so this checks the shifted values too
-    _check_finite(diff, moved, "domain integrand")
-    means = np.mean(diff**p, axis=-1)            # (t, n_rho)
+    # central shifts: x * (0, t) adds t to the vertical coordinate.  They
+    # go a block of t nodes at a time, at most _NODE_BUDGET shifted points
+    # (one block at the default grids); the means run along the direction
+    # axis, so the blocks keep their bits
+    def shift_means(shifts):
+        moved = np.repeat(pts[None], len(shifts), axis=0)
+        moved[..., -1] += shifts[:, None, None]
+        diff = np.abs(np.asarray(f.eval(moved), dtype=float) - vals[None, ...])
+        # vals are finite, so this checks the shifted values too
+        _check_finite(diff, moved, "domain integrand")
+        return np.mean(diff**p, axis=-1)
+
+    step = max(1, _NODE_BUDGET // vals.size)
+    means = np.concatenate([shift_means(s**2 * ts[block])
+                            for block in _blocks(len(ts), step)])  # (t, n_rho)
     ivals = np.sum(polar.vols[None, :] * means, axis=1)
     jvals = ivals ** (2.0 / p) / ts
     lhs = float(np.sqrt(np.sum(jvals) * tgrid.log_step))

@@ -1,5 +1,6 @@
 """Ball templates, volumes, domain integration and scale grids."""
 
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from heisbeta import quad
 from heisbeta.beta import scale_sweep
 from heisbeta.fields import catalog
 from heisbeta.hgroup import dilate, gauge, group_mul
@@ -17,6 +19,7 @@ from heisbeta.quad import (
     _ball_constant,
     _log_ball_constant,
     _midpoint_mesh,
+    _twist,
     ball_template,
     ball_values,
     ball_volume,
@@ -143,7 +146,15 @@ def _streamed_ball_constant(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_ball_constant_is_the_recorded_stream(n):
-    assert _ball_constant(n) == _streamed_ball_constant(n)
+    # the stream holds one 8192-row block at a time, never its 4e6 proposals
+    tracemalloc.start()
+    try:
+        streamed = _streamed_ball_constant(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert _ball_constant(n) == streamed
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -213,6 +224,75 @@ def test_ball_template_deterministic():
     c = ball_template(2, QuadSpec(samples=10_000, seed=8))
     assert np.array_equal(a.nodes, b.nodes)
     assert not np.array_equal(a.nodes, c.nodes)
+
+
+def _all_templates():
+    """Every kind of template: Monte Carlo at n = 1, 2, 3 and grids with
+    their coarse twins."""
+    specs = [(n, QuadSpec(samples=s)) for n in (1, 2, 3) for s in (512, 20_000)]
+    specs += [(n, QuadSpec(mode="grid", grid_per_axis=p)) for n, p in ((1, 24), (2, 8))]
+    return [(n, spec, ball_template(n, spec)) for n, spec in specs]
+
+
+def _row_major_mc(n, spec):
+    """(nodes, m2) of the Monte Carlo template built node-major, shape
+    (m, 2n+1), from the same proposal stream."""
+    dim = 2 * n + 1
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=dim)))
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence([spec.seed, quad._BALL_ROLE, n])))
+    kept = []
+    while not len(kept):  # small budgets at n >= 3 may need redraws
+        u = rng.uniform(-1.0, 1.0, size=(max(1, spec.samples // len(signs)), dim))
+        u[:, -1] *= 0.25
+        zsq = (u[:, :-1] ** 2).sum(axis=1)
+        kept = u[zsq * zsq + 16.0 * u[:, -1] ** 2 <= 1.0]
+    nodes = (kept[:, None, :] * signs[None, :, :]).reshape(-1, dim)
+    return nodes, (nodes[:, :-1] ** 2).mean(axis=0)
+
+
+def test_templates_are_stored_coordinate_major():
+    for _, _, tpl in _all_templates():
+        for t in (tpl, tpl.coarse) if tpl.coarse is not None else (tpl,):
+            assert t.nodes.T.flags.c_contiguous and not t.nodes.flags.c_contiguous
+            assert t.nodes.shape == (t.units * t.orbit, t.nodes.shape[1])
+
+
+def test_templates_keep_the_row_major_bits():
+    for n, spec, tpl in _all_templates():
+        if spec.mode == "montecarlo":
+            nodes, m2 = _row_major_mc(n, spec)
+            assert np.array_equal(tpl.nodes, nodes) and np.array_equal(tpl.m2, m2)
+        else:
+            for t in (tpl, tpl.coarse):
+                rows = np.ascontiguousarray(t.nodes)
+                assert np.array_equal(t.m2, (rows[:, :-1] ** 2).mean(axis=0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_twist_equals_the_row_major_formula(n):
+    rng = np.random.default_rng(n)
+    for spec in (QuadSpec(samples=20_000), QuadSpec(mode="grid", grid_per_axis=6)):
+        tpl = ball_template(n, spec)
+        uz = np.ascontiguousarray(tpl.nodes)[:, :-1]
+        centers = rng.normal(size=(4, 2 * n + 1))
+        want = 0.5 * (centers[:, :-1] @ np.concatenate([uz[:, n:], -uz[:, :n]], axis=1).T)
+        assert np.array_equal(_twist(centers, tpl.nodes), want)
+
+
+def test_orbit_means_keep_numpy_pairwise_bits():
+    # mean_stderr forms the n = 1 orbit means from 8 slices; should numpy's
+    # summation order change, this fails before any reference drifts
+    tpl = ball_template(1, QuadSpec())
+    rng = np.random.default_rng(3)
+    m = len(tpl.nodes)
+    gauss = catalog("gaussian")
+    centers = rng.normal(size=(5, 3))
+    ball_list = ball_values(gauss, centers, rng.uniform(0.1, 3.0, size=(5, 1)), tpl)
+    for vals in (rng.normal(size=(1, 1, m)), rng.lognormal(size=(3, 4, m)), ball_list):
+        w = vals.reshape(vals.shape[:-1] + (tpl.units, 8)).mean(axis=-1)
+        want = w.std(axis=-1, ddof=1) / math.sqrt(tpl.units)
+        assert np.array_equal(mean_stderr(vals, tpl), want)
 
 
 def _ball_average(f, x, r, spec):

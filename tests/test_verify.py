@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -202,6 +203,43 @@ def test_poincare_head_continues_from_t_min(monkeypatch):
     monkeypatch.setattr(verify, "power_head", recording_head)
     poincare_ratio(catalog("gaussian"), 2.0, CHEAP)
     assert edges == [CHEAP.t_min]
+
+
+def _traced_poincare_sides(f, config):
+    polar = config.domain()  # the template and shells are not the shifts' cost
+    tracemalloc.start()
+    try:
+        sides = verify._poincare_sides(f, 2.0, config, polar, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return sides, peak
+
+
+def test_poincare_shifts_peak_at_one_block_of_t():
+    # at the default t grid all 96 x 21 x 32 shifted points form one block;
+    # 3,000 t nodes would form a 46 MiB shifted copy of the domain at once
+    f = catalog("gaussian")
+    one_block = HarnessConfig()
+    many = HarnessConfig(t_per_decade=500)
+    points = one_block.domain().pts[..., 0].size
+    assert one_block.t_grid.count * points <= beta._NODE_BUDGET
+    assert many.t_grid.count * points * 3 * 8 > 40 * 2**20
+    _, base_peak = _traced_poincare_sides(f, one_block)
+    (_, _, (means, *_)), peak = _traced_poincare_sides(f, many)
+    assert means.shape == (many.t_grid.count, len(many.domain().rho))
+    # beyond one block, only the (t, shell) means grow
+    assert peak <= base_peak + 2 * means.nbytes
+
+
+def test_poincare_shift_blocks_keep_the_bits(monkeypatch):
+    f = catalog("gaussian")
+    whole = verify._poincare_sides(f, 2.0, CHEAP, CHEAP.domain(), 1.5)
+    monkeypatch.setattr(verify, "_NODE_BUDGET", 50)  # one t node per block
+    blocked = verify._poincare_sides(f, 2.0, CHEAP, CHEAP.domain(), 1.5)
+    assert whole[:2] == blocked[:2]
+    for a, b in zip(whole[2], blocked[2]):
+        assert np.array_equal(a, b)
 
 
 def test_poincare_exponent_range():
