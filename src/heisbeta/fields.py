@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .hgroup import dilate
+from .hgroup import _check_dilation, dilate
 
 Array = np.ndarray
 
@@ -321,8 +321,7 @@ def vertical_translate(f: ScalarField, t: float) -> ScalarField:
 def precompose_dilation(f: ScalarField, s: float) -> ScalarField:
     """Return f_s = f o delta_s; gradients pick up one factor of s."""
     s = float(s)
-    if s <= 0:
-        raise ValueError(f"dilation factor must be positive, got {s!r}")
+    _check_dilation(s)
     if s == 1.0:
         return f
     return _remap(f, f"{f.label}@s{s:g}", lambda p: dilate(s, p), s,

@@ -56,12 +56,18 @@ def inverse(a: Point) -> Point:
     return -np.asarray(a, dtype=float)
 
 
+def _check_dilation(s) -> None:
+    s = np.asarray(s, dtype=float)
+    bad = s[~((s > 0) & (s < np.inf))]  # NaN fails both comparisons
+    if bad.size:
+        raise ValueError(f"dilation factor must be finite and positive, got {bad[0]}")
+
+
 def dilate(s, a: Point) -> Point:
     """Anisotropic dilation delta_s(z,t) = (s z, s^2 t); s may broadcast."""
     a = np.asarray(a, dtype=float)
     s = np.asarray(s, dtype=float)
-    if np.any(s <= 0):
-        raise ValueError(f"dilation factor must be positive, got {s!r}")
+    _check_dilation(s)
     out = np.empty(np.broadcast_shapes(s.shape + (1,), a.shape)[:-1] + a.shape[-1:])
     out[..., :-1] = s[..., None] * a[..., :-1]
     out[..., -1] = s * s * a[..., -1]

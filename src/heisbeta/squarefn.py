@@ -1,12 +1,13 @@
 """Square functions: scale-integrated beta profiles and centered differences.
 
 g_alpha integrates [r^(-alpha) beta_{f,floor(alpha)}(B(x,r))]^2 against dr/r
-over the truncated scale window and reports what the truncation may have
-dropped: truncation_low bounds the r < r_min head by extrapolating the
-measured small-r slope, truncation_high bounds the r > r_max tail through
-the decay metadata of f (a ball far larger than the support sees only the
-L^1 mass, so beta falls like r^-Q).  Both are reported in the same units as
-the value (square roots of the dropped integral pieces).
+over the truncated scale window, s_alpha does so for centered differences,
+and both, like g_window_values, use one integrator over profile rows.  Each
+reports, in the units of the value, what the truncation may have dropped:
+truncation_low extrapolates the measured small-r slope into r < r_min, and
+truncation_high is the one high-scale tail bound, _tail_sq, from the decay
+metadata of f (a ball far larger than the support sees only the L^1 mass,
+so its statistics fall like r^-Q).
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ def _meta_spec(n: int) -> QuadSpec:
     return QuadSpec(mode="grid", grid_per_axis=per_axis)
 
 
+@lru_cache(maxsize=64)
 def lq_norm_bound(f, q: float) -> float:
     """L^q norm of f over all of H^n for tail accounting.
 
@@ -68,15 +70,11 @@ def lq_norm_bound(f, q: float) -> float:
     uses a fixed deterministic budget, so the result is an estimate whose
     quadrature error is not separately certified.  Results are cached per
     (field, q): a field is a frozen dataclass, so equal fields share one
-    evaluation.
+    evaluation, and q = 2 and q = 2.0 share one key.
     """
-    return _lq_norm_bound_cached(f, float(q))
-
-
-@lru_cache(maxsize=64)
-def _lq_norm_bound_cached(f, q: float) -> float:
     if f.decay_bound is None:
         return np.inf
+    q = float(q)
     radius = max(4.0, 2.0 * (f.support_radius or 1.0))
     value, tail = domain_integrate_lp(f, q, radius, _meta_spec(f.n))
     return (value**q + tail**q) ** (1.0 / q)
@@ -90,42 +88,29 @@ def _sup_constant(template, d: int) -> float:
     return 1.0 + float((1.0 / template.m2).sum())
 
 
-def _beta_tail_sq(f, d: int, alpha: float, r_max: float, template) -> float:
-    """Bound for the integral of [r^-alpha beta_1]^2 dr/r over r > r_max."""
-    n = f.n
-    big_q = 2 * n + 2
-    c_n = _ball_constant(n)[0]
+def _tail_sq(f, alpha: float, r_max: float, gains, lead: float = 0.0) -> float:
+    """Bound for the integral of [r^-alpha stat]^2 dr/r over r > r_max when
+    stat is at most two pieces, an r-free one (lead) and gain_k ||f||_1 /
+    (c_n r^Q): each piece enters at twice its own integral, which covers the
+    cross term, (a + b)^2 <= 2 a^2 + 2 b^2."""
     l1 = lq_norm_bound(f, 1.0)
     if not np.isfinite(l1):
         return np.inf
-    # beta_1(x, r) <= ||f||_1 / (c_n r^Q) + K_sup ||f||_1 / (c_n r^Q)
-    c1 = l1 / c_n
-    c2 = (1.0 + _sup_constant(template, d)) * l1 / c_n
-    e1 = alpha + big_q
-    return c1**2 * r_max ** (-2.0 * e1) / e1 + c2**2 * r_max ** (-2.0 * e1) / e1
-
-
-def _cdiff_tail_sq(f, fx: float, alpha: float, r_max: float) -> float:
-    """Bound for the integral of [r^-alpha cdiff]^2 dr/r over r > r_max."""
-    l1 = lq_norm_bound(f, 1.0)
-    if not np.isfinite(l1):
-        return np.inf
-    # avg_B |f(x*y) - f(x)| <= |f(x)| + ||f||_1 / (c_n r^Q)
     c_n = _ball_constant(f.n)[0]
-    e2 = alpha + (2 * f.n + 2)
-    lead = fx**2 * r_max ** (-2.0 * alpha) / alpha
-    return lead + (l1 / c_n) ** 2 * r_max ** (-2.0 * e2) / e2
+    e = alpha + (2 * f.n + 2)
+    return lead + sum((gain * l1 / c_n) ** 2 * r_max ** (-2.0 * e) / e for gain in gains)
 
 
-def _square_from_profile(rs, h, prof, se, alpha):
-    integrand = (rs**-alpha * prof) ** 2
-    vsq = float(integrand.sum() * h)
-    value = np.sqrt(vsq)
-    sesq = float((rs ** (-2.0 * alpha) * 2.0 * prof * se).sum() * h)
-    stderr = sesq / (2.0 * value) if value > 0 else float(
-        np.sqrt(((rs**-alpha * se) ** 2).sum() * h)
-    )
-    return value, stderr
+def _square_from_profile(coef, h, prof, se=None):
+    """sqrt(sum (coef * prof)^2 * h) along the last axis, one value per row,
+    with its error estimate when se (the stderr of prof) is given."""
+    value = np.sqrt(((coef * prof) ** 2).sum(axis=-1) * h)
+    if se is None:
+        return value
+    sesq = (coef**2 * 2.0 * prof * se).sum(axis=-1) * h
+    flat = np.sqrt(((coef * se) ** 2).sum(axis=-1) * h)  # where value is 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return value, np.where(value > 0, sesq / (2.0 * value), flat)
 
 
 def _square_function(f, x, alpha, grid, spec, d, centered) -> SquareFnResult:
@@ -137,19 +122,23 @@ def _square_function(f, x, alpha, grid, spec, d, centered) -> SquareFnResult:
     sweep = scale_sweep(f, x[None], rs, d, 1.0, tpl, center_vals=fx)
     key = "cdiff" if centered else "beta"
     prof, se = sweep[key][0], sweep[key + "_se"][0]
-    value, stderr = _square_from_profile(rs, grid.log_step, prof, se, alpha)
+    value, stderr = _square_from_profile(rs**-alpha, grid.log_step, prof, se)
     floor = _ANNIHILATION * (1.0 + float(sweep["amax"][0].max(initial=0.0)))
     if float(prof.max(initial=0.0)) <= floor:
         low = high = 0.0
     else:
         low = float(np.sqrt(power_head(rs, (rs**-alpha * prof) ** 2, grid.r_min)))
-        high = float(np.sqrt(
-            _cdiff_tail_sq(f, float(fx[0]), alpha, grid.r_max) if centered
-            else _beta_tail_sq(f, d, alpha, grid.r_max, tpl)
-        ))
+        # with m = ||f||_1 / (c_n r^Q): beta_1 <= m + (1 + K_sup) m, and
+        # avg_B |f(x*y) - f(x)| <= |f(x)| + m
+        if centered:
+            tail = _tail_sq(f, alpha, grid.r_max, (1.0,),
+                            float(fx[0]) ** 2 * grid.r_max ** (-2.0 * alpha) / alpha)
+        else:
+            tail = _tail_sq(f, alpha, grid.r_max, (1.0, 1.0 + _sup_constant(tpl, d)))
+        high = float(np.sqrt(tail))
     return SquareFnResult(
         x=x, alpha=alpha, value=value, truncation_low=low, truncation_high=high,
-        grid=grid, stderr=stderr,
+        grid=grid, stderr=float(stderr),
     )
 
 
@@ -178,8 +167,7 @@ def g_window_values(f, pts: Array, rs: Array, coef: Array, h: float, d: int,
     """
     flat = pts.reshape(-1, pts.shape[-1])
     sweep = scale_sweep(f, flat, rs, d, q, tpl, want_se=False, workers=workers)
-    integ = (coef[None, :] * sweep["beta"]) ** 2
-    return np.sqrt(integ.sum(axis=1) * h).reshape(pts.shape[:-1])
+    return _square_from_profile(coef, h, sweep["beta"]).reshape(pts.shape[:-1])
 
 
 def gradient_comparison(

@@ -21,7 +21,7 @@ import numpy as np
 from .affine import fit_from_values
 from .beta import _NODE_BUDGET, _blocks, check_monotonicity, scale_sweep
 from .fields import ScalarField, catalog, precompose_dilation
-from .hgroup import dilate, gauge, group_mul, horizontal_gradient
+from .hgroup import _check_dilation, dilate, gauge, group_mul, horizontal_gradient
 from .quad import (
     PolarDomain,
     QuadSpec,
@@ -285,8 +285,7 @@ def _stability(name: str, s: float, base: RatioReport | None, base_run,
                sides) -> RatioReport:
     """ratio(f_s) reported against base.ratio (from base_run() when no
     base is given); sides() gives the (lhs, rhs, shells) of f_s."""
-    if s <= 0:
-        raise ValueError(f"dilation factor must be positive, got {s}")
+    _check_dilation(s)
     if base is None:
         base = base_run()
     if s == 1.0:
@@ -507,20 +506,40 @@ def _identity_report(config, name, lhs, rhs, extra, rhs_floor=_DEGENERATE_RHS):
     )
 
 
-def _lp_scaling_report(config: HarnessConfig, name: str, s: float) -> RatioReport:
-    """||f_s||_p against s^(-Q/p) ||f||_p on linked gauge-polar domains."""
+def _linked_lp_report(config: HarnessConfig, check: str, name: str, s: float,
+                      gain: float, values, extra: dict) -> RatioReport:
+    """||values(f_s, X, 1)||_p against s^(gain - Q/p) ||values(f, ., s)||_p
+    on linked gauge-polar domains, the right side on the dilated points, for
+    values with the law values(f_s, X, 1) = s^gain values(f, delta_s X, s)."""
     f = catalog(name, n=config.n)
     fs = precompose_dilation(f, s)
     p = config.p
     big_q = 2 * config.n + 2
     polar = config.domain()
-    lhs = shell_lp(fs.eval(polar.pts), polar.vols, p)[0]
-    rhs_means = shell_lp(f.eval(dilate(s, polar.pts)), polar.vols, p)[1]
+    lhs = shell_lp(values(fs, polar.pts, 1.0), polar.vols, p)[0]
+    rhs_means = shell_lp(values(f, dilate(s, polar.pts), s), polar.vols, p)[1]
     rhs_int = float(np.sum(s**big_q * polar.vols * rhs_means))
-    rhs = s ** (-big_q / p) * rhs_int ** (1.0 / p)
-    extra = {"check": "lp-scaling", "field": f.label, "s": s, "p": p}
-    return _identity_report(config, f"lp-scaling:{name}:s={s:g}", lhs, rhs,
-                            _norm_params(config) | extra)
+    rhs = s ** (gain - big_q / p) * rhs_int ** (1.0 / p)
+    params = {"check": check, "field": f.label, "s": s} | extra | {"p": p}
+    return _identity_report(config, f"{check}:{name}:s={s:g}", lhs, rhs,
+                            _norm_params(config) | params)
+
+
+def _eval_at(g, pts, scale):
+    return g.eval(pts)
+
+
+def _window(config: HarnessConfig, tpl):
+    """values(g, X, scale): g_alpha of g at X on the window scaled by scale."""
+    alpha, grid = config.alpha, config.scale_grid
+    rs = grid.nodes()
+
+    def values(g, pts, scale):
+        return g_window_values(g, pts, scale * rs, (scale * rs) ** -alpha,
+                               grid.log_step, int(alpha >= 1.0), 1.0, tpl,
+                               workers=config.workers)
+
+    return values
 
 
 def _covariance_report(config: HarnessConfig, name: str, s: float,
@@ -554,55 +573,16 @@ def _g_pointwise_report(config: HarnessConfig, name: str, s: float) -> RatioRepo
     f = catalog(name, n=config.n)
     fs = precompose_dilation(f, s)
     spec = config.spec
-    alpha = config.alpha
-    d = int(alpha >= 1.0)
-    grid = config.scale_grid
-    rs = grid.nodes()
-    tpl = ball_template(config.n, spec)
-    rng = _rng(spec, _ROLE_POINTS)
-    xs = _random_centers(rng, config.n, 5, 1.5, 2.0)
-    lhs_vals = g_window_values(
-        fs, xs, rs, rs**-alpha, grid.log_step, d, 1.0, tpl, workers=config.workers
-    )
-    rhs_vals = s**alpha * g_window_values(
-        f, dilate(s, xs), s * rs, (s * rs) ** -alpha, grid.log_step, d, 1.0, tpl,
-        workers=config.workers,
-    )
+    window = _window(config, ball_template(config.n, spec))
+    xs = _random_centers(_rng(spec, _ROLE_POINTS), config.n, 5, 1.5, 2.0)
+    lhs_vals = window(fs, xs, 1.0)
+    rhs_vals = s**config.alpha * window(f, dilate(s, xs), s)
     ok = rhs_vals > 1e-14
     lhs, rhs = _worst_case(zip(lhs_vals, rhs_vals, ok), _off_one)
     return _identity_report(config, f"g-pointwise:{name}:s={s:g}", lhs, rhs, {
-        "check": "g-pointwise", "field": f.label, "s": s, "alpha": alpha,
+        "check": "g-pointwise", "field": f.label, "s": s, "alpha": config.alpha,
         "points": len(xs), "valid": int(ok.sum()),
     })
-
-
-def _g_lp_report(config: HarnessConfig, name: str, s: float) -> RatioReport:
-    """||g_alpha f_s||_p against s^(alpha - Q/p) ||g_alpha f||_p on linked
-    gauge-polar domains."""
-    f = catalog(name, n=config.n)
-    fs = precompose_dilation(f, s)
-    n, p, alpha = config.n, config.p, config.alpha
-    big_q = 2 * n + 2
-    d = int(alpha >= 1.0)
-    spec = config.sweep_spec
-    grid = config.scale_grid
-    rs = grid.nodes()
-    polar = config.domain()
-    tpl = ball_template(n, spec)
-    lhs_vals = g_window_values(
-        fs, polar.pts, rs, rs**-alpha, grid.log_step, d, 1.0, tpl,
-        workers=config.workers,
-    )
-    lhs = shell_lp(lhs_vals, polar.vols, p)[0]
-    rhs_vals = g_window_values(
-        f, dilate(s, polar.pts), s * rs, (s * rs) ** -alpha, grid.log_step,
-        d, 1.0, tpl, workers=config.workers,
-    )
-    rhs_int = float(np.sum(s**big_q * polar.vols * np.mean(rhs_vals**p, axis=-1)))
-    rhs = s ** (alpha - big_q / p) * rhs_int ** (1.0 / p)
-    extra = {"check": "g-lp", "field": f.label, "s": s, "alpha": alpha, "p": p}
-    return _identity_report(config, f"g-lp:{name}:s={s:g}", lhs, rhs,
-                            _norm_params(config) | extra)
 
 
 def run_identity_suite(config: HarnessConfig) -> list[RatioReport]:
@@ -614,15 +594,17 @@ def run_identity_suite(config: HarnessConfig) -> list[RatioReport]:
     verdict (certified and ratio within 1e-2 of 1).  Reports are
     deterministic for a given config, independent of config.workers.
     """
+    window = _window(config, ball_template(config.n, config.sweep_spec))
     return [
-        _lp_scaling_report(config, "gaussian", 2.0),
-        _lp_scaling_report(config, "vertical-wave", 2.0),
+        _linked_lp_report(config, "lp-scaling", "gaussian", 2.0, 0.0, _eval_at, {}),
+        _linked_lp_report(config, "lp-scaling", "vertical-wave", 2.0, 0.0, _eval_at, {}),
         _covariance_report(config, "gaussian", 0.5, 2.0, 4.0, 0.25, 4.0),
         _covariance_report(config, "gaussian", 2.0, 2.0, 4.0, 0.25, 4.0),
         _covariance_report(config, "bump", 0.5, 0.8, 0.8, 0.25, 2.0),
         _g_pointwise_report(config, "gaussian", 0.5),
         _g_pointwise_report(config, "gaussian", 2.0),
-        _g_lp_report(config, "gaussian", 2.0),
+        _linked_lp_report(config, "g-lp", "gaussian", 2.0, config.alpha, window,
+                          {"alpha": config.alpha}),
     ]
 
 
@@ -718,31 +700,23 @@ def _g_vs_s_report(config: HarnessConfig) -> RatioReport:
     for g, cdiff for s).  Only values and stderrs enter the comparison, so
     the truncation accounting of g_alpha and s_alpha is not computed."""
     f = catalog("gaussian", n=config.n)
-    spec = config.sweep_spec
-    grid = config.scale_grid
-    alpha = 0.5
-    rng = _rng(spec, _ROLE_POINTS)
-    xs = _random_centers(rng, config.n, 20, 1.5, 2.0)
+    spec, grid, alpha = config.sweep_spec, config.scale_grid, 0.5
+    xs = _random_centers(_rng(spec, _ROLE_POINTS), config.n, 20, 1.5, 2.0)
     rs = grid.nodes()
     sweep = scale_sweep(
         f, xs, rs, 0, 1.0, ball_template(config.n, spec), center_vals=f.eval(xs),
         workers=config.workers,
     )
-    cases = []
-    for i in range(len(xs)):
-        g, g_se = _square_from_profile(
-            rs, grid.log_step, sweep["beta"][i], sweep["beta_se"][i], alpha
-        )
-        s, s_se = _square_from_profile(
-            rs, grid.log_step, sweep["cdiff"][i], sweep["cdiff_se"][i], alpha
-        )
-        bound = 2.0 * s + 3.0 * (g_se + s_se)
-        cases.append((g, bound, bool(bound > 0)))
+    coef, h = rs**-alpha, grid.log_step
+    g, g_se = _square_from_profile(coef, h, sweep["beta"], sweep["beta_se"])
+    s, s_se = _square_from_profile(coef, h, sweep["cdiff"], sweep["cdiff_se"])
+    bound = 2.0 * s + 3.0 * (g_se + s_se)
+    valid = bound > 0
     params = config.base_params() | {
         "check": "g-vs-s", "field": f.label, "alpha": alpha, "points": 20,
-        "valid": sum(valid for _, _, valid in cases),
+        "valid": int(valid.sum()),
     }
-    return _report("lemma:g-vs-s", *_worst_case(cases), params,
+    return _report("lemma:g-vs-s", *_worst_case(zip(g, bound, valid)), params,
                    rule=lambda ratio: ratio <= 1.0)
 
 

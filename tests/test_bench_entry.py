@@ -4,7 +4,8 @@ bench/child.py reaches into the library (parse_config and the quad
 template, volume and box builders) to warm every workload; a renamed or
 deleted name there would otherwise show only when the benchmark crashes.
 With tracing on, bench/tracer.py also wraps every traced library name
-first.  Setup mode stops after warming and writes no file.
+first.  Setup mode stops after warming and writes no file.  A traced run
+also fires every tracer hook and writes its spans under .bench_out/.
 
 Run mode goes on through every call of the workload, and each report is
 held to the benchmark's own checks: the seed commit's reference values
@@ -66,3 +67,26 @@ def test_bench_child_run_passes_the_reference_check(workload):
         reasons = wl.check_call(out["label"], reports, refs[out["label"]], fixtures)
         failed = {rep["name"]: why for rep, why in zip(reports, reasons) if why}
         assert not failed, (out["label"], failed)
+
+
+# the layers the square-function and verify code reach on each workload
+_TRACED_LAYERS = {
+    "pointwise-cli": ("squarefn.lq_norm_bound", "squarefn.g_alpha"),
+    "lemma-sweeps": ("verify.run_lemma_suite",),
+    "dorronsoro-norm": ("verify.dorronsoro_ratio",),
+}
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_bench_child_traced_run_records_the_layers(workload):
+    # traced, at the self-test's tiny budgets: every tracer hook fires, and
+    # the spans go to .bench_out/spans-<workload>.jsonl
+    argv = [sys.executable, str(BENCH / "child.py"), workload,
+            repr(time.monotonic()), "1", "1", "t", "run"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    for out in result["outputs"]:
+        assert out["error"] is None and out["status"] == 0, out
+    for layer in _TRACED_LAYERS[workload]:
+        assert result["layers"][f"{layer}.calls"] > 0, layer

@@ -179,17 +179,6 @@ def test_ball_volume_rejects_groups_below_n_1():
         assert "\n" not in str(info.value)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_ball_constant_streams_in_small_memory(n):
-    tracemalloc.start()
-    try:
-        _ball_constant.__wrapped__(n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
-
-
 def test_ball_template_geometry():
     tpl = ball_template(1, QuadSpec(samples=50_000))
     assert tpl.nodes.shape == (tpl.units * tpl.orbit, 3)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heisbeta.beta import beta_number
+from heisbeta.beta import beta_number, scale_sweep
 from heisbeta.fields import catalog, precompose_dilation
 from heisbeta.hgroup import dilate, horizontal_derivative
 from heisbeta.quad import (
@@ -17,7 +17,7 @@ from heisbeta.quad import (
 )
 from heisbeta import squarefn
 from heisbeta.fields import ScalarField
-from heisbeta.quad import NODE_CEILING
+from heisbeta.quad import NODE_CEILING, _ball_constant
 from heisbeta.squarefn import (
     _meta_spec,
     g_alpha,
@@ -197,6 +197,84 @@ def test_gradient_comparison_equals_beta_number_form(n, spec, analytic):
     assert got == _gradient_comparison_by_beta_number(f, x, 0.7, 3.0, spec)
     with pytest.raises(ValueError, match="radius"):
         gradient_comparison(f, x, 0.0, spec=spec)
+
+
+def _square_from_profile_by_row(rs, h, prof, se, alpha):
+    """The one-row integrator that the row-wise one replaced."""
+    integrand = (rs**-alpha * prof) ** 2
+    vsq = float(integrand.sum() * h)
+    value = np.sqrt(vsq)
+    sesq = float((rs ** (-2.0 * alpha) * 2.0 * prof * se).sum() * h)
+    stderr = sesq / (2.0 * value) if value > 0 else float(
+        np.sqrt(((rs**-alpha * se) ** 2).sum() * h)
+    )
+    return value, stderr
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.5])
+@pytest.mark.parametrize("key", ["beta", "cdiff"])
+def test_row_integrator_equals_one_call_per_row(key, alpha):
+    f = catalog("gaussian")
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-1.5, 1.5, size=(12, 3))
+    rs, h = GRID_R.nodes(), GRID_R.log_step
+    sweep = scale_sweep(f, xs, rs, 0, 1.0, ball_template(1, QuadSpec(samples=2048)),
+                        center_vals=f.eval(xs))
+    # a vanishing row takes the error estimate's zero-value branch
+    prof = np.vstack([sweep[key], np.zeros_like(rs)])
+    se = np.vstack([sweep[key + "_se"], sweep[key + "_se"][:1]])
+    values, errs = squarefn._square_from_profile(rs**-alpha, h, prof, se)
+    assert np.array_equal(squarefn._square_from_profile(rs**-alpha, h, prof), values)
+    for row in range(len(prof)):
+        value, err = squarefn._square_from_profile(rs**-alpha, h, prof[row], se[row])
+        assert (value, err) == (values[row], errs[row])
+        old_value, old_err = _square_from_profile_by_row(rs, h, prof[row], se[row], alpha)
+        assert value == old_value
+        # the error weight is coef^2, which differs from rs^(-2 alpha) in
+        # the last bit at about half the nodes; every term is >= 0, so the
+        # sums differ by a few ulps at most
+        assert err == pytest.approx(old_err, rel=8 * np.finfo(float).eps, abs=0.0)
+    assert values[-1] == 0.0 and errs[-1] > 0
+
+
+def _beta_tail_sq_by_copy(f, d, alpha, r_max, template):
+    """The beta tail bound that _tail_sq replaced."""
+    big_q = 2 * f.n + 2
+    c_n = _ball_constant(f.n)[0]
+    l1 = lq_norm_bound(f, 1.0)
+    if not np.isfinite(l1):
+        return np.inf
+    c1 = l1 / c_n
+    c2 = (1.0 + squarefn._sup_constant(template, d)) * l1 / c_n
+    e1 = alpha + big_q
+    return c1**2 * r_max ** (-2.0 * e1) / e1 + c2**2 * r_max ** (-2.0 * e1) / e1
+
+
+def _cdiff_tail_sq_by_copy(f, fx, alpha, r_max):
+    """The centered-difference tail bound that _tail_sq replaced."""
+    l1 = lq_norm_bound(f, 1.0)
+    if not np.isfinite(l1):
+        return np.inf
+    c_n = _ball_constant(f.n)[0]
+    e2 = alpha + (2 * f.n + 2)
+    lead = fx**2 * r_max ** (-2.0 * alpha) / alpha
+    return lead + (l1 / c_n) ** 2 * r_max ** (-2.0 * e2) / e2
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("name", ["gaussian", "bump", "vertical-wave"])
+def test_tail_sq_keeps_both_old_tail_bounds(name, alpha):
+    f = catalog(name)
+    tpl = ball_template(1, QuadSpec(samples=2048))
+    fx = float(f.eval(X[None])[0])
+    d = int(alpha >= 1.0)
+    for r_max in (10.0, 100.0):
+        gain = 1.0 + squarefn._sup_constant(tpl, d)
+        assert squarefn._tail_sq(f, alpha, r_max, (1.0, gain)) == _beta_tail_sq_by_copy(
+            f, d, alpha, r_max, tpl)
+        lead = fx**2 * r_max ** (-2.0 * alpha) / alpha
+        assert squarefn._tail_sq(f, alpha, r_max, (1.0,), lead) == _cdiff_tail_sq_by_copy(
+            f, fx, alpha, r_max)
 
 
 def test_lq_norm_accounting():

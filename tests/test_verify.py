@@ -3,15 +3,17 @@
 import math
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from heisbeta import beta, verify
-from heisbeta.fields import catalog
-from heisbeta.hgroup import horizontal_derivative
-from heisbeta.quad import QuadSpec, power_head, power_tail
+from heisbeta.fields import catalog, precompose_dilation
+from heisbeta.hgroup import dilate, horizontal_derivative
+from heisbeta.quad import QuadSpec, ball_template, power_head, power_tail, shell_lp
+from heisbeta.squarefn import g_window_values
 from heisbeta.verify import (
     ExponentGate,
     HarnessConfig,
@@ -242,6 +244,29 @@ def test_poincare_shift_blocks_keep_the_bits(monkeypatch):
         assert np.array_equal(a, b)
 
 
+def _no_eval(pts):
+    raise AssertionError("a field was evaluated before the factor check")
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_dilation_factor_raises_one_line_before_any_work(s):
+    f = replace(catalog("gaussian"), eval=_no_eval)
+    calls = {
+        "dilate": lambda: dilate(s, np.array([1.0, 0.0, 0.5])),
+        "dilate-array": lambda: dilate(np.array([1.0, s]), np.zeros((2, 3))),
+        "precompose_dilation": lambda: precompose_dilation(f, s),
+        "dorronsoro_stability": lambda: dorronsoro_stability(f, 2.0, 2.0, CHEAP, s),
+        "poincare_stability": lambda: poincare_stability(f, 2.0, CHEAP, s),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match="dilation factor must be finite and "
+                               "positive") as info:
+                call()
+            assert "\n" not in str(info.value), name
+
+
 def test_poincare_exponent_range():
     f = catalog("gaussian")
     with pytest.raises(ValueError, match="p"):
@@ -259,6 +284,62 @@ def test_identity_suite_grid_certified_and_exact():
         assert abs(rep.ratio - 1.0) <= 1e-2
     exact = [rep for rep in reports if rep.ratio == 1.0]
     assert len(exact) == len(reports)  # common random numbers make them exact
+
+
+def _lp_scaling_by_copy(config, name, s):
+    """(lhs, rhs) of the lp-scaling body that _linked_lp_report replaced."""
+    f = catalog(name, n=config.n)
+    fs = precompose_dilation(f, s)
+    p = config.p
+    big_q = 2 * config.n + 2
+    polar = config.domain()
+    lhs = shell_lp(fs.eval(polar.pts), polar.vols, p)[0]
+    rhs_means = shell_lp(f.eval(dilate(s, polar.pts)), polar.vols, p)[1]
+    rhs_int = float(np.sum(s**big_q * polar.vols * rhs_means))
+    return lhs, s ** (-big_q / p) * rhs_int ** (1.0 / p)
+
+
+def _g_lp_by_copy(config, name, s):
+    """(lhs, rhs) of the g-lp body that _linked_lp_report replaced."""
+    f = catalog(name, n=config.n)
+    fs = precompose_dilation(f, s)
+    n, p, alpha = config.n, config.p, config.alpha
+    big_q = 2 * n + 2
+    d = int(alpha >= 1.0)
+    grid = config.scale_grid
+    rs = grid.nodes()
+    polar = config.domain()
+    tpl = ball_template(n, config.sweep_spec)
+    lhs_vals = g_window_values(fs, polar.pts, rs, rs**-alpha, grid.log_step, d, 1.0, tpl)
+    lhs = shell_lp(lhs_vals, polar.vols, p)[0]
+    rhs_vals = g_window_values(
+        f, dilate(s, polar.pts), s * rs, (s * rs) ** -alpha, grid.log_step, d, 1.0, tpl
+    )
+    rhs_int = float(np.sum(s**big_q * polar.vols * np.mean(rhs_vals**p, axis=-1)))
+    return lhs, s ** (alpha - big_q / p) * rhs_int ** (1.0 / p)
+
+
+def test_linked_lp_reports_keep_the_bits_of_both_old_bodies():
+    reports = {rep.name: rep for rep in run_identity_suite(CHEAP)}
+    for name, copy in (
+        ("lp-scaling:gaussian:s=2", _lp_scaling_by_copy(CHEAP, "gaussian", 2.0)),
+        ("lp-scaling:vertical-wave:s=2",
+         _lp_scaling_by_copy(CHEAP, "vertical-wave", 2.0)),
+        ("g-lp:gaussian:s=2", _g_lp_by_copy(CHEAP, "gaussian", 2.0)),
+    ):
+        assert (reports[name].lhs, reports[name].rhs) == copy, name
+    assert reports["g-lp:gaussian:s=2"].params["alpha"] == CHEAP.alpha
+    assert "alpha" not in reports["lp-scaling:gaussian:s=2"].params
+    # off the suite's s = 2, and with the alpha < 1 window
+    config = replace(CHEAP, alpha=0.5)
+    window = verify._window(config, ball_template(1, config.sweep_spec))
+    for s in (0.5, 3.0):
+        rep = verify._linked_lp_report(config, "g-lp", "gaussian", s, 0.5, window,
+                                       {"alpha": 0.5})
+        assert (rep.lhs, rep.rhs) == _g_lp_by_copy(config, "gaussian", s)
+        rep = verify._linked_lp_report(config, "lp-scaling", "bump", s, 0.0,
+                                       verify._eval_at, {})
+        assert (rep.lhs, rep.rhs) == _lp_scaling_by_copy(config, "bump", s)
 
 
 def test_identity_suite_starved_budget_fails_honestly():
