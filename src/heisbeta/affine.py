@@ -51,16 +51,17 @@ class AffineMap:
         return self.b + (y[..., :-1] - self.base[:-1]) @ self.a
 
 
-def fit_from_values(vals: Array, template, r: float, d: int):
+def fit_from_values(vals: Array, template, r: float, d: int, b=None):
     """Moment-formula coefficients from integrand values on template nodes.
 
     vals has shape (..., m) aligned with template.nodes; returns (b, a) with
     shapes (...) and (..., 2n).  Shared by fit_moment and the beta machinery
-    so a ball is never evaluated twice.
+    so a ball is never evaluated twice; a caller that has already formed
+    b = vals.mean(axis=-1) passes it.
     """
     if d not in (0, 1):
         raise ValueError(f"degree must be 0 or 1, got {d}")
-    b = vals.mean(axis=-1)
+    b = vals.mean(axis=-1) if b is None else b
     if d == 0:
         return b, np.zeros(np.shape(b) + (template.m2.shape[0],))
     if np.any(template.m2 < _DEGENERATE_M2):

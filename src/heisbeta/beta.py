@@ -20,7 +20,7 @@ import numpy as np
 from .affine import fit_from_values
 from .hgroup import distance, half_dim
 from .quad import (QuadSpec, ScaleGrid, _balls, _check_finite, _twist, ball_template,
-                   mean_stderr, twist_nodes)
+                   mean_stderr, radius_products, twist_nodes)
 
 Array = np.ndarray
 
@@ -102,7 +102,7 @@ def _run_tiles(tile, tiles, workers: int) -> None:
 
 def scale_sweep(
     f, centers: Array, rs, d: int, q: float, template, center_vals=None,
-    want_se: bool = True, workers: int = 1,
+    want_se: bool = True, workers: int = 1, amax: bool = True,
 ):
     """Per-(center, radius) ball statistics from one template pass.
 
@@ -114,7 +114,9 @@ def scale_sweep(
     f(x)| over B(x, r).  The error estimates follow the template: orbit
     standard errors (Monte Carlo) or |fine - twin| from a second pass over
     the half-resolution twin (grid).  want_se=False skips them (norm paths
-    evaluate thousands of balls and only need values).
+    evaluate thousands of balls and only need values), and amax=False skips
+    "amax" (two more reductions over every value) for callers that set no
+    roundoff floor.
 
     The radii rs are shared by every center, shape (R,), or form a ball
     list, one row per center, shape (k, R): with R = 1 that is the k balls
@@ -127,36 +129,44 @@ def scale_sweep(
     node and product buffers and the twist W of its center block; a tile
     allocates only what f.eval does (the residual overwrites its result),
     (k, R) and (k, R, 2n) statistics and, for want_se, (k, R, units) orbit means.
+    When one tile holds every radius of its centers and the centers span
+    several tiles, the products r u_j and r^2 u_t (quad.radius_products,
+    (2n+1) R m floats) are formed once per sweep and every tile reads them.
 
     A degree other than 0 or 1, q < 1 or a radius that is not finite and
-    positive raises a one-line ValueError.
+    positive raises a one-line ValueError; a non-finite value of f raises a
+    FloatingPointError naming the first such node, before any other work
+    on its tile.
     """
     if d not in (0, 1):
         raise ValueError(f"degree must be 0 or 1, got {d}")
     if not 1 <= q < math.inf:
         raise ValueError(f"exponent q must be finite and >= 1, got {q}")
     centers, rs = _balls(centers, rs, template)
-    out = _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers)
+    out = _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers,
+                       amax)
     if want_se and template.coarse is not None:
         # the twin pass starts once the fine pass has freed its tile buffers
         coarse = _sweep_tiles(f, centers, rs, d, q, template.coarse, center_vals,
-                              False, workers)
+                              False, workers, False)
         for key in {"beta", "cdiff"} & coarse.keys():
             out[key + "_se"] = np.abs(out[key] - coarse[key])
     return out
 
 
-def _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers):
+def _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers, amax):
     """One tiled pass of scale_sweep over its checked centers (k, dim) and
-    radii (R,) or (k, R); want_se adds orbit standard errors."""
+    radii (R,) or (k, R); want_se adds orbit standard errors and amax the
+    largest |f| of each ball."""
     ev = getattr(f, "eval", f)
     k, nr, m = len(centers), rs.shape[-1], len(template.nodes)
     out = {
         "beta": np.empty((k, nr)),
         "beta_se": np.zeros((k, nr)),
         "mean": np.empty((k, nr)),
-        "amax": np.empty((k, nr)),
     }
+    if amax:
+        out["amax"] = np.empty((k, nr))
     if center_vals is not None:
         center_vals = np.asarray(center_vals, dtype=float).reshape(k)
         out["cdiff"] = np.empty((k, nr))
@@ -166,6 +176,9 @@ def _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers):
     uz_t = u[:, :-1].T
     rstep = max(1, min(nr, _NODE_BUDGET // m))
     kstep = max(1, min(k, _NODE_BUDGET // (rstep * m)))
+    # every center block of a sweep over shared radii in one radius block
+    # would form the same products r u_j and r^2 u_t
+    ru = radius_products(rs, u) if rs.ndim == 1 and rstep == nr and kstep < k else None
     scratch = threading.local()  # node, product and twist buffers, one set per thread
 
     def tile(ks, rsl):
@@ -178,14 +191,18 @@ def _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers):
             scratch.w, scratch.ks = _twist(cblock, u), ks
         shape = (dim, len(cblock), rblock.shape[-1], m)
         nodes = scratch.nodes[: math.prod(shape)].reshape(shape)
-        twist_nodes(cblock, rblock, u, nodes, scratch.w, scratch.prod)
+        twist_nodes(cblock, rblock, u, nodes, scratch.w, scratch.prod, ru)
         pts = np.moveaxis(nodes, 0, -1)
         prod = scratch.prod[: nodes[0].size].reshape(shape[1:])
         vals = np.asarray(ev(pts), dtype=float)  # (k, R, m)
-        amax = np.maximum(vals.max(axis=-1), -vals.min(axis=-1))
-        if not np.all(np.isfinite(amax)):
+        # the fit's b; a ball holding a non-finite value has a non-finite
+        # mean, so b is also the finiteness check (inf - inf is left to it)
+        with np.errstate(invalid="ignore"):
+            b = vals.mean(axis=-1)
+        if not np.all(np.isfinite(b)):
             _check_finite(vals, pts, "ball integrand")
-        out["amax"][ks, rsl] = amax
+        if amax:
+            out["amax"][ks, rsl] = np.maximum(vals.max(axis=-1), -vals.min(axis=-1))
         if center_vals is not None:
             dgv = np.subtract(vals, center_vals[ks, None, None], out=prod)
             np.abs(dgv, out=dgv)
@@ -194,7 +211,7 @@ def _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers):
                 out["cdiff_se"][ks, rsl] = mean_stderr(dgv, template)
         # with r = 1 the returned slopes absorb the radius, so the fitted
         # model at the template nodes is b + a . u for every radius at once
-        b, a = fit_from_values(vals, template, 1.0, d)
+        b, a = fit_from_values(vals, template, 1.0, d, b)
         # the residual overwrites the field values when they are ours
         res = vals if vals.flags.owndata and vals.flags.writeable else np.empty_like(vals)
         np.subtract(vals, b[..., None], out=res)
@@ -231,7 +248,8 @@ def beta_number(
 ) -> tuple[float, float]:
     """(beta_{f,d,q}(B(x,r)), stderr)."""
     x = np.asarray(x, dtype=float)
-    out = scale_sweep(f, x[None], [r], d, q, ball_template(half_dim(x), spec))
+    out = scale_sweep(f, x[None], [r], d, q, ball_template(half_dim(x), spec),
+                      amax=False)
     return float(out["beta"][0, 0]), float(out["beta_se"][0, 0])
 
 
@@ -241,7 +259,7 @@ def beta_profile(
     """beta_number at every node of the scale grid."""
     x = np.asarray(x, dtype=float)
     tpl = ball_template(half_dim(x), spec)
-    out = scale_sweep(f, x[None], grid.nodes(), d, q, tpl)
+    out = scale_sweep(f, x[None], grid.nodes(), d, q, tpl, amax=False)
     return BetaProfile(
         x=x, d=d, q=q, grid=grid, values=out["beta"][0], stderrs=out["beta_se"][0]
     )
@@ -279,10 +297,11 @@ def check_monotonicity(f, inner, outer, q: float = 1.0, spec: QuadSpec = QuadSpe
             f"{dist[i]:.6g} + r1 {r1[i]:.6g} exceeds r2 {r2[i]:.6g}"
         )
     tpl = ball_template(half_dim(x1), spec)
-    # the ratio needs no error estimates
+    # the ratio needs no error estimates, and only the outer balls' amax
     inner_out, outer_out = (
-        scale_sweep(f, x, r[:, None], 1, q, tpl, want_se=False, workers=workers)
-        for x, r in ((x1, r1), (x2, r2))
+        scale_sweep(f, x, r[:, None], 1, q, tpl, want_se=False, workers=workers,
+                    amax=outer)
+        for x, r, outer in ((x1, r1, False), (x2, r2, True))
     )
     b1, b2 = inner_out["beta"][:, 0], outer_out["beta"][:, 0]
     eps = 1e-12 * (1.0 + outer_out["amax"][:, 0])

@@ -31,7 +31,7 @@ from . import __version__
 from .fields import catalog
 from .hgroup import origin
 from .quad import NODE_CEILING, QuadSpec, check_template_request
-from .squarefn import g_alpha
+from .squarefn import _square_function
 from .beta import beta_profile
 from .verify import (
     HarnessConfig,
@@ -443,7 +443,9 @@ def _run_squarefn(config: RunConfig):
     grid = config.harness_config().scale_grid
     rows = []
     for x_id, x in enumerate(_probe_points(config)):
-        res = g_alpha(f, x, config.alpha, grid, config.quad_spec)
+        # g_alpha's value and truncations; no row prints its error estimate
+        res = _square_function(f, x, config.alpha, grid, config.quad_spec,
+                               int(config.alpha >= 1.0), centered=False, want_se=False)
         rows.append((x_id, config.alpha, res.value, res.truncation_low,
                      res.truncation_high))
     return ("x_id", "alpha", "value", "trunc_low", "trunc_high"), rows, None, 0

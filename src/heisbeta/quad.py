@@ -256,28 +256,45 @@ def _twist(centers: Array, u: Array) -> Array:
     return 0.5 * (centers[:, :-1] @ np.concatenate([rows[n:-1], -rows[:n]]))
 
 
-def twist_nodes(centers: Array, rs: Array, u: Array, out: Array, w=None, tmp=None):
+def _radius_product(r: Array, u: Array, j: int, out: Array) -> Array:
+    # r u_j for a horizontal coordinate j, r^2 u_t for the last one
+    return np.multiply(r * r if j == u.shape[-1] - 1 else r, u[:, j], out=out)
+
+
+def radius_products(rs: Array, u: Array) -> Array:
+    """The products r u_j and, in the last row, r^2 u_t of shared radii
+    rs (R,) and template nodes u, shape (2n+1, R, m), read-only: the part
+    of twist_nodes that every center block of a sweep repeats."""
+    out = np.empty((u.shape[-1], len(rs), len(u)))
+    for j in range(len(out)):
+        _radius_product(rs[:, None], u, j, out[j])
+    out.flags.writeable = False
+    return out
+
+
+def twist_nodes(centers: Array, rs: Array, u: Array, out: Array, w=None, tmp=None,
+                ru=None):
     """Write x * delta_r(u) for every (center, radius, template node) into
     out, coordinate-major, shape (2n+1, k, R, m).
 
     The radii rs are shared, shape (R,), or one row per center, (k, R).
     Uses x * delta_r(u) = (x_z + r u_z, x_t + r^2 u_t + r W) with the twist
     W = (1/2) sum_j (x_j u_{n+j} - x_{n+j} u_j), shape (k, m), which does not
-    depend on r; a caller may pass it as w, and a buffer of k R m floats as
-    tmp for the products r u_j, r^2 u_t and r W.  Every step reads one
-    template coordinate u[:, j]; a template's nodes are stored
-    coordinate-major (see BallTemplate), so each such read is one
-    contiguous row.
+    depend on r; a caller may pass it as w, a buffer of k R m floats as
+    tmp for the products r u_j, r^2 u_t and r W, and, for shared radii,
+    radius_products(rs, u) as ru, which then replaces r u_j and r^2 u_t
+    with the same bits.  Every step reads one template coordinate u[:, j];
+    a template's nodes are stored coordinate-major (see BallTemplate), so
+    each such read is one contiguous row.
     """
     w = _twist(centers, u) if w is None else w
     tmp = np.empty(out[0].size) if tmp is None else tmp
     rw = tmp[: out[0].size].reshape(out.shape[1:])  # r W; r u_j in its first row(s)
     r = rs[..., None]  # (R, 1) shared, (k, R, 1) per center
     head = rw[0] if rs.ndim == 1 else rw
-    for j in range(len(out) - 1):
-        np.add(centers[:, j, None, None], np.multiply(r, u[:, j], out=head), out=out[j])
-    np.multiply(r * r, u[:, -1], out=head)
-    np.add(centers[:, -1, None, None], head, out=out[-1])
+    for j in range(len(out)):
+        prod = _radius_product(r, u, j, head) if ru is None else ru[j]
+        np.add(centers[:, j, None, None], prod, out=out[j])
     out[-1] += np.multiply(r, w[:, None, :], out=rw)
     return out
 

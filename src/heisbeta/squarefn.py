@@ -113,16 +113,23 @@ def _square_from_profile(coef, h, prof, se=None):
         return value, np.where(value > 0, sesq / (2.0 * value), flat)
 
 
-def _square_function(f, x, alpha, grid, spec, d, centered) -> SquareFnResult:
-    """g_alpha (degree-d betas) or, when centered, s_alpha at x."""
+def _square_function(f, x, alpha, grid, spec, d, centered,
+                     want_se=True) -> SquareFnResult:
+    """g_alpha (degree-d betas) or, when centered, s_alpha at x; want_se=False
+    leaves out the error estimate (orbit standard errors or the twin pass),
+    and stderr reads 0."""
     x = np.asarray(x, dtype=float)
     tpl = ball_template(half_dim(x), spec)
     rs = grid.nodes()
     fx = np.asarray(f.eval(x[None]), dtype=float) if centered else None
-    sweep = scale_sweep(f, x[None], rs, d, 1.0, tpl, center_vals=fx)
+    sweep = scale_sweep(f, x[None], rs, d, 1.0, tpl, center_vals=fx, want_se=want_se)
     key = "cdiff" if centered else "beta"
-    prof, se = sweep[key][0], sweep[key + "_se"][0]
-    value, stderr = _square_from_profile(rs**-alpha, grid.log_step, prof, se)
+    coef, prof = rs**-alpha, sweep[key][0]
+    if want_se:
+        value, stderr = _square_from_profile(coef, grid.log_step, prof,
+                                             sweep[key + "_se"][0])
+    else:
+        value, stderr = _square_from_profile(coef, grid.log_step, prof), 0.0
     floor = _ANNIHILATION * (1.0 + float(sweep["amax"][0].max(initial=0.0)))
     if float(prof.max(initial=0.0)) <= floor:
         low = high = 0.0
@@ -166,7 +173,8 @@ def g_window_values(f, pts: Array, rs: Array, coef: Array, h: float, d: int,
     under dilation does the rest).  The sweep runs on workers threads.
     """
     flat = pts.reshape(-1, pts.shape[-1])
-    sweep = scale_sweep(f, flat, rs, d, q, tpl, want_se=False, workers=workers)
+    sweep = scale_sweep(f, flat, rs, d, q, tpl, want_se=False, workers=workers,
+                        amax=False)
     return _square_from_profile(coef, h, sweep["beta"]).reshape(pts.shape[:-1])
 
 
@@ -190,7 +198,7 @@ def gradient_comparison(
 
     def beta_at(g, d, radii):
         out = scale_sweep(g, xs, radii[:, None], d, 1.0, tpl, want_se=False,
-                          workers=workers)
+                          workers=workers, amax=False)
         return out["beta"][:, 0]
 
     lhs = beta_at(f, 1, rs)

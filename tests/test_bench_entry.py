@@ -69,11 +69,13 @@ def test_bench_child_run_passes_the_reference_check(workload):
         assert not failed, (out["label"], failed)
 
 
-# the layers the square-function and verify code reach on each workload
+# the layers the square-function and verify code reach on each workload;
+# the squarefn CLI sweeps without error estimates, past g_alpha, whose
+# public call the Dorronsoro window probe makes
 _TRACED_LAYERS = {
-    "pointwise-cli": ("squarefn.lq_norm_bound", "squarefn.g_alpha"),
+    "pointwise-cli": ("squarefn.lq_norm_bound", "beta.scale_sweep"),
     "lemma-sweeps": ("verify.run_lemma_suite",),
-    "dorronsoro-norm": ("verify.dorronsoro_ratio",),
+    "dorronsoro-norm": ("verify.dorronsoro_ratio", "squarefn.g_alpha"),
 }
 
 

@@ -13,8 +13,9 @@ from heisbeta.beta import beta_number, beta_profile, check_monotonicity, scale_s
 from heisbeta.fields import catalog, precompose_dilation, vertical_translate
 from heisbeta.hgroup import dilate, group_mul
 from heisbeta.affine import fit_moment, fit_normal_equations
-from heisbeta.quad import QuadSpec, ScaleGrid, ball_template, ball_values, mean_stderr
-from heisbeta.squarefn import g_alpha, gradient_comparison, s_alpha
+from heisbeta.quad import (QuadSpec, ScaleGrid, ball_template, ball_values, mean_stderr,
+                           twist_nodes)
+from heisbeta.squarefn import g_alpha, g_window_values, gradient_comparison, s_alpha
 
 from conftest import random_points
 
@@ -312,6 +313,64 @@ def test_scale_sweep_tiles_run_under_the_callers_errstate(monkeypatch, workers):
             scale_sweep(field, centers, rs, 1, 2.0, tpl, workers=workers)
     assert len({ident for ident, _ in seen}) == workers
     assert {mode for _, mode in seen} == {"raise"}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_non_finite_value_raises_one_message_on_every_sweep_path(monkeypatch, workers):
+    """The ball means double as the finiteness check: a NaN at one node
+    names that node with or without amax and through g_window_values, and
+    +inf and -inf in one ball raise the same message before numpy's own
+    error under errstate(all="raise")."""
+    tpl = ball_template(1, QuadSpec(samples=1500, seed=5))
+    m = len(tpl.nodes)
+    centers = random_points(np.random.default_rng(41), 6, z_extent=1.5, t_extent=2.0)
+    rs = np.geomspace(1e-2, 1e1, 5)
+    # two centers per tile, so the tiles read the shared radius products
+    monkeypatch.setattr(beta, "_NODE_BUDGET", 2 * len(rs) * m)
+    nodes = np.moveaxis(twist_nodes(centers, rs, tpl.nodes, np.empty((3, 6, 5, m))), 0, -1)
+    bad, worse = nodes[3, 2, 17], nodes[3, 2, 18]
+
+    def nan_at_one_node(p):
+        vals = np.ones(p.shape[:-1])
+        vals[np.all(p == bad, axis=-1)] = np.nan
+        return vals
+
+    def inf_of_both_signs(p):
+        vals = np.ones(p.shape[:-1])
+        vals[np.all(p == bad, axis=-1)] = np.inf
+        vals[np.all(p == worse, axis=-1)] = -np.inf
+        return vals
+
+    messages = []
+    for field, amax in ((nan_at_one_node, True), (nan_at_one_node, False),
+                        (inf_of_both_signs, True)):
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError) as info:
+            scale_sweep(field, centers, rs, 1, 2.0, tpl, want_se=False,
+                        workers=workers, amax=amax)
+        messages.append(str(info.value))
+    with pytest.raises(FloatingPointError) as info:
+        g_window_values(nan_at_one_node, centers, rs, rs**-1.0, 0.1, 1, 2.0, tpl,
+                        workers=workers)
+    messages.append(str(info.value))
+    assert set(messages) == {f"non-finite ball integrand at node {bad!r}"}
+
+
+@pytest.mark.parametrize("spec", [QuadSpec(samples=1500, seed=5),
+                                  QuadSpec(mode="grid", grid_per_axis=6)],
+                         ids=["mc", "grid"])
+def test_amax_switch_leaves_every_other_statistic(monkeypatch, spec):
+    f = catalog("gaussian")
+    tpl = ball_template(1, spec)
+    centers = random_points(np.random.default_rng(19), 5, z_extent=1.5, t_extent=2.0)
+    rs = np.geomspace(1e-2, 1e1, 6)
+    monkeypatch.setattr(beta, "_NODE_BUDGET", 2 * len(rs) * len(tpl.nodes))
+    for want_se in (False, True):
+        for center_vals in (None, f.eval(centers)):
+            on, off = (scale_sweep(f, centers, rs, 1, 2.0, tpl, center_vals=center_vals,
+                                   want_se=want_se, amax=amax) for amax in (True, False))
+            assert set(on) - set(off) == {"amax"} and set(off) <= set(on)
+            for key in off:
+                np.testing.assert_array_equal(off[key], on[key], err_msg=key)
 
 
 def test_parallel_sweep_fits_in_the_old_single_tile_footprint(monkeypatch):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from heisbeta import quad
+from heisbeta import beta, quad
 from heisbeta.cli import RunConfig, UsageError, main, parse_config, run
 from heisbeta.quad import NODE_CEILING
 
@@ -177,15 +177,37 @@ def test_identities_starved_budget_exits_2(tmp_path):
 def test_exact_covariance_identity_at_n2_on_a_grid_exits_0(capsys):
     """Far-out gaussian placements at s = 2 have betas near 6.5e-13 that
     agree to 15 digits; one amax-scaled roundoff floor decides both which
-    placements count and whether the report is degenerate.  The covariance
-    check does not read --per-decade, which only shortens the g checks."""
+    placements count and whether the report is degenerate.  Every valid
+    placement is exact to roundoff, so the report shows the first one.  The
+    covariance check does not read --per-decade, which only shortens the g
+    checks."""
     argv = ["identities", "--n", "2", "--mode", "grid", "--grid-per-axis", "8",
             "--per-decade", "2", "--format", "json", "--no-timestamp"]
     assert run_main(argv) == 0
     reports = {rep["name"]: rep for rep in json.loads(capsys.readouterr().out)["reports"]}
     rep = reports["beta-covariance:gaussian:s=2"]
     assert not rep["degenerate"] and rep["params"]["pass"] is True
-    assert rep["rhs"] < 1e-12 and rep["params"]["valid"] == 5
+    assert rep["params"]["valid"] == 5 and abs(rep["ratio"] - 1.0) < 1e-12
+
+
+def test_tiny_dorronsoro_bytes_on_the_shared_radius_products(monkeypatch, capsys):
+    """At this budget the norm sweeps hold every radius in one tile and
+    span many center blocks, so they form r u_j and r^2 u_t once per
+    sweep; the bytes equal those of per-tile products at 1 and 2 workers."""
+    argv = ["dorronsoro", "--samples", "256", "--per-decade", "2", "--box-radius", "2",
+            "--format", "json", "--no-timestamp", "--workers"]
+    formed = []
+    shared = beta.radius_products
+    monkeypatch.setattr(beta, "radius_products",
+                        lambda rs, u: formed.append(len(rs)) or shared(rs, u))
+    outs = []
+    for workers in ("1", "2"):
+        assert run_main(argv + [workers]) == 0
+        outs.append(capsys.readouterr().out)
+    assert formed
+    monkeypatch.setattr(beta, "radius_products", lambda rs, u: None)
+    assert run_main(argv + ["1"]) == 0
+    assert outs[0] == outs[1] == capsys.readouterr().out
 
 
 def test_report_csv_columns(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from heisbeta.fields import catalog, precompose_dilation, vertical_translate
+from heisbeta.fields import _EXP_ZERO, catalog, precompose_dilation, vertical_translate
 from heisbeta.hgroup import dilate, gauge, group_mul, horizontal_derivative
 
 from conftest import random_points
@@ -97,24 +97,80 @@ PREVIOUS_EVALUATORS = {
 }
 
 
+def _previous_wave_grad(p):
+    x, y, t = np.split(p, [(p.shape[-1] - 1) // 2, p.shape[-1] - 1], axis=-1)
+    s, c = np.sin(7.0 * t), np.cos(7.0 * t)
+    common = t * s - 3.5 * c
+    return np.concatenate([-2.0 * x * s + y * common, -2.0 * y * s - x * common],
+                          axis=-1) * PREVIOUS_EVALUATORS["gaussian"](p)[..., None]
+
+
+def _previous_gauss_grad(p):
+    x, y, t = np.split(p, [(p.shape[-1] - 1) // 2, p.shape[-1] - 1], axis=-1)
+    return (np.concatenate([-2.0 * x + y * t, -2.0 * y - x * t], axis=-1)
+            * PREVIOUS_EVALUATORS["gaussian"](p)[..., None])
+
+
+# the gradients built on the gaussian factor, as they were formed before it
+# skipped exp past its underflow cut
+PREVIOUS_GRADIENTS = {"gaussian": _previous_gauss_grad,
+                      "vertical-wave": _previous_wave_grad}
+
+
+def _assert_same_bits(got, want):
+    # every bit, so -0.0 and +0.0 differ; every NaN is one value
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    nan = np.isnan(got)
+    assert np.array_equal(nan, np.isnan(want))
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
 @pytest.mark.parametrize("name", sorted(PREVIOUS_EVALUATORS))
 @pytest.mark.parametrize("n", [1, 2])
 def test_in_place_evaluators_keep_their_bits(name, n):
     f = catalog(name, n=n, **({"omega": 7.0} if name == "vertical-wave" else {}))
     previous = PREVIOUS_EVALUATORS[name]
+    previous_grad = PREVIOUS_GRADIENTS.get(name)
     rng = np.random.default_rng(53)
-    for scale in (0.2, 0.6, 2.0):
+    gsq = []
+    # at scales 12, 20 and 40, |z|^2 + t^2 reaches exp's subnormal band
+    # (708-745) and the lanes past the underflow cut at 746
+    for scale in (0.2, 0.6, 2.0, 12.0, 20.0, 40.0):
         pts = rng.normal(scale=scale, size=(40, 6, 2 * n + 1))
+        gsq.append((pts**2).sum(axis=-1).ravel())
         # the coordinate-major layout of a sweep tile, read as a strided view
         strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(pts, -1, 0)), 0, -1)
         for p in (pts, strided):
             got = f.eval(p)
             assert got.shape == p.shape[:-1] and got.flags.owndata
-            np.testing.assert_array_equal(got, previous(p))
+            _assert_same_bits(got, previous(p))
+            if previous_grad is not None:
+                _assert_same_bits(f.analytic_hgrad(p), previous_grad(p))
         for x in pts[0]:
             got = f.eval(x)
-            assert np.shape(got) == () and got == previous(x)
-            assert float(got) == float(f.eval(x[None])[0])
+            assert np.shape(got) == ()
+            _assert_same_bits(got, previous(x))
+            _assert_same_bits(got, f.eval(x[None])[0])
+    gsq = np.concatenate(gsq)
+    assert np.any((gsq > 708.0) & (gsq < 746.0)) and np.any(gsq > 746.0)
+    # non-finite coordinates: every axis in turn holds inf, -inf or NaN
+    pts = rng.normal(size=(3, 2 * n + 1, 2 * n + 1))
+    for i, bad in enumerate((np.inf, -np.inf, np.nan)):
+        pts[i][np.diag_indices(2 * n + 1)] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        _assert_same_bits(f.eval(pts), previous(pts))
+        if previous_grad is not None:
+            _assert_same_bits(f.analytic_hgrad(pts), previous_grad(pts))
+
+
+def test_exp_is_zero_past_the_gaussian_cut():
+    """_gauss writes +0.0 for |z|^2 + t^2 > _EXP_ZERO without calling exp;
+    numpy's exp gives the same bits there."""
+    g = np.concatenate([np.linspace(_EXP_ZERO, 5000.0, 1_000_001),
+                        np.geomspace(5000.0, 1e308, 1000), [np.inf]])
+    e = np.exp(-g)
+    assert not e.any() and not np.signbit(e).any()
 
 
 def test_bump_support():

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from heisbeta.cli import _SUITES, RunConfig, _echo_lines, parse_config
 from heisbeta.fields import catalog
 from heisbeta.hgroup import dilate, group_mul
-from heisbeta.quad import BallTemplate, ball_values, twist_nodes
+from heisbeta.quad import BallTemplate, ball_values, radius_products, twist_nodes
 
 
 @settings(max_examples=200, deadline=None)
@@ -24,7 +24,11 @@ def test_twist_nodes_equal_group_law(data, n, k, nr, m):
     x = data.draw(hnp.arrays(float, (k, dim), elements=st.floats(-50, 50, **finite)))
     u = data.draw(hnp.arrays(float, (m, dim), elements=st.floats(-1, 1, **finite)))
     rs = data.draw(hnp.arrays(float, (nr,), elements=st.floats(1e-3, 1e2, **finite)))
-    got = np.moveaxis(twist_nodes(x, rs, u, np.empty((dim, k, nr, m))), 0, -1)
+    per_tile = twist_nodes(x, rs, u, np.empty((dim, k, nr, m)))
+    # the products a sweep forms once for every center block: the same bits
+    shared = twist_nodes(x, rs, u, np.empty((dim, k, nr, m)), ru=radius_products(rs, u))
+    assert np.array_equal(shared, per_tile)
+    got = np.moveaxis(per_tile, 0, -1)
     want = group_mul(x[:, None, None, :], dilate(rs[:, None], u[None])[None])
     # horizontal coordinates are the same sums; the vertical one regroups
     # the twist, so it agrees to rounding of its largest term

@@ -433,10 +433,34 @@ def test_covariance_floor_is_one_rule_for_placements_and_report(per_axis):
     report is degenerate, so the valid ones make an exact, passing identity
     rather than a degenerate report under an absolute 1e-12 floor."""
     cfg = replace(CHEAP, n=2, spec=QuadSpec(mode="grid", grid_per_axis=per_axis))
+    # the suite's placements: one of the 5 valid ones has a beta below 1e-12
     rep = verify._covariance_report(cfg, "gaussian", 2.0, 2.0, 4.0, 0.25, 4.0)
     assert rep.params["valid"] == 5
+    assert not rep.degenerate and abs(rep.ratio - 1.0) < 1e-12
+    assert rep.params["pass"] is True
+    # placements farther out and smaller, where the first valid one, which
+    # the report shows on a tie, has a beta below 1e-12 itself
+    rep = verify._covariance_report(cfg, "gaussian", 2.0, 2.5, 5.0, 0.25, 2.0)
     assert not rep.degenerate and 0.0 < rep.rhs <= verify._DEGENERATE_RHS
     assert abs(rep.ratio - 1.0) < 1e-12 and rep.params["pass"] is True
+
+
+def test_covariance_placement_pick_does_not_follow_the_tile_layout(monkeypatch):
+    """At n = 2 on grid 8 every covariance placement is exact to a few ulps;
+    the tie tolerance makes the first valid one the report, whatever tiles
+    the sweeps were cut into (one ball per tile, or the default budget)."""
+    cfg = replace(CHEAP, n=2, spec=QuadSpec(mode="grid", grid_per_axis=8))
+    one_ball = len(ball_template(2, cfg.spec).nodes)
+    for args in (("gaussian", 0.5, 2.0, 4.0, 0.25, 4.0),
+                 ("gaussian", 2.0, 2.0, 4.0, 0.25, 4.0),
+                 ("bump", 0.5, 0.8, 0.8, 0.25, 2.0)):
+        reps = []
+        for budget in (one_ball, beta._NODE_BUDGET):
+            monkeypatch.setattr(beta, "_NODE_BUDGET", budget)
+            reps.append(verify._covariance_report(cfg, *args))
+        (lhs, rhs), (lhs2, rhs2) = ((rep.lhs, rep.rhs) for rep in reps)
+        assert lhs2 == pytest.approx(lhs, rel=1e-12, abs=0.0), args
+        assert rhs2 == pytest.approx(rhs, rel=1e-12, abs=0.0), args
 
 
 def test_worst_case_picks_the_first_valid_maximum():
@@ -448,6 +472,11 @@ def test_worst_case_picks_the_first_valid_maximum():
     assert verify._worst_case([(1.0, 1.0, True)], verify._off_one) == (1.0, 1.0)
     assert verify._worst_case([(5.0, 1.0, False)]) == (0.0, 0.0)
     assert verify._worst_case([]) == (0.0, 0.0)
+    # scores within the tie tolerance tie; a larger gap still displaces
+    cases = [(1.0, 1.0, True), (1.0 + 1e-15, 1.0, True), (1.1, 1.0, True)]
+    assert verify._worst_case(cases[:2], verify._off_one, 1e-12) == (1.0, 1.0)
+    assert verify._worst_case(cases[:2], verify._off_one) == (1.0 + 1e-15, 1.0)
+    assert verify._worst_case(cases, verify._off_one, 1e-12) == (1.1, 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2])
