@@ -6,7 +6,7 @@ measures both sides of the inequalities they satisfy.
 
 from .affine import AffineMap, fit_moment, fit_normal_equations, residual_orthogonality
 from .beta import BetaProfile, beta_number, beta_profile, check_monotonicity
-from .fields import ScalarField, catalog, precompose_dilation, vertical_translate
+from .fields import ScalarField, catalog, precompose_dilation
 from .hgroup import (
     dilate,
     distance,
@@ -83,5 +83,4 @@ __all__ = [
     "ScalarField",
     "ScaleGrid",
     "SquareFnResult",
-    "vertical_translate",
 ]

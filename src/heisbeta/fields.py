@@ -289,52 +289,24 @@ def catalog(name: str, n: int = 1, **params) -> ScalarField:
     return builder(n, **merged)
 
 
-def _remap(f: ScalarField, label: str, point, gain: float, radius, support):
-    """x -> f(point(x)) with the gradient times gain.  radius(r) bounds N(point(x))
-    from below where N(x) = r, and support(R) solves radius(support(R)) = R."""
-    ev = f.eval
-    new = {"label": label, "eval": lambda p: ev(point(p))}
-    if f.analytic_hgrad is not None:
-        g = f.analytic_hgrad
-        new["analytic_hgrad"] = lambda p: gain * g(point(p))
-    if f.support_radius is not None:
-        new["support_radius"] = support(f.support_radius)
-        if f.decay_bound is not None:
-            db = f.decay_bound
-            new["decay_bound"] = lambda r: db(radius(np.asarray(r, float)))
-        if f.grad_decay_bound is not None:
-            gb = f.grad_decay_bound
-            new["grad_decay_bound"] = lambda r: gain * gb(radius(np.asarray(r, float)))
-    return replace(f, **new)
-
-
-def vertical_translate(f: ScalarField, t: float) -> ScalarField:
-    """Right-translate by the central element (0, t): x -> f(x * (0,t)).
-
-    Central elements only shift the vertical coordinate, and left-invariant
-    frames commute with right translations, so the horizontal gradient just
-    translates along.
-    """
-    t = float(t)
-    if t == 0.0:
-        return f
-
-    def shift(p):
-        p = np.asarray(p, dtype=float).copy()
-        p[..., -1] += t
-        return p
-
-    # N(x * (0,t)) >= N(x) - N((0,t)) and N((0,t)) = 2 sqrt|t|
-    off = 2.0 * np.sqrt(abs(t))
-    return _remap(f, f"{f.label}+v{t:g}", shift, 1.0,
-                  lambda r: np.maximum(r - off, 0.0), lambda big_r: big_r + off)
-
-
 def precompose_dilation(f: ScalarField, s: float) -> ScalarField:
     """Return f_s = f o delta_s; gradients pick up one factor of s."""
     s = float(s)
     _check_dilation(s)
     if s == 1.0:
         return f
-    return _remap(f, f"{f.label}@s{s:g}", lambda p: dilate(s, p), s,
-                  lambda r: s * r, lambda big_r: big_r / s)
+    ev = f.eval
+    new = {"label": f"{f.label}@s{s:g}", "eval": lambda p: ev(dilate(s, p))}
+    if f.analytic_hgrad is not None:
+        g = f.analytic_hgrad
+        new["analytic_hgrad"] = lambda p: s * g(dilate(s, p))
+    if f.support_radius is not None:
+        # N(delta_s x) = s N(x): the support and both certificates rescale
+        new["support_radius"] = f.support_radius / s
+        if f.decay_bound is not None:
+            db = f.decay_bound
+            new["decay_bound"] = lambda r: db(s * np.asarray(r, float))
+        if f.grad_decay_bound is not None:
+            gb = f.grad_decay_bound
+            new["grad_decay_bound"] = lambda r: s * gb(s * np.asarray(r, float))
+    return replace(f, **new)

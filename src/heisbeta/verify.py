@@ -38,8 +38,6 @@ from .quad import (
 )
 from .squarefn import _square_from_profile, g_alpha, g_window_values, gradient_comparison
 
-Array = np.ndarray
-
 _DEGENERATE_RHS = 1e-12
 _IDENTITY_TOL = 1e-2
 # An identity verified with shared noise says nothing about correctness
@@ -187,8 +185,9 @@ class HarnessConfig:
                 f"rho_min must lie in (0, 2 * box_radius) = (0, {2.0 * self.box_radius}),"
                 f" got {self.rho_min}"
             )
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        for key in ("sweep_samples", "norm_dirs", "norm_per_decade", "workers"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
 
     @property
     def scale_grid(self) -> ScaleGrid:
@@ -232,11 +231,6 @@ def _certified(spec: QuadSpec) -> bool:
     return spec.mode == "grid" or spec.samples >= _MIN_CERTIFIED_SAMPLES
 
 
-def _grad_magnitude(f: ScalarField, pts: Array) -> Array:
-    """|horizontal gradient| at pts, from one horizontal_gradient call."""
-    return np.sqrt(sum(g**2 for g in np.moveaxis(horizontal_gradient(f, pts), -1, 0)))
-
-
 # ---------------------------------------------------------------------------
 # headline inequality ratios
 
@@ -277,7 +271,8 @@ def _dorronsoro_sides(f: ScalarField, p: float, q: float,
         ball_template(config.n, config.sweep_spec), workers=config.workers,
     )
     lhs, lhs_means = shell_lp(gvals, polar.vols, p)
-    rhs, rhs_means = shell_lp(_grad_magnitude(f, pts), polar.vols, p)
+    rhs, rhs_means = shell_lp(np.linalg.norm(horizontal_gradient(f, pts), axis=-1),
+                              polar.vols, p)
     return lhs, s * rhs, (lhs_means, rhs_means)
 
 
@@ -388,7 +383,8 @@ def _poincare_sides(f: ScalarField, p: float, config: HarnessConfig,
     ivals = np.sum(polar.vols[None, :] * means, axis=1)
     jvals = ivals ** (2.0 / p) / ts
     lhs = float(np.sqrt(np.sum(jvals) * tgrid.log_step))
-    rhs, rhs_means = shell_lp(_grad_magnitude(f, pts), polar.vols, p)
+    rhs, rhs_means = shell_lp(np.linalg.norm(horizontal_gradient(f, pts), axis=-1),
+                              polar.vols, p)
     fmeans = np.mean(np.abs(vals) ** p, axis=-1)
     return lhs, s * rhs, (means, ivals, jvals, fmeans, rhs_means)
 
@@ -478,28 +474,28 @@ def _placements(rng, n: int, count: int, z_extent: float, t_extent: float,
     return xs, np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), size=count))
 
 
-def _worst_case(cases, score=lambda ratio: ratio, tie=0.0) -> tuple[float, float]:
+# worst-case scores that differ by at most this are ties: the two sides of
+# an identity placement sweep the same nodes and agree to a few ulps (up to
+# 4e-15 at n = 2), so without it roundoff, and with it the tile layout,
+# would pick the placement that is reported
+_TIE = 1e-12
+
+
+def _worst_case(cases, score=lambda ratio: ratio) -> tuple[float, float]:
     """(lhs, rhs) of the first valid case with the largest score(lhs / rhs)
     among (lhs, rhs, valid) cases, or (0, 0) when none is valid.  A later
-    case displaces the pick only when its score is larger by more than tie,
-    so scores within tie count as a tie, which the earlier case wins."""
+    case displaces the pick only when its score is larger by more than
+    _TIE, so scores within _TIE count as a tie, which the earlier case wins."""
     pick, top = (0.0, 0.0), -math.inf
     for lhs, rhs, valid in cases:
         key = score(lhs / rhs if rhs > 0 else math.inf) if valid else -math.inf
-        if key > top + tie:
+        if key > top + _TIE:
             pick, top = (lhs, rhs), key
     return pick
 
 
 def _off_one(ratio):
     return abs(ratio - 1.0)
-
-
-# covariance placements whose |ratio - 1| differ by less than this are ties:
-# both sides of a placement sweep the same nodes and agree to a few ulps
-# (up to 4e-15 at n = 2), so without it roundoff, and with it the tile
-# layout, would pick the placement that is reported
-_COVARIANCE_TIE = 1e-12
 
 
 def _identity_report(config, name, lhs, rhs, extra, rhs_floor=_DEGENERATE_RHS):
@@ -569,7 +565,7 @@ def _covariance_report(config: HarnessConfig, name: str, s: float,
     lefts, rights, amax = left["beta"][:, 0], right["beta"][:, 0], right["amax"][:, 0]
     floor = 1e-14 * (1.0 + amax.max())  # one roundoff floor: placements and report
     valid = rights > floor
-    lhs, rhs = _worst_case(zip(lefts, rights, valid), _off_one, _COVARIANCE_TIE)
+    lhs, rhs = _worst_case(zip(lefts, rights, valid), _off_one)
     return _identity_report(config, f"beta-covariance:{name}:s={s:g}", lhs, rhs, {
         "check": "beta-covariance", "field": f.label, "s": s, "q": config.q,
         "placements": 10, "valid": int(valid.sum()),

@@ -4,13 +4,14 @@ import math
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from heisbeta import beta
 from heisbeta.beta import beta_number, beta_profile, check_monotonicity, scale_sweep
-from heisbeta.fields import catalog, precompose_dilation, vertical_translate
+from heisbeta.fields import catalog, precompose_dilation
 from heisbeta.hgroup import dilate, group_mul
 from heisbeta.affine import fit_moment, fit_normal_equations
 from heisbeta.quad import (QuadSpec, ScaleGrid, ball_template, ball_values, mean_stderr,
@@ -58,8 +59,15 @@ def test_dilation_covariance(s):
 
 
 def test_translation_covariance():
+    # f_t(x) = f(x * (0, 0.6)): the central shift adds 0.6 to the vertical coordinate
     f = catalog("vertical-wave", omega=3.0)
-    ft = vertical_translate(f, 0.6)
+
+    def shift(p):
+        p = np.array(p, dtype=float)
+        p[..., -1] += 0.6
+        return p
+
+    ft = replace(f, eval=lambda p: f.eval(shift(p)))
     x = np.array([0.2, 0.5, -0.1])
     shifted = x.copy()
     shifted[-1] += 0.6

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from heisbeta.fields import _EXP_ZERO, catalog, precompose_dilation, vertical_translate
+from heisbeta.fields import _EXP_ZERO, catalog, precompose_dilation
 from heisbeta.hgroup import dilate, gauge, group_mul, horizontal_derivative
 
 from conftest import random_points
@@ -211,19 +211,6 @@ def test_decay_bounds_integrable():
     assert vals[-1] < 1e-12
 
 
-def test_vertical_translate_exact():
-    f = catalog("vertical-wave", omega=2.0)
-    g = vertical_translate(f, 0.7)
-    rng = np.random.default_rng(25)
-    pts = random_points(rng, 50)
-    shifted = pts.copy()
-    shifted[:, -1] += 0.7
-    assert np.array_equal(g.eval(pts), f.eval(shifted))
-    assert np.array_equal(g.analytic_hgrad(pts), f.analytic_hgrad(shifted))
-    assert g.support_radius == pytest.approx(1.0 + 2.0 * np.sqrt(0.7))
-    assert vertical_translate(f, 0.0) is f
-
-
 def test_precompose_dilation_exact():
     f = catalog("gaussian")
     s = 2.0
@@ -244,36 +231,25 @@ def test_precompose_dilation_exact():
 
 @pytest.mark.parametrize("name", ["gaussian", "vertical-wave", "affine"])
 def test_remapped_fields_follow_the_closed_forms(name):
-    """Translation and dilation map the points, the gradient (times s for
-    the dilation), the support radius and both decay certificates."""
-    f = catalog(name)
-    pts = random_points(np.random.default_rng(27), 30)
+    """Dilation maps the points, the gradient times s, the support radius
+    and both decay certificates, at n = 1 and n = 2."""
+    s = 2.0
     rs = np.array([0.0, 0.3, 1.0, 2.5, 7.0])
-    t, s = 0.7, 2.0
-    off = 2.0 * np.sqrt(t)
-    shifted = pts.copy()
-    shifted[:, -1] += t
-    g = vertical_translate(f, t)
-    fs = precompose_dilation(f, s)
-    assert np.array_equal(g.eval(pts), f.eval(shifted))
-    assert np.array_equal(g.analytic_hgrad(pts), f.analytic_hgrad(shifted))
-    assert np.array_equal(fs.eval(pts), f.eval(dilate(s, pts)))
-    assert np.array_equal(fs.analytic_hgrad(pts), s * f.analytic_hgrad(dilate(s, pts)))
-    if f.support_radius is None:
-        for h in (g, fs):
-            assert h.support_radius is h.decay_bound is h.grad_decay_bound is None
-        return
-    assert g.support_radius == f.support_radius + off
-    assert fs.support_radius == f.support_radius / s
-    for r in (rs, 1.5):
-        assert np.array_equal(g.decay_bound(r), f.decay_bound(np.maximum(r - off, 0.0)))
-        assert np.array_equal(
-            g.grad_decay_bound(r), f.grad_decay_bound(np.maximum(r - off, 0.0))
-        )
-        assert np.array_equal(fs.decay_bound(r), f.decay_bound(s * np.asarray(r)))
-        assert np.array_equal(
-            fs.grad_decay_bound(r), s * f.grad_decay_bound(s * np.asarray(r))
-        )
+    for n in (1, 2):
+        f = catalog(name, n=n)
+        pts = random_points(np.random.default_rng(27), 30, n=n)
+        fs = precompose_dilation(f, s)
+        assert np.array_equal(fs.eval(pts), f.eval(dilate(s, pts)))
+        assert np.array_equal(fs.analytic_hgrad(pts), s * f.analytic_hgrad(dilate(s, pts)))
+        if f.support_radius is None:
+            assert fs.support_radius is fs.decay_bound is fs.grad_decay_bound is None
+            continue
+        assert fs.support_radius == f.support_radius / s
+        for r in (rs, 1.5):
+            assert np.array_equal(fs.decay_bound(r), f.decay_bound(s * np.asarray(r)))
+            assert np.array_equal(
+                fs.grad_decay_bound(r), s * f.grad_decay_bound(s * np.asarray(r))
+            )
 
 
 def test_affine_field_values():

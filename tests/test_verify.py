@@ -26,8 +26,6 @@ from heisbeta.verify import (
     run_lemma_suite,
 )
 
-from conftest import random_points
-
 CHEAP = HarnessConfig(
     spec=QuadSpec(mode="grid", grid_per_axis=10),
     norm_dirs=8,
@@ -113,6 +111,20 @@ def test_harness_config_validation():
     assert cfg.sweep_spec.samples == 4096
     assert cfg.scale_grid.count > 0 and cfg.t_grid.count > 0
     assert cfg.base_params()["sweep_samples"] == 4096
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param("norm_dirs", 0, id="norm_dirs-0"),
+    pytest.param("norm_dirs", -3, id="norm_dirs-negative"),
+    pytest.param("norm_per_decade", 0, id="norm_per_decade-0"),
+    pytest.param("sweep_samples", 0, id="sweep_samples-0"),
+])
+def test_harness_config_rejects_norm_settings_below_1(key, value):
+    """No direction, shell or sweep sample means no norm: the config says
+    so by name instead of dividing by zero, sweeping all but |value|
+    directions or rounding up to one shell later on."""
+    with pytest.raises(ValueError, match=f"^{key} must be >= 1, got {value}$"):
+        HarnessConfig(**{key: value})
 
 
 def test_dorronsoro_rejects_inadmissible_exponents():
@@ -463,6 +475,21 @@ def test_covariance_placement_pick_does_not_follow_the_tile_layout(monkeypatch):
         assert rhs2 == pytest.approx(rhs, rel=1e-12, abs=0.0), args
 
 
+def test_g_pointwise_pick_does_not_follow_the_tile_layout(monkeypatch):
+    """At n = 2 on grid 8 every g-pointwise point is exact to a few ulps;
+    the tie tolerance reports the first valid one whatever tiles the
+    window sweeps were cut into."""
+    cfg = HarnessConfig(n=2, spec=QuadSpec(mode="grid", grid_per_axis=8))
+    one_ball = len(ball_template(2, cfg.spec).nodes)
+    reps = []
+    for budget in (one_ball, beta._NODE_BUDGET):
+        monkeypatch.setattr(beta, "_NODE_BUDGET", budget)
+        reps.append(verify._g_pointwise_report(cfg, "gaussian", 2.0))
+    (lhs, rhs), (lhs2, rhs2) = ((rep.lhs, rep.rhs) for rep in reps)
+    assert lhs2 == pytest.approx(lhs, rel=1e-12, abs=0.0)
+    assert rhs2 == pytest.approx(rhs, rel=1e-12, abs=0.0)
+
+
 def test_worst_case_picks_the_first_valid_maximum():
     cases = [(3.0, 1.0, False), (1.0, 2.0, True), (2.0, 4.0, True), (0.5, 2.0, True)]
     assert verify._worst_case(cases) == (1.0, 2.0)
@@ -472,11 +499,13 @@ def test_worst_case_picks_the_first_valid_maximum():
     assert verify._worst_case([(1.0, 1.0, True)], verify._off_one) == (1.0, 1.0)
     assert verify._worst_case([(5.0, 1.0, False)]) == (0.0, 0.0)
     assert verify._worst_case([]) == (0.0, 0.0)
-    # scores within the tie tolerance tie; a larger gap still displaces
+    # scores within _TIE tie, for every score; a larger gap still displaces
     cases = [(1.0, 1.0, True), (1.0 + 1e-15, 1.0, True), (1.1, 1.0, True)]
-    assert verify._worst_case(cases[:2], verify._off_one, 1e-12) == (1.0, 1.0)
-    assert verify._worst_case(cases[:2], verify._off_one) == (1.0 + 1e-15, 1.0)
-    assert verify._worst_case(cases, verify._off_one, 1e-12) == (1.1, 1.0)
+    assert verify._worst_case(cases[:2], verify._off_one) == (1.0, 1.0)
+    assert verify._worst_case(cases[:2]) == (1.0, 1.0)
+    assert verify._worst_case(cases, verify._off_one) == (1.1, 1.0)
+    gap = [(1.0, 1.0, True), (1.0 + 4 * verify._TIE, 1.0, True)]
+    assert verify._worst_case(gap) == (1.0 + 4 * verify._TIE, 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -550,18 +579,23 @@ def test_power_head_dead_and_divergent_cases():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_grad_magnitude_evaluates_the_gradient_once_with_the_same_bits(n):
-    """|grad_H f| from one horizontal_gradient call equals the sum
-    0 + (X_1 f)^2 + ... + (X_2n f)^2 of separate horizontal_derivative
-    calls, for an analytic gradient and for central differences."""
+    """The rhs of both ratios takes |grad_H f| from one horizontal_gradient
+    call, with the bits of sqrt(0 + (X_1 f)^2 + ... + (X_2n f)^2) from
+    separate horizontal_derivative calls, for an analytic gradient and for
+    central differences."""
     f = catalog("vertical-wave", n=n, omega=2.0)
-    pts = random_points(np.random.default_rng(59), 64, n=n, z_extent=1.5, t_extent=1.0)
+    cfg = replace(CHEAP, n=n, spec=QuadSpec(mode="grid", grid_per_axis=6))
+    polar = cfg.domain()
     calls = []
     counted = replace(f, analytic_hgrad=lambda p: calls.append(p) or f.analytic_hgrad(p))
-    bare = lambda p: f.eval(p)  # no analytic gradient: central differences
+    bare = replace(f, analytic_hgrad=None)  # central differences
     for field in (counted, bare):
-        want = np.sqrt(sum(
-            horizontal_derivative(field, j, pts) ** 2 for j in range(1, 2 * n + 1)
+        mag = np.sqrt(sum(
+            horizontal_derivative(field, j, polar.pts) ** 2 for j in range(1, 2 * n + 1)
         ))
-        calls.clear()
-        assert np.array_equal(verify._grad_magnitude(field, pts), want)
-        assert len(calls) == (1 if field is counted else 0)
+        want = shell_lp(mag, polar.vols, 2.0)[0]
+        for sides in (lambda: verify._dorronsoro_sides(field, 2.0, 1.0, cfg, polar, 1.0),
+                      lambda: verify._poincare_sides(field, 2.0, cfg, polar, 1.0)):
+            calls.clear()
+            assert sides()[1] == want
+            assert len(calls) == (1 if field is counted else 0)
