@@ -84,17 +84,17 @@ def _run_tiles(tile, tiles, workers: int) -> None:
                 stop.set()
                 return
 
-    helpers = [
-        threading.Thread(target=contextvars.copy_context().run, args=(drain,))
-        for _ in range(min(workers, len(tiles)) - 1)
-    ]
-    for helper in helpers:
-        helper.start()
-    try:
+    started = []
+    try:  # a helper that fails to start stops those that did
+        for _ in range(min(workers, len(tiles)) - 1):
+            helper = threading.Thread(target=contextvars.copy_context().run,
+                                      args=(drain,))
+            helper.start()
+            started.append(helper)
         drain()
     finally:
         stop.set()
-        for helper in helpers:
+        for helper in started:
             helper.join()
     if failures:
         raise failures[min(failures)]

@@ -9,6 +9,7 @@ relies on those certificates and reports infinite bounds without them.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -139,8 +140,8 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def _affine(n: int, a, b: float) -> ScalarField:
-    a = np.asarray(a, dtype=float)
+def _affine(n: int, a=None, b: float = 1.0) -> ScalarField:
+    a = np.ones(2 * n) if a is None else np.asarray(a, dtype=float)
     if a.shape != (2 * n,):
         raise ValueError(f"affine coefficient vector must have length {2 * n}")
     b = float(b)
@@ -158,7 +159,7 @@ def _affine(n: int, a, b: float) -> ScalarField:
     return ScalarField(label="affine", n=n, eval=ev, analytic_hgrad=grad)
 
 
-def _vertical_wave(n: int, omega: float) -> ScalarField:
+def _vertical_wave(n: int, omega: float = 1.0) -> ScalarField:
     omega = float(omega)
     if not np.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega!r}")
@@ -200,7 +201,7 @@ def _vertical_wave(n: int, omega: float) -> ScalarField:
     )
 
 
-def _coordinate(n: int, axis) -> ScalarField:
+def _coordinate(n: int, axis=1) -> ScalarField:
     if axis == "t":
         def ev(p):
             p = np.asarray(p, dtype=float)
@@ -229,7 +230,7 @@ def _coordinate(n: int, axis) -> ScalarField:
     return ScalarField(label=f"coordinate(z{j})", n=n, eval=ev, analytic_hgrad=grad)
 
 
-def _quadratic(n: int, j: int, k: int) -> ScalarField:
+def _quadratic(n: int, j: int = 1, k: int = 1) -> ScalarField:
     j, k = _integer(j, "quadratic index j"), _integer(k, "quadratic index k")
     if not (1 <= j <= 2 * n and 1 <= k <= 2 * n):
         raise ValueError(f"quadratic indices must lie in 1..{2 * n}")
@@ -249,19 +250,12 @@ def _quadratic(n: int, j: int, k: int) -> ScalarField:
 
 
 _BUILDERS = {
-    "gaussian": (_gaussian, set()),
-    "bump": (_bump, set()),
-    "affine": (_affine, {"a", "b"}),
-    "vertical-wave": (_vertical_wave, {"omega"}),
-    "coordinate": (_coordinate, {"axis"}),
-    "quadratic": (_quadratic, {"j", "k"}),
-}
-
-_DEFAULTS = {
-    "affine": {"b": 1.0},
-    "vertical-wave": {"omega": 1.0},
-    "coordinate": {"axis": 1},
-    "quadratic": {"j": 1, "k": 1},
+    "gaussian": _gaussian,
+    "bump": _bump,
+    "affine": _affine,
+    "vertical-wave": _vertical_wave,
+    "coordinate": _coordinate,
+    "quadratic": _quadratic,
 }
 
 
@@ -269,24 +263,18 @@ def catalog(name: str, n: int = 1, **params) -> ScalarField:
     """Build a named test field on H^n.
 
     Names: gaussian, bump, affine (params a, b), vertical-wave (param omega),
-    coordinate (param axis: 't' or 1..2n), quadratic (params j, k).
+    coordinate (param axis: 't' or 1..2n), quadratic (params j, k).  The
+    params and their defaults are the builder's keyword parameters.
     """
     if name not in _BUILDERS:
         raise ValueError(
             f"unknown field {name!r}; choose from {sorted(_BUILDERS)}"
         )
-    builder, allowed = _BUILDERS[name]
-    merged = dict(_DEFAULTS.get(name, {}))
-    merged.update(params)
-    if name == "affine" and "a" not in merged:
-        merged["a"] = np.ones(2 * n)
-    extra = set(merged) - allowed
+    builder = _BUILDERS[name]
+    extra = set(params) - set(inspect.signature(builder).parameters)
     if extra:
         raise ValueError(f"unexpected parameters for {name!r}: {sorted(extra)}")
-    missing = allowed - set(merged)
-    if missing:
-        raise ValueError(f"missing parameters for {name!r}: {sorted(missing)}")
-    return builder(n, **merged)
+    return builder(n, **params)
 
 
 def precompose_dilation(f: ScalarField, s: float) -> ScalarField:

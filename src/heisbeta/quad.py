@@ -185,19 +185,17 @@ def _mc_ball_template(n: int, samples: int, seed: int) -> BallTemplate:
     return _template(rows.reshape(dim, -1), units, orbit)
 
 
-def _midpoint_mesh(dim: int, per_axis: int, coordinate_major: bool = False) -> Array:
-    """Midpoint tensor mesh of [-1, 1]^dim, shape (per_axis^dim, dim), or
-    (dim, per_axis^dim) when coordinate_major, formed in one array:
-    meshgrid's broadcast views are stacked without copies."""
+def _midpoint_mesh(dim: int, per_axis: int) -> Array:
+    """Midpoint tensor mesh of [-1, 1]^dim, coordinate-major, shape
+    (dim, per_axis^dim), formed in one array: meshgrid's broadcast views
+    are stacked without copies."""
     mids = (2.0 * np.arange(per_axis) + 1.0) / per_axis - 1.0
     mesh = np.meshgrid(*[mids] * dim, indexing="ij", copy=False)
-    if coordinate_major:
-        return np.stack(mesh).reshape(dim, -1)
-    return np.stack(mesh, axis=-1).reshape(-1, dim)
+    return np.stack(mesh).reshape(dim, -1)
 
 
 def _grid_ball_template(n: int, per_axis: int, with_coarse: bool = True) -> BallTemplate:
-    mesh = _midpoint_mesh(2 * n + 1, per_axis, coordinate_major=True)
+    mesh = _midpoint_mesh(2 * n + 1, per_axis)
     mesh[-1] *= 0.25
     zsq = (mesh[:-1] ** 2).sum(axis=0)
     rows = np.compress(zsq * zsq + 16.0 * mesh[-1] ** 2 <= 1.0, mesh, axis=1)
@@ -352,8 +350,7 @@ class PolarDomain:
 def polar_domain(n, rho_min, rho_max, per_decade, n_dirs, spec) -> PolarDomain:
     big_q = 2 * n + 2
     c_n = _ball_constant(n)[0]
-    decades = math.log10(rho_max / rho_min)
-    count = max(1, round(decades * per_decade))
+    count = ScaleGrid(rho_min, rho_max, per_decade).count
     edges = rho_min * (rho_max / rho_min) ** (np.arange(count + 1) / count)
     rho = np.sqrt(edges[:-1] * edges[1:])
     vols = c_n * (edges[1:] ** big_q - edges[:-1] ** big_q)
@@ -515,18 +512,19 @@ def ball_volume(r: float, n: int = 1) -> float:
 
 
 def box_nodes(n: int, box_radius: float, spec: QuadSpec) -> Array:
-    """Grid midpoint nodes for the gauge box |z_j| <= R, |t| <= R^2: the
-    unit mesh scaled in place by R, its t column once more by R."""
+    """Grid midpoint nodes for the gauge box |z_j| <= R, |t| <= R^2, shape
+    (per_axis^(2n+1), 2n+1): the transpose view of the coordinate-major unit
+    mesh, scaled in place by R, its t row once more by R."""
     if spec.mode != "grid":
         raise ValueError(f"the box quadrature is grid-only, got mode {spec.mode!r}")
     if box_radius <= 0:
         raise ValueError(f"box_radius must be positive, got {box_radius}")
     dim = 2 * n + 1
     _check_node_count(n, spec.grid_per_axis**dim)
-    out = _midpoint_mesh(dim, spec.grid_per_axis)
-    out *= box_radius
-    out[:, -1] *= box_radius
-    return out
+    mesh = _midpoint_mesh(dim, spec.grid_per_axis)
+    mesh *= box_radius
+    mesh[-1] *= box_radius
+    return mesh.T
 
 
 def box_volume(n: int, box_radius: float) -> float:

@@ -39,6 +39,9 @@ from .quad import (
 from .squarefn import _square_from_profile, g_alpha, g_window_values, gradient_comparison
 
 _DEGENERATE_RHS = 1e-12
+# inner edge of the norm domain's shells; the ball below it is the core
+# that domain_truncation accounts for
+_RHO_MIN = 0.02
 _IDENTITY_TOL = 1e-2
 # An identity verified with shared noise says nothing about correctness
 # unless the budget could have resolved a violation at the tolerance.
@@ -132,7 +135,7 @@ class HarnessConfig:
     sweep_samples proposals; common random numbers keep identity ratios
     exact at any cap, and fixture values record the capped budget.  The
     truncated domain for norms is the gauge ball of radius 2 * box_radius,
-    discretized by norm_per_decade log shells from rho_min outward and
+    discretized by norm_per_decade log shells from _RHO_MIN outward and
     norm_dirs template directions per shell.  workers is the thread count
     of the sweeps that span many tiles; it never changes a result bit and
     stays out of every report's params.
@@ -153,7 +156,6 @@ class HarnessConfig:
     sweep_samples: int = 8192
     norm_dirs: int = 32
     norm_per_decade: int = 8
-    rho_min: float = 0.02
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -165,9 +167,10 @@ class HarnessConfig:
             raise ValueError(f"q must be finite and at least 1, got {self.q}")
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if not 0.0 < self.box_radius < math.inf:
+        if not _RHO_MIN / 2.0 < self.box_radius < math.inf:
             raise ValueError(
-                f"box_radius must be finite and positive, got {self.box_radius}"
+                f"box_radius must be finite and exceed {_RHO_MIN / 2.0}, half "
+                f"the innermost norm shell, got {self.box_radius}"
             )
         # the norm domain's volume c_n (2R)^Q must be a float: c_n from its
         # closed form, with a tenth to spare for the recorded estimate the
@@ -179,11 +182,6 @@ class HarnessConfig:
             raise ValueError(
                 f"box_radius {self.box_radius} overflows the domain volume "
                 f"c_n (2 box_radius)^{big_q}"
-            )
-        if not 0.0 < self.rho_min < 2.0 * self.box_radius:
-            raise ValueError(
-                f"rho_min must lie in (0, 2 * box_radius) = (0, {2.0 * self.box_radius}),"
-                f" got {self.rho_min}"
             )
         for key in ("sweep_samples", "norm_dirs", "norm_per_decade", "workers"):
             if getattr(self, key) < 1:
@@ -205,7 +203,7 @@ class HarnessConfig:
         """Gauge-polar quadrature of the truncated domain, the gauge ball
         of radius 2 * box_radius, with directions from the sweep template."""
         return polar_domain(
-            self.n, self.rho_min, 2.0 * self.box_radius, self.norm_per_decade,
+            self.n, _RHO_MIN, 2.0 * self.box_radius, self.norm_per_decade,
             self.norm_dirs, self.sweep_spec,
         )
 
@@ -238,19 +236,35 @@ def _certified(spec: QuadSpec) -> bool:
 def _norm_params(config: HarnessConfig) -> dict:
     return {
         "rho_max": 2.0 * config.box_radius,
-        "rho_min": config.rho_min,
+        "rho_min": _RHO_MIN,
         "norm_dirs": config.norm_dirs,
         "norm_per_decade": config.norm_per_decade,
     }
 
 
-def _window_truncation_factor(f, alpha, grid, spec, probe) -> float:
-    """Relative scale-window truncation measured at a probe point: the
-    pointwise square function's low/high truncation over its value."""
-    res = g_alpha(f, probe, alpha, grid, spec)
-    if not res.value > 0:
-        return 0.0
-    return math.sqrt(res.truncation_low**2 + res.truncation_high**2) / res.value
+def _gradient_side(f: ScalarField, pts, polar: PolarDomain, p: float, s: float):
+    """(s ||grad_H f||_p on the dilated domain points pts, its shell means):
+    the right side of both inequalities for f_s = f o delta_s, since
+    grad_H f_s(x) = s grad_H f(delta_s x)."""
+    rhs, means = shell_lp(np.linalg.norm(horizontal_gradient(f, pts), axis=-1),
+                          polar.vols, p)
+    return s * rhs, means
+
+
+def _ratio_report(name: str, f: ScalarField, p: float, config: HarnessConfig,
+                  polar: PolarDomain, lhs, rhs, rhs_means, lhs_trunc,
+                  extra: dict) -> RatioReport:
+    """The report of an inequality against rhs = ||grad_H f||_p: the rhs
+    truncation from its shell means, the norm domain in params, and a
+    degeneracy floor relative to lhs."""
+    rhs_trunc = domain_truncation(polar, rhs_means, p, 2 * config.n + 2)
+    params = config.base_params() | _norm_params(config) | {
+        "field": f.label, "p": p,
+    } | extra
+    return _report(
+        name, lhs, rhs, params, (lhs_trunc, rhs_trunc),
+        rhs_floor=_DEGENERATE_RHS * (1.0 + lhs),
+    )
 
 
 def _dorronsoro_sides(f: ScalarField, p: float, q: float,
@@ -271,9 +285,8 @@ def _dorronsoro_sides(f: ScalarField, p: float, q: float,
         ball_template(config.n, config.sweep_spec), workers=config.workers,
     )
     lhs, lhs_means = shell_lp(gvals, polar.vols, p)
-    rhs, rhs_means = shell_lp(np.linalg.norm(horizontal_gradient(f, pts), axis=-1),
-                              polar.vols, p)
-    return lhs, s * rhs, (lhs_means, rhs_means)
+    rhs, rhs_means = _gradient_side(f, pts, polar, p, s)
+    return lhs, rhs, (lhs_means, rhs_means)
 
 
 def _stability(name: str, s: float, base: RatioReport | None, base_run,
@@ -311,24 +324,17 @@ def dorronsoro_ratio(f: ScalarField, p: float, q: float,
             f"exponents p={p}, q={q} are outside the admissible window at "
             f"Q={gate.Q}"
         )
-    big_q = 2 * config.n + 2
     polar = config.domain()
     lhs, rhs, (lhs_means, rhs_means) = _dorronsoro_sides(f, p, q, config, polar, 1.0)
-    window = _window_truncation_factor(
-        f, 1.0, config.scale_grid, config.sweep_spec, polar.pts[0, 0]
-    )
-    lhs_trunc = domain_truncation(polar, lhs_means, p, big_q) + lhs * window
-    rhs_trunc = domain_truncation(polar, rhs_means, p, big_q)
-    params = config.base_params() | _norm_params(config) | {
-        "field": f.label,
-        "p": p,
-        "q": q,
-        "alpha": 1.0,
-    }
-    return _report(
-        "dorronsoro", lhs, rhs, params, (lhs_trunc, rhs_trunc),
-        rhs_floor=_DEGENERATE_RHS * (1.0 + lhs),
-    )
+    # relative scale-window truncation at a probe point: the pointwise
+    # square function's low/high truncation over its value
+    res = g_alpha(f, polar.pts[0, 0], 1.0, config.scale_grid, config.sweep_spec)
+    window = 0.0
+    if res.value > 0:
+        window = math.sqrt(res.truncation_low**2 + res.truncation_high**2) / res.value
+    lhs_trunc = domain_truncation(polar, lhs_means, p, 2 * config.n + 2) + lhs * window
+    return _ratio_report("dorronsoro", f, p, config, polar, lhs, rhs, rhs_means,
+                         lhs_trunc, {"q": q, "alpha": 1.0})
 
 
 def dorronsoro_stability(f: ScalarField, p: float, q: float,
@@ -383,10 +389,9 @@ def _poincare_sides(f: ScalarField, p: float, config: HarnessConfig,
     ivals = np.sum(polar.vols[None, :] * means, axis=1)
     jvals = ivals ** (2.0 / p) / ts
     lhs = float(np.sqrt(np.sum(jvals) * tgrid.log_step))
-    rhs, rhs_means = shell_lp(np.linalg.norm(horizontal_gradient(f, pts), axis=-1),
-                              polar.vols, p)
+    rhs, rhs_means = _gradient_side(f, pts, polar, p, s)
     fmeans = np.mean(np.abs(vals) ** p, axis=-1)
-    return lhs, s * rhs, (means, ivals, jvals, fmeans, rhs_means)
+    return lhs, rhs, (means, ivals, jvals, fmeans, rhs_means)
 
 
 def poincare_ratio(f: ScalarField, p: float, config: HarnessConfig) -> RatioReport:
@@ -409,8 +414,6 @@ def poincare_ratio(f: ScalarField, p: float, config: HarnessConfig) -> RatioRepo
     lhs, rhs, (means, ivals, jvals, fmeans, rhs_means) = _poincare_sides(
         f, p, config, polar, 1.0
     )
-    rhs_trunc = domain_truncation(polar, rhs_means, p, big_q)
-
     if not ivals.any():
         lhs_trunc = 0.0
     else:
@@ -427,17 +430,9 @@ def poincare_ratio(f: ScalarField, p: float, config: HarnessConfig) -> RatioRepo
             extra = power_tail(polar.rho, means[k], polar.rho_max, big_q, polar.c_n)
             loss += h * ((ivals[k] + extra) ** (2.0 / p) - ivals[k] ** (2.0 / p)) / ts[k]
         lhs_trunc = math.sqrt(head + tail_sq) + math.sqrt(loss)
-    params = config.base_params() | _norm_params(config) | {
-        "field": f.label,
-        "p": p,
-        "t_min": config.t_min,
-        "t_max": config.t_max,
-        "t_per_decade": config.t_per_decade,
-    }
-    return _report(
-        "poincare", lhs, rhs, params, (lhs_trunc, rhs_trunc),
-        rhs_floor=_DEGENERATE_RHS * (1.0 + lhs),
-    )
+    return _ratio_report("poincare", f, p, config, polar, lhs, rhs, rhs_means,
+                         lhs_trunc, {"t_min": config.t_min, "t_max": config.t_max,
+                                     "t_per_decade": config.t_per_decade})
 
 
 def poincare_stability(f: ScalarField, p: float, config: HarnessConfig,
@@ -507,7 +502,7 @@ def _identity_report(config, name, lhs, rhs, extra, rhs_floor=_DEGENERATE_RHS):
     } | extra
     return _report(
         name, lhs, rhs, params, rhs_floor=rhs_floor,
-        rule=lambda ratio: certified and abs(ratio - 1.0) <= _IDENTITY_TOL,
+        rule=lambda ratio: certified and _off_one(ratio) <= _IDENTITY_TOL,
     )
 
 
@@ -522,9 +517,8 @@ def _linked_lp_report(config: HarnessConfig, check: str, name: str, s: float,
     big_q = 2 * config.n + 2
     polar = config.domain()
     lhs = shell_lp(values(fs, polar.pts, 1.0), polar.vols, p)[0]
-    rhs_means = shell_lp(values(f, dilate(s, polar.pts), s), polar.vols, p)[1]
-    rhs_int = float(np.sum(s**big_q * polar.vols * rhs_means))
-    rhs = s ** (gain - big_q / p) * rhs_int ** (1.0 / p)
+    rhs = s ** (gain - big_q / p) * shell_lp(
+        values(f, dilate(s, polar.pts), s), s**big_q * polar.vols, p)[0]
     params = {"check": check, "field": f.label, "s": s} | extra | {"p": p}
     return _identity_report(config, f"{check}:{name}:s={s:g}", lhs, rhs,
                             _norm_params(config) | params)

@@ -1,5 +1,6 @@
 """Beta numbers: annihilation, covariance, profiles, monotonicity ratios."""
 
+import itertools
 import math
 import threading
 import time
@@ -641,3 +642,90 @@ def test_monotonicity_ball_list_names_the_violated_pair():
         check_monotonicity(f, (xs, np.full(5, 0.5)), (x2, np.ones(5)), spec=GRID)
     with pytest.raises(ValueError, match="do not match"):
         check_monotonicity(f, (xs, np.full(4, 0.5)), (x2, np.ones(5)), spec=GRID)
+
+
+def test_a_helper_that_fails_to_start_stops_the_started_ones(monkeypatch):
+    """When a helper thread cannot start (say, "can't start new thread"
+    under a large worker count), the error surfaces and the helpers that did
+    start claim no further tile and are joined."""
+    real_start = threading.Thread.start
+    attempts, started, ran = [], [], []
+
+    def start(self):
+        attempts.append(self)
+        if len(attempts) == 2:
+            raise RuntimeError("can't start new thread")
+        real_start(self)
+        started.append(self)
+
+    def tile(ks, rsl):
+        ran.append(ks)
+        time.sleep(0.01)
+
+    workers = 3
+    monkeypatch.setattr(threading.Thread, "start", start)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        beta._run_tiles(tile, [(k, slice(None)) for k in range(40)], workers)
+    monkeypatch.undo()
+    done = len(ran)
+    time.sleep(0.2)
+    assert len(ran) == done <= 2
+    assert len(started) == 1 < workers
+    assert not any(helper.is_alive() for helper in started)
+
+
+def _t_moment(tpl, q):
+    return float(np.mean(np.abs(tpl.nodes[:, -1]) ** q) ** (1.0 / q))
+
+
+def _t_moment_closed_form(n, q):
+    """(mean of |u_t|^q over the gauge unit ball)^(1/q):
+    Q/(Q+2q) 4^-q B((q+1)/2, n/2) / B(1/2, n/2)."""
+    big_q = 2 * n + 2
+
+    def log_beta(a, b):
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+    moment = (big_q / (big_q + 2 * q) * 4.0**-q
+              * math.exp(log_beta((q + 1) / 2, n / 2) - log_beta(0.5, n / 2)))
+    return moment ** (1.0 / q)
+
+
+@pytest.mark.parametrize("n, per_axis", [(1, 24), (2, 12)])
+@pytest.mark.parametrize("mode", ["montecarlo", "grid"])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_beta_of_the_vertical_coordinate_is_exact(n, per_axis, mode, q):
+    """f = t on x * delta_r(u) is x_t + r W(x, u_z) + r^2 u_t with W linear
+    in u_z, so on a sign-symmetric template the degree-1 fit takes all but
+    r^2 u_t: beta_{t,1,q}(B(x, r)) = r^2 (mean_tpl |u_t|^q)^(1/q) at every
+    center, through every sweep entry point."""
+    spec = QuadSpec(mode=mode, samples=8192, grid_per_axis=per_axis)
+    tpl = ball_template(n, spec)
+    moment = _t_moment(tpl, q)
+    f = catalog("coordinate", n=n, axis="t")
+    xs = random_points(np.random.default_rng(4), 6, n=n)
+    rs = np.geomspace(0.25, 4.0, 5)
+    balls = rs[None, :] * (1.0 + 0.3 * np.arange(6))[:, None]  # one row per center
+    for radii, want_se in itertools.product((rs, balls), (True, False)):
+        got = scale_sweep(f, xs, radii, 1, q, tpl, want_se=want_se)["beta"]
+        np.testing.assert_allclose(got, np.broadcast_to(radii**2, got.shape) * moment,
+                                   rtol=1e-12, atol=0.0)
+    grid = ScaleGrid(0.25, 4.0, 2)
+    np.testing.assert_allclose(beta_profile(f, xs[0], 1, q, grid, spec).values,
+                               grid.nodes() ** 2 * moment, rtol=1e-12, atol=0.0)
+    assert beta_number(f, xs[1], 0.7, 1, q, spec)[0] == pytest.approx(
+        0.49 * moment, rel=1e-12, abs=0.0)
+    # the template moment is the ball's within the template's own error:
+    # 3 orbit standard errors of the q-th moment for Monte Carlo, and for a
+    # midpoint mesh the share of boundary cells, O(1 / per_axis)
+    exact = _t_moment_closed_form(n, q)
+    if mode == "montecarlo":
+        se = float(mean_stderr(np.abs(tpl.nodes[:, -1]) ** q, tpl))
+        assert abs(moment**q - exact**q) <= 3.0 * se
+    else:
+        assert abs(moment**q / exact**q - 1.0) <= 1.0 / per_axis
+
+
+def test_t_moment_closed_form_at_n1():
+    assert _t_moment_closed_form(1, 1.0) == pytest.approx(1.0 / (3.0 * math.pi), rel=1e-14)
+    assert _t_moment_closed_form(1, 2.0) == pytest.approx(0.125, rel=1e-14)

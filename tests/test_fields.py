@@ -44,6 +44,35 @@ def test_catalog_rejects_unknown_names_and_params():
     assert catalog("coordinate", axis=2.0).label == "coordinate(z2)"
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_catalog_defaults_are_the_builders_defaults(n):
+    """A name without params builds the field of its builder's keyword
+    defaults: a = (1, ..., 1) and b = 1 for affine, omega = 1, axis = 1,
+    j = k = 1."""
+    explicit = {
+        "gaussian": ({}, "gaussian"),
+        "bump": ({}, "bump"),
+        "affine": ({"a": np.ones(2 * n), "b": 1.0}, "affine"),
+        "vertical-wave": ({"omega": 1.0}, "vertical-wave(omega=1)"),
+        "coordinate": ({"axis": 1}, "coordinate(z1)"),
+        "quadratic": ({"j": 1, "k": 1}, "quadratic(z1*z1)"),
+    }
+    pts = random_points(np.random.default_rng(8), 64, n=n, z_extent=1.2, t_extent=1.5)
+    for name, (params, label) in explicit.items():
+        f, g = catalog(name, n=n), catalog(name, n=n, **params)
+        assert f.label == g.label == label
+        assert np.array_equal(f.eval(pts), g.eval(pts))
+        assert np.array_equal(f.analytic_hgrad(pts), g.analytic_hgrad(pts))
+    # one param of two keeps the other's default
+    assert np.array_equal(catalog("affine", n=n, b=0.0).eval(pts),
+                          catalog("affine", n=n, a=np.ones(2 * n), b=0.0).eval(pts))
+    for name, params in (("gaussian", {"sigma": 2.0}), ("affine", {"c": 1, "b": 0})):
+        key = sorted(set(params) - {"b"})
+        with pytest.raises(ValueError) as info:
+            catalog(name, n=n, **params)
+        assert str(info.value) == f"unexpected parameters for {name!r}: {key}"
+
+
 @pytest.mark.parametrize("name", SMOOTH)
 @pytest.mark.parametrize("n", [1, 2])
 def test_analytic_gradient_matches_difference_quotient(name, n):

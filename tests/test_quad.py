@@ -404,7 +404,7 @@ def test_grid_templates_and_boxes_keep_the_meshgrid_bits(n):
 
 def test_ball_grid_that_keeps_no_node_is_rejected():
     def keeps_a_node(n, p):
-        mesh = _midpoint_mesh(2 * n + 1, p)
+        mesh = _midpoint_mesh(2 * n + 1, p).T
         mesh[:, -1] *= 0.25
         zsq = (mesh[:, :-1] ** 2).sum(axis=1)
         return bool(np.any(zsq * zsq + 16.0 * mesh[:, -1] ** 2 <= 1.0))

@@ -102,10 +102,12 @@ def test_harness_config_validation():
     for key in ("p", "q", "box_radius"):
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             HarnessConfig(**{key: math.inf})
-    with pytest.raises(ValueError, match="rho_min"):
-        HarnessConfig(rho_min=10.0, box_radius=1.0)
+    # the domain of radius 2 * box_radius must reach past its core, _RHO_MIN
+    with pytest.raises(ValueError, match="box_radius must be finite and exceed"):
+        HarnessConfig(box_radius=0.005)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         HarnessConfig(workers=0)
+    assert verify._norm_params(HarnessConfig(box_radius=0.5))["rho_min"] == 0.02
     assert "workers" not in HarnessConfig(workers=3).base_params()
     cfg = HarnessConfig(spec=QuadSpec(samples=100_000), sweep_samples=4096)
     assert cfg.sweep_spec.samples == 4096
@@ -125,6 +127,36 @@ def test_harness_config_rejects_norm_settings_below_1(key, value):
     directions or rounding up to one shell later on."""
     with pytest.raises(ValueError, match=f"^{key} must be >= 1, got {value}$"):
         HarnessConfig(**{key: value})
+
+
+def test_norm_shells_above_the_ceiling_are_rejected_before_allocation():
+    # 2.6 decades at 1e7 shells each: 2.6e7 shells of 32 directions would
+    # be about 20 GB of domain points
+    config = HarnessConfig(norm_per_decade=10**7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the ceiling") as info:
+            config.domain()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "\n" not in str(info.value)
+    assert peak < 2**20
+
+
+def test_both_inequalities_share_one_gradient_side():
+    """Dorronsoro and Poincare compare against the same ||grad_H f||_p:
+    one rhs, one rhs truncation and one norm-domain echo, bit for bit, and
+    the same s ||grad_H f||_p on the dilated points of a stability run."""
+    f = catalog("gaussian")
+    dor = dorronsoro_ratio(f, 2.0, 2.0, CHEAP)
+    poi = poincare_ratio(f, 2.0, CHEAP)
+    assert (dor.rhs, dor.truncation[1]) == (poi.rhs, poi.truncation[1])
+    for key in ("field", "p", "rho_min", "rho_max", "norm_dirs", "norm_per_decade"):
+        assert dor.params[key] == poi.params[key]
+    polar = CHEAP.domain()
+    assert (verify._dorronsoro_sides(f, 2.0, 2.0, CHEAP, polar, 2.0)[1]
+            == verify._poincare_sides(f, 2.0, CHEAP, polar, 2.0)[1])
 
 
 def test_dorronsoro_rejects_inadmissible_exponents():
