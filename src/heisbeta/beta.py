@@ -225,18 +225,14 @@ def _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers, 
             if q != 1.0:
                 np.power(res, q, out=res)
         s = res.mean(axis=-1)
-        out["beta"][ks, rsl] = s if q == 1.0 else s ** (1.0 / q)
+        out["beta"][ks, rsl] = s ** (1.0 / q)
         out["mean"][ks, rsl] = b
         if want_se:
             se_s = mean_stderr(res, template)
-            if q == 1.0:
-                se = se_s
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    se = np.where(
-                        s > 0, se_s * s ** (1.0 / q - 1.0) / q, se_s ** (1.0 / q)
-                    )
-            out["beta_se"][ks, rsl] = se
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out["beta_se"][ks, rsl] = np.where(
+                    s > 0, se_s * s ** (1.0 / q - 1.0) / q, se_s ** (1.0 / q)
+                )
 
     tiles = list(itertools.product(_blocks(k, kstep), _blocks(nr, rstep)))
     _run_tiles(tile, tiles, workers)

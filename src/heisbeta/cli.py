@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import dataclasses
 from dataclasses import dataclass, fields, replace
@@ -123,7 +122,10 @@ def _parse_scalar(text: str):
     """Best-effort typed value for a field parameter: int, float,
     comma-separated float tuple, or the raw string."""
     if "," in text:
-        return tuple(float(part) for part in text.split(","))
+        try:
+            return tuple(float(part) for part in text.split(","))
+        except ValueError:
+            raise UsageError(f"bad field parameter list: {text!r}") from None
     for cast in (int, float):
         try:
             return cast(text)
@@ -260,10 +262,6 @@ def parse_config(argv=None) -> RunConfig:
     if args.field is not None:
         # the flag names a complete field; stale file params must not leak in
         settings["field"], settings["field_params"] = _parse_field_flag(args.field)
-    if "workers" not in settings:
-        env = os.environ.get("HEIS_BETA_WORKERS")
-        if env:
-            settings["workers"] = _coerce("workers", env)
     return _validated(RunConfig(**settings))
 
 
@@ -399,19 +397,7 @@ def _report_rows(reports):
         (rep.name, rep.lhs, rep.rhs, rep.ratio, rep.degenerate)
         for rep in reports
     ]
-    dicts = [
-        _json_safe({
-            "name": rep.name,
-            "lhs": rep.lhs,
-            "rhs": rep.rhs,
-            "ratio": rep.ratio,
-            "degenerate": rep.degenerate,
-            "truncation": list(rep.truncation),
-            "params": rep.params,
-        })
-        for rep in reports
-    ]
-    return columns, rows, dicts
+    return columns, rows, [_json_safe(dataclasses.asdict(rep)) for rep in reports]
 
 
 # ---------------------------------------------------------------------------

@@ -87,14 +87,14 @@ def distance(a: Point, b: Point) -> np.ndarray:
     return gauge(group_mul(inverse(a), b))
 
 
-def horizontal_derivative(f, j: int, x: Point, h: float | np.ndarray | None = None):
+def horizontal_derivative(f, j: int, x: Point):
     """Derivative of f along the j-th horizontal frame X_j at x.
 
     j is 1-based and runs over 1..2n (the first n index x-type directions,
     the rest y-type).  If f carries an analytic_hgrad attribute that is used
     directly; otherwise a group-native central difference
     [f(x * (h e_j, 0)) - f(x * (-h e_j, 0))] / (2h) is taken, which converges
-    to X_j f(x) with O(h^2) error for smooth f.  The default step is
+    to X_j f(x) with O(h^2) error for smooth f, at the step
     h = 1e-4 * (1 + N(x)).
     """
     x = np.asarray(x, dtype=float)
@@ -105,11 +105,7 @@ def horizontal_derivative(f, j: int, x: Point, h: float | np.ndarray | None = No
     if grad is not None:
         return grad(x)[..., j - 1]
     ev = getattr(f, "eval", f)
-    if h is None:
-        h = 1e-4 * (1.0 + gauge(x))
-    h = np.asarray(h, dtype=float)
-    if np.any(h <= 0):
-        raise ValueError(f"step size must be positive, got {h!r}")
+    h = np.asarray(1e-4 * (1.0 + gauge(x)), dtype=float)
     step = np.zeros(x.shape[-1])
     step[j - 1] = 1.0
     val = (

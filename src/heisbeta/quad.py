@@ -456,15 +456,8 @@ def mean_stderr(vals: Array, template: BallTemplate) -> Array:
     if template.orbit == 1:
         return np.zeros(np.shape(vals)[:-1])
     a = vals.reshape(vals.shape[:-1] + (template.units, template.orbit))
-    if template.orbit == 8:
-        # the 8 orbit members as strided slices, summed in numpy's pairwise
-        # order: the bits of a.mean(axis=-1) at half its cost; from orbit 32
-        # (n = 2) up, numpy's own reduction is the faster one
-        s = [a[..., i] for i in range(8)]
-        w = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]))
-        w /= 8
-    else:
-        w = a.mean(axis=-1)
+    # orbit means as one product; 1/orbit is exact, the orbit being 2^(2n+1)
+    w = a @ np.full(template.orbit, 1.0 / template.orbit)
     if template.units < 2:
         return np.full(np.shape(vals)[:-1], np.inf)
     return w.std(axis=-1, ddof=1) / math.sqrt(template.units)

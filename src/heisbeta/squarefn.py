@@ -125,11 +125,8 @@ def _square_function(f, x, alpha, grid, spec, d, centered,
     sweep = scale_sweep(f, x[None], rs, d, 1.0, tpl, center_vals=fx, want_se=want_se)
     key = "cdiff" if centered else "beta"
     coef, prof = rs**-alpha, sweep[key][0]
-    if want_se:
-        value, stderr = _square_from_profile(coef, grid.log_step, prof,
-                                             sweep[key + "_se"][0])
-    else:
-        value, stderr = _square_from_profile(coef, grid.log_step, prof), 0.0
+    # without want_se the error row is all zeros, and so is stderr
+    value, stderr = _square_from_profile(coef, grid.log_step, prof, sweep[key + "_se"][0])
     floor = _ANNIHILATION * (1.0 + float(sweep["amax"][0].max(initial=0.0)))
     if float(prof.max(initial=0.0)) <= floor:
         low = high = 0.0

@@ -1,4 +1,5 @@
-"""Shared test helpers: seeded point clouds and committed fixtures."""
+"""Shared test helpers: seeded point clouds, committed fixtures and a strict
+JSON reader for CLI output."""
 
 import json
 import pathlib
@@ -26,3 +27,13 @@ def random_points(rng, count, n=1, z_extent=2.0, t_extent=4.0):
 def rel_err(a, b):
     denom = np.maximum(np.abs(a), np.abs(b))
     return np.abs(a - b) / np.where(denom > 0, denom, 1.0)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def strict_json(text):
+    """json.loads that rejects the NaN, Infinity and -Infinity tokens, which
+    are not JSON; the CLI writes non-finite numbers as strings."""
+    return json.loads(text, parse_constant=_reject_constant)

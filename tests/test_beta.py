@@ -14,7 +14,7 @@ from heisbeta import beta
 from heisbeta.beta import beta_number, beta_profile, check_monotonicity, scale_sweep
 from heisbeta.fields import catalog, precompose_dilation
 from heisbeta.hgroup import dilate, group_mul
-from heisbeta.affine import fit_moment, fit_normal_equations
+from heisbeta.affine import fit_from_values, fit_moment, fit_normal_equations
 from heisbeta.quad import (QuadSpec, ScaleGrid, ball_template, ball_values, mean_stderr,
                            twist_nodes)
 from heisbeta.squarefn import g_alpha, g_window_values, gradient_comparison, s_alpha
@@ -691,7 +691,25 @@ def _t_moment_closed_form(n, q):
     return moment ** (1.0 / q)
 
 
-@pytest.mark.parametrize("n, per_axis", [(1, 24), (2, 12)])
+def test_q1_error_estimate_is_the_residual_stderr():
+    """At q = 1 the general rule se * s^(1/q - 1) / q is the orbit standard
+    error of |residual| itself, to the bit."""
+    tpl = ball_template(1, QuadSpec(samples=20_000))
+    f = catalog("gaussian")
+    x, r = np.array([0.3, -0.2, 0.5]), 0.8
+    vals = ball_values(f, x, [r], tpl)
+    for d in (0, 1):
+        b, a = fit_from_values(vals, tpl, 1.0, d)
+        res = vals - b[..., None]
+        if d == 1:
+            res -= a @ tpl.nodes[:, :-1].T
+        res = np.abs(res)
+        out = scale_sweep(f, x, [r], d, 1.0, tpl)
+        assert out["beta"][0, 0] == res.mean(axis=-1)[0, 0]
+        assert out["beta_se"][0, 0] == mean_stderr(res, tpl)[0, 0]
+
+
+@pytest.mark.parametrize("n, per_axis", [(1, 24), (2, 12), (3, 6)])
 @pytest.mark.parametrize("mode", ["montecarlo", "grid"])
 @pytest.mark.parametrize("q", [1.0, 2.0])
 def test_beta_of_the_vertical_coordinate_is_exact(n, per_axis, mode, q):
@@ -699,7 +717,9 @@ def test_beta_of_the_vertical_coordinate_is_exact(n, per_axis, mode, q):
     in u_z, so on a sign-symmetric template the degree-1 fit takes all but
     r^2 u_t: beta_{t,1,q}(B(x, r)) = r^2 (mean_tpl |u_t|^q)^(1/q) at every
     center, through every sweep entry point."""
-    spec = QuadSpec(mode=mode, samples=8192, grid_per_axis=per_axis)
+    # at n = 3, 8,192 proposals keep 4 orbits and 10^6 keep 387
+    samples = 1_000_000 if n == 3 else 8192
+    spec = QuadSpec(mode=mode, samples=samples, grid_per_axis=per_axis)
     tpl = ball_template(n, spec)
     moment = _t_moment(tpl, q)
     f = catalog("coordinate", n=n, axis="t")
@@ -729,3 +749,62 @@ def test_beta_of_the_vertical_coordinate_is_exact(n, per_axis, mode, q):
 def test_t_moment_closed_form_at_n1():
     assert _t_moment_closed_form(1, 1.0) == pytest.approx(1.0 / (3.0 * math.pi), rel=1e-14)
     assert _t_moment_closed_form(1, 2.0) == pytest.approx(0.125, rel=1e-14)
+
+
+def _z_moments_closed_form(n):
+    """(E u_j^2, E u_j^2 u_k^2 for j != k, E u_j^4) over the gauge unit ball.
+    In gauge-polar coordinates z = rho sqrt(cos theta) zeta with zeta on
+    S^(2n-1), where E zeta_j^2 zeta_k^2 = 1/(2n(2n+2)) and E zeta_j^4 is
+    three times that."""
+    big_q = 2 * n + 2
+    second = (big_q / (big_q + 2) * math.exp(
+        math.lgamma((n + 1) / 2) - math.lgamma(n / 2 + 1)
+        - math.lgamma(n / 2) + math.lgamma((n + 1) / 2)) / (2 * n))
+    mixed = big_q / (big_q + 4) * n / (n + 1) / (2 * n * (2 * n + 2))
+    return second, mixed, 3.0 * mixed
+
+
+def test_z_moments_closed_form():
+    assert _z_moments_closed_form(1)[0] == pytest.approx(2.0 / (3.0 * math.pi), rel=1e-14)
+    for n, mixed in ((1, 1 / 32), (2, 1 / 60), (3, 1 / 96)):
+        assert _z_moments_closed_form(n)[1:] == pytest.approx((mixed, 3 * mixed), rel=1e-14)
+
+
+@pytest.mark.parametrize("n, per_axis", [(1, 24), (2, 12)])
+@pytest.mark.parametrize("mode", ["montecarlo", "grid"])
+@pytest.mark.parametrize("same", [False, True], ids=["jk", "jj"])
+def test_beta_of_a_horizontal_product_is_exact(n, per_axis, mode, same):
+    """f = z_j z_k on x * delta_r(u) is x_j x_k + r (x_j u_k + x_k u_j)
+    + r^2 u_j u_k; on a sign-symmetric template the degree-1 fit takes the
+    first two terms and the mean of the third, so beta_{f,1,2}(B(x, r)) =
+    r^2 (mean_tpl u_j^2 u_k^2)^(1/2) for j != k and
+    r^2 (mean_tpl u_j^4 - (mean_tpl u_j^2)^2)^(1/2) for j = k."""
+    spec = QuadSpec(mode=mode, samples=8192, grid_per_axis=per_axis)
+    tpl = ball_template(n, spec)
+    j, k = (1, 1) if same else (1, 2 * n)
+    uj, uk = tpl.nodes[:, j - 1], tpl.nodes[:, k - 1]
+    if same:
+        moment = math.sqrt(np.mean(uj**4) - np.mean(uj**2) ** 2)
+    else:
+        moment = math.sqrt(np.mean(uj**2 * uk**2))
+    f = catalog("quadratic", n=n, j=j, k=k)
+    xs = random_points(np.random.default_rng(4), 6, n=n)
+    rs = np.geomspace(0.25, 4.0, 5)
+    balls = rs[None, :] * (1.0 + 0.3 * np.arange(6))[:, None]  # one row per center
+    for radii in (rs, balls):
+        got = scale_sweep(f, xs, radii, 1, 2.0, tpl)["beta"]
+        np.testing.assert_allclose(got, np.broadcast_to(radii**2, got.shape) * moment,
+                                   rtol=1e-12, atol=0.0)
+    grid = ScaleGrid(0.25, 4.0, 2)
+    np.testing.assert_allclose(beta_profile(f, xs[0], 1, 2.0, grid, spec).values,
+                               grid.nodes() ** 2 * moment, rtol=1e-12, atol=0.0)
+    assert beta_number(f, xs[1], 0.7, 1, 2.0, spec)[0] == pytest.approx(
+        0.49 * moment, rel=1e-12, abs=0.0)
+    # each template moment is the ball's within the template's own error,
+    # as for the vertical coordinate
+    second, mixed, fourth = _z_moments_closed_form(n)
+    for vals, exact in ((uj**2, second), (uj**2 * uk**2, fourth if same else mixed)):
+        if mode == "montecarlo":
+            assert abs(vals.mean() - exact) <= 3.0 * float(mean_stderr(vals, tpl))
+        else:
+            assert abs(vals.mean() / exact - 1.0) <= 1.0 / per_axis

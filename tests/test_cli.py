@@ -1,13 +1,13 @@
 """Command line front end: parsing, output formats, exit codes."""
 
-import json
-
 import numpy as np
 import pytest
 
 from heisbeta import beta, quad
 from heisbeta.cli import RunConfig, UsageError, main, parse_config, run
 from heisbeta.quad import NODE_CEILING
+
+from conftest import strict_json
 
 FAST_BETA = [
     "beta", "--mode", "grid", "--grid-per-axis", "8",
@@ -85,10 +85,7 @@ def test_usage_errors_exit_2(tmp_path):
     assert run_main(["beta", "--samples", "0"]) == 2
 
 
-def test_env_worker_default(monkeypatch):
-    monkeypatch.setenv("HEIS_BETA_WORKERS", "3")
-    assert parse_config(["identities"]).workers == 3
-    # explicit flag wins over the environment
+def test_worker_flag():
     assert parse_config(["identities", "--workers", "2"]).workers == 2
 
 
@@ -128,7 +125,7 @@ def test_identities_json_and_worker_determinism(tmp_path):
     assert run_main(argv + ["--workers", "1", "--out", str(out1)]) == 0
     assert run_main(argv + ["--workers", "4", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    doc = json.loads(out1.read_text())
+    doc = strict_json(out1.read_text())
     assert doc["version"] and "generated" not in doc
     assert doc["config"]["suite"] == "identities"
     assert len(doc["reports"]) == 8
@@ -145,7 +142,7 @@ def test_dorronsoro_bytes_do_not_depend_on_workers(capsys):
         assert run_main(argv + ["--workers", workers]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
-    assert json.loads(outputs[0])["reports"][0]["name"] == "dorronsoro"
+    assert strict_json(outputs[0])["reports"][0]["name"] == "dorronsoro"
 
 
 def test_lemmas_bytes_do_not_depend_on_workers(capsys):
@@ -160,7 +157,7 @@ def test_lemmas_bytes_do_not_depend_on_workers(capsys):
             assert run_main(argv + ["--workers", workers]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2]
-        assert len(json.loads(outputs[0])["reports"]) == 5
+        assert len(strict_json(outputs[0])["reports"]) == 5
 
 
 def test_identities_starved_budget_exits_2(tmp_path):
@@ -184,7 +181,7 @@ def test_exact_covariance_identity_at_n2_on_a_grid_exits_0(capsys):
     argv = ["identities", "--n", "2", "--mode", "grid", "--grid-per-axis", "8",
             "--per-decade", "2", "--format", "json", "--no-timestamp"]
     assert run_main(argv) == 0
-    reports = {rep["name"]: rep for rep in json.loads(capsys.readouterr().out)["reports"]}
+    reports = {rep["name"]: rep for rep in strict_json(capsys.readouterr().out)["reports"]}
     rep = reports["beta-covariance:gaussian:s=2"]
     assert not rep["degenerate"] and rep["params"]["pass"] is True
     assert rep["params"]["valid"] == 5 and abs(rep["ratio"] - 1.0) < 1e-12
@@ -389,6 +386,32 @@ def test_unusable_field_params_exit_2_with_one_line(builder_calls, capsys, field
     assert err.startswith("heisbeta: field configuration rejected: ")
     assert err.count("\n") == 1
     assert not builder_calls
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_malformed_field_parameter_list_exits_2_with_one_line(builder_calls, capsys,
+                                                               tmp_path, source):
+    if source == "flag":
+        argv = ["beta", "--field", "affine:a=x,y"]
+    else:
+        conf = tmp_path / "run.cfg"
+        conf.write_text("suite = beta\nfield = affine\nfield.a = 1,zz\n")
+        argv = ["--config", str(conf)]
+    assert run_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("heisbeta: bad field parameter list: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not builder_calls
+
+
+def test_non_finite_truncation_is_strict_json(capsys):
+    """The affine field is annihilated, so its shell means are roundoff and
+    its truncations read inf; every non-finite report number is a string."""
+    argv = ["dorronsoro", "--field", "affine", "--samples", "256", "--per-decade", "2",
+            "--box-radius", "2", "--format", "json", "--no-timestamp"]
+    assert run_main(argv) == 0
+    reports = strict_json(capsys.readouterr().out)["reports"]
+    assert reports[0]["truncation"] == ["inf", "inf"]
 
 
 def test_poincare_non_finite_field_exits_1_without_a_report(capsys, tmp_path):

@@ -269,19 +269,21 @@ def test_twist_equals_the_row_major_formula(n):
         assert np.array_equal(_twist(centers, tpl.nodes), want)
 
 
-def test_orbit_means_keep_numpy_pairwise_bits():
-    # mean_stderr forms the n = 1 orbit means from 8 slices; should numpy's
-    # summation order change, this fails before any reference drifts
-    tpl = ball_template(1, QuadSpec())
+def test_orbit_means_match_numpy_means():
+    # orbits of 8, 32 and 128 nodes; the product may round the orbit means
+    # differently from numpy's pairwise sum, but only in the last place
     rng = np.random.default_rng(3)
-    m = len(tpl.nodes)
-    gauss = catalog("gaussian")
-    centers = rng.normal(size=(5, 3))
-    ball_list = ball_values(gauss, centers, rng.uniform(0.1, 3.0, size=(5, 1)), tpl)
-    for vals in (rng.normal(size=(1, 1, m)), rng.lognormal(size=(3, 4, m)), ball_list):
-        w = vals.reshape(vals.shape[:-1] + (tpl.units, 8)).mean(axis=-1)
-        want = w.std(axis=-1, ddof=1) / math.sqrt(tpl.units)
-        assert np.array_equal(mean_stderr(vals, tpl), want)
+    for n in (1, 2, 3):
+        tpl = ball_template(n, QuadSpec(samples=200_000))
+        assert tpl.orbit == 2 ** (2 * n + 1) and tpl.units >= 2
+        m = len(tpl.nodes)
+        gauss = catalog("gaussian", n=n)
+        centers = rng.normal(size=(5, 2 * n + 1))
+        ball_list = ball_values(gauss, centers, rng.uniform(0.1, 3.0, size=(5, 1)), tpl)
+        for vals in (rng.normal(size=(1, 1, m)), rng.lognormal(size=(3, 4, m)), ball_list):
+            w = vals.reshape(vals.shape[:-1] + (tpl.units, tpl.orbit)).mean(axis=-1)
+            want = w.std(axis=-1, ddof=1) / math.sqrt(tpl.units)
+            np.testing.assert_allclose(mean_stderr(vals, tpl), want, rtol=1e-14, atol=0.0)
 
 
 def _ball_average(f, x, r, spec):
