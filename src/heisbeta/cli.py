@@ -144,7 +144,7 @@ _CASTS = {int: int, float: float, bool: _parse_bool}
 
 
 def _coerce(key: str, raw: str):
-    """Typed value of a config-file (or environment) string for key."""
+    """Typed value of a config-file string for key."""
     raw = raw.strip()
     cast = _CASTS.get(_KEY_TYPES[key])
     if cast is None:
@@ -431,7 +431,7 @@ def _run_squarefn(config: RunConfig):
     for x_id, x in enumerate(_probe_points(config)):
         # g_alpha's value and truncations; no row prints its error estimate
         res = _square_function(f, x, config.alpha, grid, config.quad_spec,
-                               int(config.alpha >= 1.0), centered=False, want_se=False)
+                               centered=False, want_se=False)
         rows.append((x_id, config.alpha, res.value, res.truncation_low,
                      res.truncation_high))
     return ("x_id", "alpha", "value", "trunc_low", "trunc_high"), rows, None, 0

@@ -154,11 +154,12 @@ def _sign_orbit(dim: int) -> Array:
     return np.array(list(itertools.product((1.0, -1.0), repeat=dim)))
 
 
-def _template(rows: Array, units: int, orbit: int, coarse=None) -> BallTemplate:
-    """BallTemplate on coordinate rows (2n+1, m).  m2 averages the squares
-    laid out node-major, so it keeps the bits of a row-major template."""
+def _template(rows: Array, orbit: int, coarse=None) -> BallTemplate:
+    """BallTemplate on coordinate rows (2n+1, units * orbit).  m2 averages
+    the squares node-major, so it keeps the bits of a row-major template."""
     m2 = np.square(rows[:-1].T, order="C").mean(axis=0)
-    return BallTemplate(nodes=rows.T, units=units, orbit=orbit, m2=m2, coarse=coarse)
+    return BallTemplate(nodes=rows.T, units=rows.shape[1] // orbit, orbit=orbit,
+                        m2=m2, coarse=coarse)
 
 
 def _mc_ball_template(n: int, samples: int, seed: int) -> BallTemplate:
@@ -182,7 +183,7 @@ def _mc_ball_template(n: int, samples: int, seed: int) -> BallTemplate:
     # row j holds coordinate j of every (unit, orbit member), written in place
     rows = np.multiply(kept.T[:, :, None], _sign_orbit(dim).T[:, None, :],
                        out=np.empty((dim, units, orbit)))
-    return _template(rows.reshape(dim, -1), units, orbit)
+    return _template(rows.reshape(dim, -1), orbit)
 
 
 def _midpoint_mesh(dim: int, per_axis: int) -> Array:
@@ -194,15 +195,16 @@ def _midpoint_mesh(dim: int, per_axis: int) -> Array:
     return np.stack(mesh).reshape(dim, -1)
 
 
-def _grid_ball_template(n: int, per_axis: int, with_coarse: bool = True) -> BallTemplate:
+def _grid_ball_rows(n: int, per_axis: int) -> Array:
     mesh = _midpoint_mesh(2 * n + 1, per_axis)
     mesh[-1] *= 0.25
     zsq = (mesh[:-1] ** 2).sum(axis=0)
-    rows = np.compress(zsq * zsq + 16.0 * mesh[-1] ** 2 <= 1.0, mesh, axis=1)
-    coarse = None
-    if with_coarse:
-        coarse = _grid_ball_template(n, per_axis // 2, with_coarse=False)
-    return _template(rows, rows.shape[1], 1, coarse)
+    return np.compress(zsq * zsq + 16.0 * mesh[-1] ** 2 <= 1.0, mesh, axis=1)
+
+
+def _grid_ball_template(n: int, per_axis: int) -> BallTemplate:
+    twin = _template(_grid_ball_rows(n, per_axis // 2), 1)
+    return _template(_grid_ball_rows(n, per_axis), 1, twin)
 
 
 @lru_cache(maxsize=64)
@@ -327,6 +329,9 @@ def ball_values(f, centers, rs, template: BallTemplate) -> Array:
     return vals
 
 
+_RHO_MIN = 0.02  # inner shell edge of every norm domain, around its core ball
+
+
 @dataclass(frozen=True, eq=False)
 class PolarDomain:
     """Log-radial shell quadrature for the gauge ball of radius rho_max.
@@ -335,7 +340,8 @@ class PolarDomain:
     fixed unit-gauge directions drawn once from the ball template (uniform
     ball points have cone-distributed directions).  vols are exact shell
     volumes, so sum(vols * mean_dirs(h^p)) approximates the integral of
-    h^p; the ball below rho_min (volume core_vol) is left to the
+    h^p; the ball below _RHO_MIN (volume core_vol) and the tail past
+    rho_max (gauge balls of volume c_n rho^Q, Q = big_q) are left to the
     truncation accounting.
     """
 
@@ -345,13 +351,14 @@ class PolarDomain:
     core_vol: float
     rho_max: float
     c_n: float
+    big_q: int
 
 
-def polar_domain(n, rho_min, rho_max, per_decade, n_dirs, spec) -> PolarDomain:
+def polar_domain(n, rho_max, per_decade, n_dirs, spec) -> PolarDomain:
     big_q = 2 * n + 2
     c_n = _ball_constant(n)[0]
-    count = ScaleGrid(rho_min, rho_max, per_decade).count
-    edges = rho_min * (rho_max / rho_min) ** (np.arange(count + 1) / count)
+    count = ScaleGrid(_RHO_MIN, rho_max, per_decade).count
+    edges = _RHO_MIN * (rho_max / _RHO_MIN) ** (np.arange(count + 1) / count)
     rho = np.sqrt(edges[:-1] * edges[1:])
     vols = c_n * (edges[1:] ** big_q - edges[:-1] ** big_q)
     tpl = ball_template(n, spec)
@@ -365,9 +372,10 @@ def polar_domain(n, rho_min, rho_max, per_decade, n_dirs, spec) -> PolarDomain:
         rho=rho,
         vols=vols,
         pts=pts,
-        core_vol=float(c_n * rho_min**big_q),
+        core_vol=float(c_n * _RHO_MIN**big_q),
         rho_max=float(rho_max),
         c_n=float(c_n),
+        big_q=big_q,
     )
 
 
@@ -378,17 +386,16 @@ def shell_lp(vals: Array, vols: Array, p: float) -> tuple[float, Array]:
     return float(np.sum(vols * means) ** (1.0 / p)), means
 
 
-def power_tail(rho: Array, means: Array, edge: float, big_q: int, c_n: float) -> float:
-    """Continuation of integral mass past the outermost shell edge.
+def power_tail(polar: PolarDomain, means: Array) -> float:
+    """Continuation of integral mass past the domain's outermost shell edge.
 
     Fits the decay rate of the shell means of h^p on the last four shells
-    and integrates the power law from `edge` to infinity.  Returns inf when
+    and integrates the power law from rho_max to infinity.  Returns inf when
     the measured decay cannot beat the volume growth (the tail is then not
     summable as far as the data shows), 0 when the integrand has died (the
     outermost shell mean is exactly 0).
     """
-    m = means[-4:]
-    r = rho[-4:]
+    m, r, edge, big_q = means[-4:], polar.rho[-4:], polar.rho_max, polar.big_q
     if not m[-1] > 0:
         return 0.0
     pos = m > 0
@@ -401,7 +408,7 @@ def power_tail(rho: Array, means: Array, edge: float, big_q: int, c_n: float) ->
     # underflows to 0 instead of forming 0 * inf
     level, anchor = m[-1], r[-1]
     return float(
-        -level * big_q * c_n * anchor**big_q * (edge / anchor) ** (big_q + slope)
+        -level * big_q * polar.c_n * anchor**big_q * (edge / anchor) ** (big_q + slope)
         / (big_q + slope)
     )
 
@@ -429,10 +436,10 @@ def power_head(xs: Array, integrand: Array, edge: float) -> float:
     return float(level * (edge / anchor) ** slope / slope)
 
 
-def domain_truncation(polar: PolarDomain, means: Array, p: float, big_q: int):
+def domain_truncation(polar: PolarDomain, means: Array, p: float):
     """Truncation of a shell-quadrature L^p norm in norm units: measured
     power-law continuation past rho_max plus the omitted core ball."""
-    tail = power_tail(polar.rho, means, polar.rho_max, big_q, polar.c_n)
+    tail = power_tail(polar, means)
     core = polar.core_vol * (means[0] if len(means) else 0.0)
     if math.isinf(tail):
         return math.inf

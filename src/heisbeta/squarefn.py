@@ -113,11 +113,12 @@ def _square_from_profile(coef, h, prof, se=None):
         return value, np.where(value > 0, sesq / (2.0 * value), flat)
 
 
-def _square_function(f, x, alpha, grid, spec, d, centered,
+def _square_function(f, x, alpha, grid, spec, centered,
                      want_se=True) -> SquareFnResult:
-    """g_alpha (degree-d betas) or, when centered, s_alpha at x; want_se=False
-    leaves out the error estimate (orbit standard errors or the twin pass),
-    and stderr reads 0."""
+    """g_alpha (betas of degree floor(alpha)) or, when centered, s_alpha at
+    x; want_se=False leaves out the error estimate (orbit standard errors or
+    the twin pass), and stderr reads 0."""
+    d = 0 if centered else int(alpha >= 1.0)
     x = np.asarray(x, dtype=float)
     tpl = ball_template(half_dim(x), spec)
     rs = grid.nodes()
@@ -150,14 +151,14 @@ def g_alpha(f, x, alpha: float, grid: ScaleGrid, spec: QuadSpec) -> SquareFnResu
     """Square function of the beta profile at x, degree floor(alpha)."""
     if not 0.0 < alpha < 2.0:
         raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
-    return _square_function(f, x, alpha, grid, spec, int(alpha >= 1.0), centered=False)
+    return _square_function(f, x, alpha, grid, spec, centered=False)
 
 
 def s_alpha(f, x, alpha: float, grid: ScaleGrid, spec: QuadSpec) -> SquareFnResult:
     """Square function of centered differences avg |f(x*y) - f(x)| over B(r)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return _square_function(f, x, alpha, grid, spec, 0, centered=True)
+    return _square_function(f, x, alpha, grid, spec, centered=True)
 
 
 def g_window_values(f, pts: Array, rs: Array, coef: Array, h: float, d: int,

@@ -26,6 +26,7 @@ from .quad import (
     PolarDomain,
     QuadSpec,
     ScaleGrid,
+    _RHO_MIN,
     _check_finite,
     _log_ball_constant,
     ball_template,
@@ -39,9 +40,7 @@ from .quad import (
 from .squarefn import _square_from_profile, g_alpha, g_window_values, gradient_comparison
 
 _DEGENERATE_RHS = 1e-12
-# inner edge of the norm domain's shells; the ball below it is the core
-# that domain_truncation accounts for
-_RHO_MIN = 0.02
+_VANISHING = 1e-14  # a placement statistic at or below it has vanished
 _IDENTITY_TOL = 1e-2
 # An identity verified with shared noise says nothing about correctness
 # unless the budget could have resolved a violation at the tolerance.
@@ -203,8 +202,8 @@ class HarnessConfig:
         """Gauge-polar quadrature of the truncated domain, the gauge ball
         of radius 2 * box_radius, with directions from the sweep template."""
         return polar_domain(
-            self.n, _RHO_MIN, 2.0 * self.box_radius, self.norm_per_decade,
-            self.norm_dirs, self.sweep_spec,
+            self.n, 2.0 * self.box_radius, self.norm_per_decade, self.norm_dirs,
+            self.sweep_spec,
         )
 
     def base_params(self) -> dict:
@@ -257,7 +256,7 @@ def _ratio_report(name: str, f: ScalarField, p: float, config: HarnessConfig,
     """The report of an inequality against rhs = ||grad_H f||_p: the rhs
     truncation from its shell means, the norm domain in params, and a
     degeneracy floor relative to lhs."""
-    rhs_trunc = domain_truncation(polar, rhs_means, p, 2 * config.n + 2)
+    rhs_trunc = domain_truncation(polar, rhs_means, p)
     params = config.base_params() | _norm_params(config) | {
         "field": f.label, "p": p,
     } | extra
@@ -289,13 +288,9 @@ def _dorronsoro_sides(f: ScalarField, p: float, q: float,
     return lhs, rhs, (lhs_means, rhs_means)
 
 
-def _stability(name: str, s: float, base: RatioReport | None, base_run,
-               sides) -> RatioReport:
-    """ratio(f_s) reported against base.ratio (from base_run() when no
-    base is given); sides() gives the (lhs, rhs, shells) of f_s."""
+def _stability(name: str, s: float, base: RatioReport, sides) -> RatioReport:
+    """ratio(f_s) against base.ratio; sides() gives the (lhs, rhs, shells) of f_s."""
     _check_dilation(s)
-    if base is None:
-        base = base_run()
     if s == 1.0:
         # the sides at s = 1 are the base sides bit for bit
         lhs, rhs = base.lhs, base.rhs
@@ -332,16 +327,16 @@ def dorronsoro_ratio(f: ScalarField, p: float, q: float,
     window = 0.0
     if res.value > 0:
         window = math.sqrt(res.truncation_low**2 + res.truncation_high**2) / res.value
-    lhs_trunc = domain_truncation(polar, lhs_means, p, 2 * config.n + 2) + lhs * window
+    lhs_trunc = domain_truncation(polar, lhs_means, p) + lhs * window
     return _ratio_report("dorronsoro", f, p, config, polar, lhs, rhs, rhs_means,
                          lhs_trunc, {"q": q, "alpha": 1.0})
 
 
 def dorronsoro_stability(f: ScalarField, p: float, q: float,
                          config: HarnessConfig, s: float,
-                         base: RatioReport | None = None) -> RatioReport:
+                         base: RatioReport) -> RatioReport:
     """Dilation stability of the Dorronsoro ratio: ratio(f_s) against the
-    base ratio(f).
+    base report, dorronsoro_ratio(f, p, q, config).
 
     ratio(f_s) is computed on the same domain points through the beta
     covariance (balls around dilated centers at dilated radii), so the
@@ -350,7 +345,6 @@ def dorronsoro_stability(f: ScalarField, p: float, q: float,
     """
     return _stability(
         "dorronsoro-stability", s, base,
-        lambda: dorronsoro_ratio(f, p, q, config),
         lambda: _dorronsoro_sides(f, p, q, config, config.domain(), s),
     )
 
@@ -406,7 +400,6 @@ def poincare_ratio(f: ScalarField, p: float, config: HarnessConfig) -> RatioRepo
     """
     if not 1.0 < p <= 2.0:
         raise ValueError(f"p must lie in (1, 2], got {p}")
-    big_q = 2 * config.n + 2
     polar = config.domain()
     tgrid = config.t_grid
     ts = tgrid.nodes()
@@ -422,12 +415,12 @@ def poincare_ratio(f: ScalarField, p: float, config: HarnessConfig) -> RatioRepo
         # large-t tail: |f(x) - f(x * (0,t))| <= 2 max|f|, via the measured
         # field norm on the domain plus its own continuation
         fnorm_p = np.sum(polar.vols * fmeans)
-        ftail = power_tail(polar.rho, fmeans, polar.rho_max, big_q, polar.c_n)
+        ftail = power_tail(polar, fmeans)
         tail_sq = 4.0 * (fnorm_p + ftail) ** (2.0 / p) / tgrid.r_max
         # domain loss per t: continuation of the difference-mean shells
         loss = 0.0
         for k in range(len(ts)):
-            extra = power_tail(polar.rho, means[k], polar.rho_max, big_q, polar.c_n)
+            extra = power_tail(polar, means[k])
             loss += h * ((ivals[k] + extra) ** (2.0 / p) - ivals[k] ** (2.0 / p)) / ts[k]
         lhs_trunc = math.sqrt(head + tail_sq) + math.sqrt(loss)
     return _ratio_report("poincare", f, p, config, polar, lhs, rhs, rhs_means,
@@ -436,12 +429,11 @@ def poincare_ratio(f: ScalarField, p: float, config: HarnessConfig) -> RatioRepo
 
 
 def poincare_stability(f: ScalarField, p: float, config: HarnessConfig,
-                       s: float, base: RatioReport | None = None) -> RatioReport:
+                       s: float, base: RatioReport) -> RatioReport:
     """Dilation stability of the Poincare ratio: ratio(f_s) against the
-    base ratio(f), computed with linked nodes (see _poincare_sides)."""
+    base report, poincare_ratio(f, p, config), on linked nodes."""
     return _stability(
         "poincare-stability", s, base,
-        lambda: poincare_ratio(f, p, config),
         lambda: _poincare_sides(f, p, config, config.domain(), s),
     )
 
@@ -514,11 +506,10 @@ def _linked_lp_report(config: HarnessConfig, check: str, name: str, s: float,
     f = catalog(name, n=config.n)
     fs = precompose_dilation(f, s)
     p = config.p
-    big_q = 2 * config.n + 2
     polar = config.domain()
     lhs = shell_lp(values(fs, polar.pts, 1.0), polar.vols, p)[0]
-    rhs = s ** (gain - big_q / p) * shell_lp(
-        values(f, dilate(s, polar.pts), s), s**big_q * polar.vols, p)[0]
+    rhs = s ** (gain - polar.big_q / p) * shell_lp(
+        values(f, dilate(s, polar.pts), s), s**polar.big_q * polar.vols, p)[0]
     params = {"check": check, "field": f.label, "s": s} | extra | {"p": p}
     return _identity_report(config, f"{check}:{name}:s={s:g}", lhs, rhs,
                             _norm_params(config) | params)
@@ -557,7 +548,7 @@ def _covariance_report(config: HarnessConfig, name: str, s: float,
     right = scale_sweep(f, dilate(s, xs), (s * rads)[:, None], 1, config.q, tpl,
                         want_se=False, workers=config.workers)
     lefts, rights, amax = left["beta"][:, 0], right["beta"][:, 0], right["amax"][:, 0]
-    floor = 1e-14 * (1.0 + amax.max())  # one roundoff floor: placements and report
+    floor = _VANISHING * (1.0 + amax.max())  # one roundoff floor: placements and report
     valid = rights > floor
     lhs, rhs = _worst_case(zip(lefts, rights, valid), _off_one)
     return _identity_report(config, f"beta-covariance:{name}:s={s:g}", lhs, rhs, {
@@ -576,7 +567,7 @@ def _g_pointwise_report(config: HarnessConfig, name: str, s: float) -> RatioRepo
     xs = _random_centers(_rng(spec, _ROLE_POINTS), config.n, 5, 1.5, 2.0)
     lhs_vals = window(fs, xs, 1.0)
     rhs_vals = s**config.alpha * window(f, dilate(s, xs), s)
-    ok = rhs_vals > 1e-14
+    ok = rhs_vals > _VANISHING
     lhs, rhs = _worst_case(zip(lhs_vals, rhs_vals, ok), _off_one)
     return _identity_report(config, f"g-pointwise:{name}:s={s:g}", lhs, rhs, {
         "check": "g-pointwise", "field": f.label, "s": s, "alpha": config.alpha,
@@ -639,7 +630,7 @@ def _near_optimal_report(config: HarnessConfig) -> RatioReport:
         b, a = fit_from_values(vals, tpl, 1.0, 1)
         resid = vals - b - u @ a
         base = float(np.mean(np.abs(resid) ** config.q) ** (1.0 / config.q))
-        if base <= 1e-14:
+        if base <= _VANISHING:
             cases.append((base, base, False))
             continue
         dirs = rng.standard_normal(size=(100, 1 + u.shape[-1]))
@@ -735,7 +726,7 @@ def _projection_sup_report(config: HarnessConfig) -> RatioReport:
     def case(vals):
         b1, a1 = fit_from_values(vals, tpl, 1.0, 1)
         d1 = float(np.mean(np.abs(vals)))
-        return float(np.max(np.abs(b1 + u @ a1))), d1, d1 > 1e-14
+        return float(np.max(np.abs(b1 + u @ a1))), d1, d1 > _VANISHING
 
     xs, rads = _placements(_rng(spec, _ROLE_SUP), n, 10, 1.5, 2.0, 0.25, 2.0)
     cases = [case(ball_values(anchor, np.zeros(2 * n + 1), 1.0, tpl)[0, 0])] + [
@@ -759,7 +750,7 @@ def _gradient_pair_report(config: HarnessConfig) -> RatioReport:
                            2.0, 4.0, 0.125, 2.0)
     lhs, rhs = gradient_comparison(f, xs, rads, C=4.0, spec=spec,
                                    workers=config.workers)
-    cases = zip(lhs, rhs, rhs > 1e-14)
+    cases = zip(lhs, rhs, rhs > _VANISHING)
     params = config.base_params() | {
         "check": "gradient-pair", "field": f.label, "enlargement": 4.0,
         "pairs": 50,

@@ -1,5 +1,5 @@
-"""Shared test helpers: seeded point clouds, committed fixtures and a strict
-JSON reader for CLI output."""
+"""Shared test helpers: seeded point clouds, committed fixtures, a strict
+JSON reader for CLI output and a record of the square functions' sweeps."""
 
 import json
 import pathlib
@@ -13,6 +13,21 @@ FIXTURE_PATH = pathlib.Path(__file__).parent / "fixtures.json"
 @pytest.fixture(scope="session")
 def fixtures():
     return json.loads(FIXTURE_PATH.read_text())
+
+
+@pytest.fixture
+def swept_degrees(monkeypatch):
+    """(d, want_se) of every scale_sweep the square functions run."""
+    from heisbeta import beta, squarefn
+
+    calls = []
+
+    def spy(f, centers, rs, d, *args, **kwargs):
+        calls.append((d, kwargs.get("want_se", True)))
+        return beta.scale_sweep(f, centers, rs, d, *args, **kwargs)
+
+    monkeypatch.setattr(squarefn, "scale_sweep", spy)
+    return calls
 
 
 def random_points(rng, count, n=1, z_extent=2.0, t_extent=4.0):

@@ -119,6 +119,17 @@ def test_squarefn_csv_columns(tmp_path):
     assert len(lines) == 6  # origin plus four probe points
 
 
+def test_squarefn_sweeps_degree_1_at_alpha_above_1(swept_degrees, tmp_path):
+    # alpha = 1.5 fits slopes; no row prints an error estimate, so none is formed
+    code = run_main(
+        ["squarefn", "--alpha", "1.5", "--mode", "grid", "--grid-per-axis", "6",
+         "--rmin", "0.1", "--rmax", "10", "--per-decade", "4",
+         "--no-timestamp", "--out", str(tmp_path / "g.csv")]
+    )
+    assert code == 0
+    assert swept_degrees == [(1, False)] * 5  # origin plus four probe points
+
+
 def test_identities_json_and_worker_determinism(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["identities"] + FAST_SUITE + ["--format", "json"]

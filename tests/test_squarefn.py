@@ -102,6 +102,15 @@ def test_s_alpha_gaussian_and_g_bound():
     assert g.value <= 2.0 * s.value + 3.0 * (g.stderr + s.stderr)
 
 
+def test_square_functions_sweep_the_degree_of_alpha(swept_degrees):
+    grid = ScaleGrid(1e-2, 1e1, 4)
+    f = catalog("gaussian")
+    g_alpha(f, X, 0.5, grid, SPEC)
+    g_alpha(f, X, 1.5, grid, SPEC)
+    s_alpha(f, X, 0.5, grid, SPEC)
+    assert swept_degrees == [(0, True), (1, True), (0, True)]
+
+
 def test_g_values_at_matches_single_point():
     f = catalog("gaussian")
     xs = np.stack([X, np.zeros(3), np.array([-0.5, 0.4, 0.2])])
@@ -147,7 +156,7 @@ def test_g_alpha_lp_norm_finite_with_tail_accounting():
     def lp_norm(f):
         g = g_window_values(f, polar.pts, rs, rs**-1.0, grid.log_step, 1, 2.0, tpl)
         val, means = shell_lp(g, polar.vols, 2.0)
-        return val, domain_truncation(polar, means, 2.0, 4)
+        return val, domain_truncation(polar, means, 2.0)
 
     f = catalog("gaussian")
     val, trunc = lp_norm(f)

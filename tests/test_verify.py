@@ -12,11 +12,21 @@ import pytest
 from heisbeta import beta, verify
 from heisbeta.fields import catalog, precompose_dilation
 from heisbeta.hgroup import dilate, horizontal_derivative
-from heisbeta.quad import QuadSpec, ball_template, power_head, power_tail, shell_lp
+from heisbeta.quad import (
+    PolarDomain,
+    QuadSpec,
+    ball_template,
+    domain_truncation,
+    polar_domain,
+    power_head,
+    power_tail,
+    shell_lp,
+)
 from heisbeta.squarefn import g_window_values
 from heisbeta.verify import (
     ExponentGate,
     HarnessConfig,
+    RatioReport,
     dorronsoro_ratio,
     dorronsoro_stability,
     gate_exponents,
@@ -295,12 +305,15 @@ def _no_eval(pts):
 @pytest.mark.parametrize("s", [math.nan, math.inf, 0.0, -1.0])
 def test_bad_dilation_factor_raises_one_line_before_any_work(s):
     f = replace(catalog("gaussian"), eval=_no_eval)
+    # a hand-built base, so that no field is evaluated before the check
+    base = RatioReport("base", 1.0, 1.0, 1.0, {}, (0.0, 0.0), False)
     calls = {
         "dilate": lambda: dilate(s, np.array([1.0, 0.0, 0.5])),
         "dilate-array": lambda: dilate(np.array([1.0, s]), np.zeros((2, 3))),
         "precompose_dilation": lambda: precompose_dilation(f, s),
-        "dorronsoro_stability": lambda: dorronsoro_stability(f, 2.0, 2.0, CHEAP, s),
-        "poincare_stability": lambda: poincare_stability(f, 2.0, CHEAP, s),
+        "dorronsoro_stability": lambda: dorronsoro_stability(f, 2.0, 2.0, CHEAP, s,
+                                                             base),
+        "poincare_stability": lambda: poincare_stability(f, 2.0, CHEAP, s, base),
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning on the way
@@ -560,9 +573,12 @@ def test_lemma_suite_cheap(n):
 
 
 # the five outermost shell midpoints below a domain edge of 32 at eight
-# shells per decade, as in the polar quadrature
+# shells per decade, as in the polar quadrature, on a domain with Q = 4
+# and c_n = 1
 TAIL_EDGE = 32.0
 TAIL_RHO = TAIL_EDGE * 10.0 ** (-(np.arange(5)[::-1] + 0.5) / 8)
+TAIL_DOMAIN = PolarDomain(rho=TAIL_RHO, vols=np.ones(5), pts=np.zeros((5, 1, 3)),
+                          core_vol=0.0, rho_max=TAIL_EDGE, c_n=1.0, big_q=4)
 
 
 @pytest.mark.parametrize("means", [
@@ -571,23 +587,36 @@ TAIL_RHO = TAIL_EDGE * 10.0 ** (-(np.arange(5)[::-1] + 0.5) / 8)
     [1e-40, 1e-100, 1e-160, 1e-220, 1e-280],     # steep decay, all positive
 ])
 def test_power_tail_finite_when_shell_means_underflow(means):
-    tail = power_tail(TAIL_RHO, np.array(means), TAIL_EDGE, 4, 1.0)
+    tail = power_tail(TAIL_DOMAIN, np.array(means))
     assert math.isfinite(tail) and tail >= 0.0
 
 
 def test_power_tail_dead_and_unsummable_cases():
-    assert power_tail(TAIL_RHO, np.zeros(5), TAIL_EDGE, 4, 1.0) == 0.0
-    assert power_tail(TAIL_RHO, np.array([1.0, 0.5, 0.2, 0.1, 0.0]),
-                       TAIL_EDGE, 4, 1.0) == 0.0
+    assert power_tail(TAIL_DOMAIN, np.zeros(5)) == 0.0
+    assert power_tail(TAIL_DOMAIN, np.array([1.0, 0.5, 0.2, 0.1, 0.0])) == 0.0
     # flat means: decay cannot beat the volume growth
-    assert power_tail(TAIL_RHO, np.ones(5), TAIL_EDGE, 4, 1.0) == math.inf
+    assert power_tail(TAIL_DOMAIN, np.ones(5)) == math.inf
     # a single positive mean leaves no decay rate to continue with
-    assert power_tail(TAIL_RHO, np.array([0.0, 0.0, 0.0, 0.0, 1e-5]),
-                       TAIL_EDGE, 4, 1.0) == math.inf
+    assert power_tail(TAIL_DOMAIN, np.array([0.0, 0.0, 0.0, 0.0, 1e-5])) == math.inf
     # an exact power law rho^-6 integrates in closed form
     means = TAIL_RHO**-6.0
     want = 4.0 * TAIL_EDGE ** (4 - 6) / (6 - 4)
-    assert power_tail(TAIL_RHO, means, TAIL_EDGE, 4, 1.0) == pytest.approx(want)
+    assert power_tail(TAIL_DOMAIN, means) == pytest.approx(want)
+
+
+def test_power_tail_and_truncation_take_q_from_an_n2_domain():
+    # at n = 2 the shells grow like rho^6, so means following rho^-8 leave
+    # the tail c_n Q edge^(Q-8) / (8-Q) past the edge, with Q = 6
+    polar = polar_domain(2, 8.0, 4, 8, QuadSpec(mode="grid", grid_per_axis=6))
+    assert polar.big_q == 6
+    means = polar.rho**-8.0
+    want = polar.c_n * 6 * polar.rho_max ** (6 - 8) / (8 - 6)
+    assert power_tail(polar, means) == pytest.approx(want, rel=1e-12)
+    # the core ball below the innermost shell adds its own part
+    core = polar.core_vol * means[0]
+    for p in (1.5, 2.0):
+        assert domain_truncation(polar, means, p) == pytest.approx(
+            want ** (1.0 / p) + core ** (1.0 / p), rel=1e-12)
 
 
 # the first six scale nodes above t_min = 1e-4 at sixteen nodes per decade
