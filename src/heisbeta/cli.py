@@ -30,7 +30,7 @@ from . import __version__
 from .fields import catalog
 from .hgroup import origin
 from .quad import NODE_CEILING, QuadSpec, check_template_request
-from .squarefn import _square_function
+from .squarefn import g_alpha
 from .beta import beta_profile
 from .verify import (
     HarnessConfig,
@@ -267,7 +267,9 @@ def parse_config(argv=None) -> RunConfig:
 
 def _validated(config: RunConfig) -> RunConfig:
     """Checks no library object makes, then the library constructors,
-    whose ValueError becomes a UsageError.  Builds no template."""
+    whose ValueError becomes a UsageError: HarnessConfig checks every
+    harness value and its three grids (scales, t shifts, norm shells) when
+    it is built.  Builds no template."""
     if config.suite not in _SUITES:
         raise UsageError(f"suite must be one of {_SUITES}, got {config.suite!r}")
     if config.mode not in _MODE_ALIASES:
@@ -276,15 +278,9 @@ def _validated(config: RunConfig) -> RunConfig:
     if config.format not in _FORMATS:
         raise UsageError(f"format must be csv or json, got {config.format!r}")
     try:
-        harness = config.harness_config()
-        harness.scale_grid  # grids are built on use; build them here
+        config.harness_config()
     except ValueError as exc:
         raise UsageError(str(exc).replace("points_per_decade", "--per-decade")) from None
-    try:
-        harness.t_grid
-    except ValueError as exc:
-        message = f"t grid: {exc}".replace("points_per_decade", "t_per_decade")
-        raise UsageError(message) from None
     try:
         check_template_request(config.n, config.quad_spec)
     except ValueError as exc:
@@ -294,14 +290,11 @@ def _validated(config: RunConfig) -> RunConfig:
         else:
             knob = "lower --samples" if config.samples > NODE_CEILING else "lower --n"
         raise UsageError(f"{exc}; {knob}") from None
-    # beta, dorronsoro (through its alpha = 1 window probe) and squarefn at
-    # alpha >= 1 fit slopes with error estimates, and at 2 or 3 per axis
-    # the half-resolution twin is the origin alone
-    slopes = config.suite in ("beta", "dorronsoro") or (
-        config.suite == "squarefn" and config.alpha >= 1.0)
-    if config.mode == "grid" and config.grid_per_axis < 4 and slopes:
+    # beta_profile refits its slopes on the half-resolution twin for its
+    # error estimate, and at 2 or 3 per axis that twin is the origin alone
+    if config.suite == "beta" and config.mode == "grid" and config.grid_per_axis < 4:
         raise UsageError(
-            f"{config.suite} fits slopes on the half-resolution twin, which at "
+            f"beta fits slopes on the half-resolution twin, which at "
             f"grid_per_axis={config.grid_per_axis} holds only the origin; "
             f"raise --grid-per-axis"
         )
@@ -429,15 +422,13 @@ def _run_squarefn(config: RunConfig):
     grid = config.harness_config().scale_grid
     rows = []
     for x_id, x in enumerate(_probe_points(config)):
-        # g_alpha's value and truncations; no row prints its error estimate
-        res = _square_function(f, x, config.alpha, grid, config.quad_spec,
-                               centered=False, want_se=False)
+        res = g_alpha(f, x, config.alpha, grid, config.quad_spec)
         rows.append((x_id, config.alpha, res.value, res.truncation_low,
                      res.truncation_high))
     return ("x_id", "alpha", "value", "trunc_low", "trunc_high"), rows, None, 0
 
 
-def _run_reports(config: RunConfig, reports):
+def _run_reports(reports):
     columns, rows, dicts = _report_rows(reports)
     failed = any(rep.params.get("pass") is False for rep in reports)
     return columns, rows, dicts, (2 if failed else 0)
@@ -450,9 +441,9 @@ def _run_suite(config: RunConfig):
         return _run_squarefn(config)
     harness = config.harness_config()
     if config.suite == "identities":
-        return _run_reports(config, run_identity_suite(harness))
+        return _run_reports(run_identity_suite(harness))
     if config.suite == "lemmas":
-        return _run_reports(config, run_lemma_suite(harness))
+        return _run_reports(run_lemma_suite(harness))
     f = config.make_field()
     if config.suite == "dorronsoro":
         base = dorronsoro_ratio(f, config.p, config.q, harness)
@@ -460,13 +451,13 @@ def _run_suite(config: RunConfig):
             dorronsoro_stability(f, config.p, config.q, harness, s, base=base)
             for s in (0.5, 1.0, 2.0)
         ]
-        return _run_reports(config, reports)
+        return _run_reports(reports)
     base = poincare_ratio(f, config.p, harness)
     reports = [base] + [
         poincare_stability(f, config.p, harness, s, base=base)
         for s in (0.5, 2.0)
     ]
-    return _run_reports(config, reports)
+    return _run_reports(reports)
 
 
 def run(config: RunConfig) -> int:

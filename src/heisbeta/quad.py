@@ -531,22 +531,22 @@ def box_volume(n: int, box_radius: float) -> float:
     return (2.0 * box_radius) ** (2 * n) * 2.0 * box_radius**2
 
 
-def lp_tail_bound(decay_bound, p: float, box_radius: float, n: int = 1) -> float:
+def lp_tail_bound(f, p: float, box_radius: float) -> float:
     """Upper bound for the L^p norm of f outside the gauge box of radius R.
 
     The box contains the gauge ball B(0, R), so the complement is covered by
-    dyadic shells R 2^k <= N < R 2^(k+1); on each shell |f|^p is bounded by
-    the decay bound's sampled shell maximum times the shell volume.  Returns
-    (sum of shell terms)^(1/p); 0 when no bound is supplied.
+    dyadic shells R 2^k <= N < R 2^(k+1) of H^n, n = f.n; on each shell |f|^p
+    is bounded by the sampled shell maximum of f.decay_bound times the shell
+    volume.  Returns (sum of shell terms)^(1/p); 0 when f carries no bound.
     """
-    if decay_bound is None:
+    if f.decay_bound is None:
         return 0.0
     total = 0.0
     for k in range(200):
         lo = box_radius * 2.0**k
         hi = 2.0 * lo
-        sup = float(np.max(decay_bound(np.geomspace(lo, hi, 17))))
-        term = sup**p * (ball_volume(hi, n) - ball_volume(lo, n))
+        sup = float(np.max(f.decay_bound(np.geomspace(lo, hi, 17))))
+        term = sup**p * (ball_volume(hi, f.n) - ball_volume(lo, f.n))
         total += term
         if not math.isfinite(term):
             return math.inf
@@ -571,4 +571,4 @@ def domain_integrate_lp(
     vals = np.asarray(f.eval(nodes), dtype=float)
     _check_finite(vals, nodes, "domain integrand")
     value = (box_volume(f.n, box_radius) * float(np.mean(np.abs(vals) ** p))) ** (1.0 / p)
-    return value, lp_tail_bound(f.decay_bound, p, box_radius, f.n)
+    return value, lp_tail_bound(f, p, box_radius)

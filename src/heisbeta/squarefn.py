@@ -45,7 +45,6 @@ class SquareFnResult:
     truncation_low: float
     truncation_high: float
     grid: ScaleGrid
-    stderr: float = 0.0
 
 
 # box mesh points of the norm estimate; 8^7, so n <= 3 keep their
@@ -113,21 +112,18 @@ def _square_from_profile(coef, h, prof, se=None):
         return value, np.where(value > 0, sesq / (2.0 * value), flat)
 
 
-def _square_function(f, x, alpha, grid, spec, centered,
-                     want_se=True) -> SquareFnResult:
+def _square_function(f, x, alpha, grid, spec, centered) -> SquareFnResult:
     """g_alpha (betas of degree floor(alpha)) or, when centered, s_alpha at
-    x; want_se=False leaves out the error estimate (orbit standard errors or
-    the twin pass), and stderr reads 0."""
+    x.  The value and truncations read no error estimate, so the sweep
+    forms none (no orbit standard errors, no twin pass)."""
     d = 0 if centered else int(alpha >= 1.0)
     x = np.asarray(x, dtype=float)
     tpl = ball_template(half_dim(x), spec)
     rs = grid.nodes()
     fx = np.asarray(f.eval(x[None]), dtype=float) if centered else None
-    sweep = scale_sweep(f, x[None], rs, d, 1.0, tpl, center_vals=fx, want_se=want_se)
-    key = "cdiff" if centered else "beta"
-    coef, prof = rs**-alpha, sweep[key][0]
-    # without want_se the error row is all zeros, and so is stderr
-    value, stderr = _square_from_profile(coef, grid.log_step, prof, sweep[key + "_se"][0])
+    sweep = scale_sweep(f, x[None], rs, d, 1.0, tpl, center_vals=fx, want_se=False)
+    coef, prof = rs**-alpha, sweep["cdiff" if centered else "beta"][0]
+    value = _square_from_profile(coef, grid.log_step, prof)
     floor = _ANNIHILATION * (1.0 + float(sweep["amax"][0].max(initial=0.0)))
     if float(prof.max(initial=0.0)) <= floor:
         low = high = 0.0
@@ -143,7 +139,7 @@ def _square_function(f, x, alpha, grid, spec, centered,
         high = float(np.sqrt(tail))
     return SquareFnResult(
         x=x, alpha=alpha, value=value, truncation_low=low, truncation_high=high,
-        grid=grid, stderr=float(stderr),
+        grid=grid,
     )
 
 

@@ -137,7 +137,9 @@ class HarnessConfig:
     discretized by norm_per_decade log shells from _RHO_MIN outward and
     norm_dirs template directions per shell.  workers is the thread count
     of the sweeps that span many tiles; it never changes a result bit and
-    stays out of every report's params.
+    stays out of every report's params.  Construction checks every value and
+    then builds the three grids, the scale window, the t window and the norm
+    shells, so a bad grid fails here and not halfway through a suite.
     """
 
     n: int = 1
@@ -185,6 +187,16 @@ class HarnessConfig:
         for key in ("sweep_samples", "norm_dirs", "norm_per_decade", "workers"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for label, key, bounds in (
+            ("", "points_per_decade", (self.r_min, self.r_max, self.per_decade)),
+            ("t grid: ", "t_per_decade", (self.t_min, self.t_max, self.t_per_decade)),
+            ("norm shells: ", "norm_per_decade",
+             (_RHO_MIN, 2.0 * self.box_radius, self.norm_per_decade)),
+        ):
+            try:
+                ScaleGrid(*bounds)
+            except ValueError as exc:
+                raise ValueError(label + str(exc).replace("points_per_decade", key)) from None
 
     @property
     def scale_grid(self) -> ScaleGrid:

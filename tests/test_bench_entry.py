@@ -75,10 +75,9 @@ def test_bench_child_run_passes_the_reference_check(workload):
 
 
 # the layers the square-function and verify code reach on each workload;
-# the squarefn CLI sweeps without error estimates, past g_alpha, whose
-# public call the Dorronsoro window probe makes
+# the squarefn CLI and the Dorronsoro window probe both call g_alpha
 _TRACED_LAYERS = {
-    "pointwise-cli": ("squarefn.lq_norm_bound", "beta.scale_sweep"),
+    "pointwise-cli": ("squarefn.g_alpha", "squarefn.lq_norm_bound", "beta.scale_sweep"),
     "lemma-sweeps": ("verify.run_lemma_suite",),
     "dorronsoro-norm": ("verify.dorronsoro_ratio", "squarefn.g_alpha"),
 }

@@ -11,7 +11,7 @@ from heisbeta import beta, squarefn, verify
 from heisbeta.fields import catalog
 from heisbeta.hgroup import dilate, group_mul
 from heisbeta.quad import QuadSpec, ball_template
-from heisbeta.squarefn import g_alpha, s_alpha
+from heisbeta.squarefn import _square_from_profile, g_alpha, s_alpha
 from heisbeta.verify import HarnessConfig
 
 MC = QuadSpec(samples=4096)
@@ -24,15 +24,20 @@ def _tiny(n, spec, q=1.0):
 
 def _g_vs_s_by_point(config):
     """Worst (g, 2 s + 3 stderr) pair from one g_alpha and one s_alpha call
-    per point."""
+    per point, with the error estimates from one sweep per point."""
     f = catalog("gaussian", n=config.n)
     spec, grid = config.sweep_spec, config.scale_grid
     rng = verify._rng(spec, verify._ROLE_POINTS)
+    tpl, rs = ball_template(config.n, spec), grid.nodes()
     cases = []
     for x in verify._random_centers(rng, config.n, 20, 1.5, 2.0):
         gres = g_alpha(f, x, 0.5, grid, spec)
         sres = s_alpha(f, x, 0.5, grid, spec)
-        bound = 2.0 * sres.value + 3.0 * (gres.stderr + sres.stderr)
+        sweep = beta.scale_sweep(f, x[None], rs, 0, 1.0, tpl, center_vals=f.eval(x[None]))
+        g_se, s_se = (_square_from_profile(rs**-0.5, grid.log_step, sweep[key][0],
+                                           sweep[key + "_se"][0])[1]
+                      for key in ("beta", "cdiff"))
+        bound = 2.0 * sres.value + 3.0 * (g_se + s_se)
         if bound > 0:
             cases.append((gres.value, bound))
     return cases[int(np.argmax([lhs / rhs for lhs, rhs in cases]))]

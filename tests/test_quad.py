@@ -471,10 +471,11 @@ def test_lp_tail_bound_covers_true_tail():
     full_sq = (math.pi / 2.0) ** 1.5
     box_sq = full_sq * sp.erf(3.0 * math.sqrt(2.0)) ** 2 * sp.erf(9.0 * math.sqrt(2.0))
     true_tail = math.sqrt(full_sq - box_sq)
-    bound = lp_tail_bound(f.decay_bound, 2.0, 3.0, n=1)
+    bound = lp_tail_bound(f, 2.0, 3.0)
     assert true_tail <= bound < 0.5
-    assert lp_tail_bound(f.decay_bound, 2.0, 6.0, n=1) < 1e-10
-    assert lp_tail_bound(None, 2.0, 3.0) == 0.0
+    assert lp_tail_bound(f, 2.0, 6.0) < 1e-10
+    affine = catalog("affine", a=[1.0, 0.0], b=0.0)  # carries no decay bound
+    assert affine.decay_bound is None and lp_tail_bound(affine, 2.0, 3.0) == 0.0
 
 
 def test_mean_stderr_grid_is_zero():

@@ -139,14 +139,31 @@ def test_harness_config_rejects_norm_settings_below_1(key, value):
         HarnessConfig(**{key: value})
 
 
+@pytest.mark.parametrize("kwargs, pattern", [
+    pytest.param({"per_decade": 0}, "^points_per_decade must be >= 1, got 0$",
+                 id="per_decade-0"),
+    pytest.param({"t_min": 5, "t_max": 1}, "^t grid: need 0 < r_min < r_max",
+                 id="t-window-reversed"),
+    pytest.param({"t_per_decade": 10**8}, "^t grid: .*lower t_per_decade$",
+                 id="t_per_decade-above-the-ceiling"),
+    pytest.param({"norm_per_decade": 10**7}, "^norm shells: .*lower norm_per_decade$",
+                 id="norm_per_decade-above-the-ceiling"),
+])
+def test_harness_config_rejects_bad_grids_when_built(kwargs, pattern):
+    """The scale window, the t window and the norm shells are built with
+    the config, so a bad grid fails there, not halfway through a suite."""
+    with pytest.raises(ValueError, match=pattern) as info:
+        HarnessConfig(**kwargs)
+    assert "\n" not in str(info.value)
+
+
 def test_norm_shells_above_the_ceiling_are_rejected_before_allocation():
     # 2.6 decades at 1e7 shells each: 2.6e7 shells of 32 directions would
     # be about 20 GB of domain points
-    config = HarnessConfig(norm_per_decade=10**7)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="exceeds the ceiling") as info:
-            config.domain()
+            HarnessConfig(norm_per_decade=10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
