@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextvars
 import itertools
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -60,7 +61,7 @@ def _blocks(count: int, step: int):
 
 def _run_tiles(tile, tiles, workers: int) -> None:
     """tile(ks, rsl) for every tile, on the calling thread and up to
-    workers - 1 helper threads.
+    min(workers, usable CPUs) - 1 helper threads (each holds its own scratch).
 
     The threads claim tiles in order from one shared iterator (its next()
     is one C call, atomic under the interpreter lock); a helper runs in a
@@ -84,9 +85,11 @@ def _run_tiles(tile, tiles, workers: int) -> None:
                 stop.set()
                 return
 
+    affinity = getattr(os, "sched_getaffinity", None)  # absent off Linux
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
     started = []
     try:  # a helper that fails to start stops those that did
-        for _ in range(min(workers, len(tiles)) - 1):
+        for _ in range(min(workers, len(tiles), cpus) - 1):
             helper = threading.Thread(target=contextvars.copy_context().run,
                                       args=(drain,))
             helper.start()
@@ -126,9 +129,9 @@ def scale_sweep(
     least one ball), so callers pass every ball at once.  The tiles run
     on up to workers threads (f.eval must be thread-safe); the tiles do not
     depend on workers, so neither do the result bits.  A thread keeps its
-    node and product buffers and the twist W of its center block; a tile
-    allocates only what f.eval does (the residual overwrites its result),
-    (k, R) and (k, R, 2n) statistics and, for want_se, (k, R, units) orbit means.
+    node buffer and the twist W of its center block; a tile allocates only
+    r W, what f.eval does (the residual overwrites its result), (k, R) and
+    (k, R, 2n) statistics and, for want_se, (k, R, units) orbit means.
     When one tile holds every radius of its centers and the centers span
     several tiles, the products r u_j and r^2 u_t (quad.radius_products,
     (2n+1) R m floats) are formed once per sweep and every tile reads them.
@@ -179,21 +182,19 @@ def _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers, 
     # every center block of a sweep over shared radii in one radius block
     # would form the same products r u_j and r^2 u_t
     ru = radius_products(rs, u) if rs.ndim == 1 and rstep == nr and kstep < k else None
-    scratch = threading.local()  # node, product and twist buffers, one set per thread
+    scratch = threading.local()  # node buffer and twist, one of each per thread
 
     def tile(ks, rsl):
         if not hasattr(scratch, "nodes"):
             scratch.nodes = np.empty(dim * kstep * rstep * m)
-            scratch.prod = np.empty(kstep * rstep * m)
         cblock, rblock = centers[ks], (rs[ks, rsl] if rs.ndim == 2 else rs[rsl])
         if getattr(scratch, "ks", None) != ks:  # tiles come in (center, radius) order
             scratch.w = None  # drop the old twist before forming the new one
             scratch.w, scratch.ks = _twist(cblock, u), ks
         shape = (dim, len(cblock), rblock.shape[-1], m)
         nodes = scratch.nodes[: math.prod(shape)].reshape(shape)
-        twist_nodes(cblock, rblock, u, nodes, scratch.w, scratch.prod, ru)
+        twist_nodes(cblock, rblock, u, nodes, scratch.w, ru)
         pts = np.moveaxis(nodes, 0, -1)
-        prod = scratch.prod[: nodes[0].size].reshape(shape[1:])
         vals = np.asarray(ev(pts), dtype=float)  # (k, R, m)
         # the fit's b; a ball holding a non-finite value has a non-finite
         # mean, so b is also the finiteness check (inf - inf is left to it)
@@ -201,10 +202,12 @@ def _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers, 
             b = vals.mean(axis=-1)
         if not np.all(np.isfinite(b)):
             _check_finite(vals, pts, "ball integrand")
+        # the spent first node row holds |f - f(x)| and the model (not over a view)
+        spare = np.empty(shape[1:]) if np.may_share_memory(vals, nodes) else nodes[0]
         if amax:
             out["amax"][ks, rsl] = np.maximum(vals.max(axis=-1), -vals.min(axis=-1))
         if center_vals is not None:
-            dgv = np.subtract(vals, center_vals[ks, None, None], out=prod)
+            dgv = np.subtract(vals, center_vals[ks, None, None], out=spare)
             np.abs(dgv, out=dgv)
             out["cdiff"][ks, rsl] = dgv.mean(axis=-1)
             if want_se:
@@ -216,7 +219,7 @@ def _sweep_tiles(f, centers, rs, d, q, template, center_vals, want_se, workers, 
         res = vals if vals.flags.owndata and vals.flags.writeable else np.empty_like(vals)
         np.subtract(vals, b[..., None], out=res)
         if d == 1:
-            res -= np.matmul(a, uz_t, out=prod)
+            res -= np.matmul(a, uz_t, out=spare)
         # |res|^q in place; for q = 2 squaring skips abs with the same bits
         if q == 2.0:
             np.multiply(res, res, out=res)

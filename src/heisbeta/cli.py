@@ -8,8 +8,8 @@ that cannot change the result rows (workers, out) and the timestamp
 metadata, which ``--no-timestamp`` drops entirely.
 
 Exit codes: 0 on success, 2 for usage/validation problems (including
-template requests above quad.NODE_CEILING) and for failed check suites,
-1 for runtime errors (including out-of-memory and template failures).
+template requests above quad.NODE_CEILING) and for failed or all-degenerate
+check suites, 1 for runtime errors (such as out of memory or a failed template).
 """
 
 from __future__ import annotations
@@ -384,15 +384,6 @@ def _json_safe(value):
     return value
 
 
-def _report_rows(reports):
-    columns = ("name", "lhs", "rhs", "ratio", "degenerate")
-    rows = [
-        (rep.name, rep.lhs, rep.rhs, rep.ratio, rep.degenerate)
-        for rep in reports
-    ]
-    return columns, rows, [_json_safe(dataclasses.asdict(rep)) for rep in reports]
-
-
 # ---------------------------------------------------------------------------
 # suites
 
@@ -429,9 +420,10 @@ def _run_squarefn(config: RunConfig):
 
 
 def _run_reports(reports):
-    columns, rows, dicts = _report_rows(reports)
+    rows = [(rep.name, rep.lhs, rep.rhs, rep.ratio, rep.degenerate) for rep in reports]
+    dicts = [_json_safe(dataclasses.asdict(rep)) for rep in reports]
     failed = any(rep.params.get("pass") is False for rep in reports)
-    return columns, rows, dicts, (2 if failed else 0)
+    return ("name", "lhs", "rhs", "ratio", "degenerate"), rows, dicts, 2 if failed else 0
 
 
 def _run_suite(config: RunConfig):
@@ -462,8 +454,8 @@ def _run_suite(config: RunConfig):
 
 def run(config: RunConfig) -> int:
     """Execute the configured suite and write its artifact; returns the
-    exit status (0 ok, 2 failed checks, 1 runtime error or out of
-    memory)."""
+    exit status (0 ok, 2 failed checks or every report degenerate, 1
+    runtime error or out of memory)."""
     try:
         columns, rows, dicts, status = _run_suite(config)
         if config.format == "csv":
@@ -479,6 +471,10 @@ def run(config: RunConfig) -> int:
             MemoryError) as exc:
         print(f"heisbeta: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    if dicts and all(rep["degenerate"] for rep in dicts):  # written, but no ratio formed
+        print("heisbeta: every report is degenerate (rhs at or below its vanishing "
+              "floor), so no ratio was formed", file=sys.stderr)
+        return 2
     return status
 
 

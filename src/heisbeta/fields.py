@@ -166,8 +166,9 @@ def _vertical_wave(n: int, omega: float = 1.0) -> ScalarField:
 
     def ev(p):
         p = np.asarray(p, dtype=float)
-        g, s = _gauss(p), np.multiply(omega, p[..., -1], out=np.empty(p.shape[:-1]))
-        g *= np.sin(s, out=s)
+        g, s = _gauss(p), np.empty(p.shape[:-1])
+        with np.errstate(over="ignore", invalid="ignore"):  # the sweep reports inf and nan
+            g *= np.sin(np.multiply(omega, p[..., -1], out=s), out=s)
         return g
 
     def grad(p):

@@ -272,30 +272,30 @@ def radius_products(rs: Array, u: Array) -> Array:
     return out
 
 
-def twist_nodes(centers: Array, rs: Array, u: Array, out: Array, w=None, tmp=None,
-                ru=None):
+def twist_nodes(centers: Array, rs: Array, u: Array, out: Array, w=None, ru=None):
     """Write x * delta_r(u) for every (center, radius, template node) into
     out, coordinate-major, shape (2n+1, k, R, m).
 
     The radii rs are shared, shape (R,), or one row per center, (k, R).
     Uses x * delta_r(u) = (x_z + r u_z, x_t + r^2 u_t + r W) with the twist
     W = (1/2) sum_j (x_j u_{n+j} - x_{n+j} u_j), shape (k, m), which does not
-    depend on r; a caller may pass it as w, a buffer of k R m floats as
-    tmp for the products r u_j, r^2 u_t and r W, and, for shared radii,
+    depend on r; a caller may pass it as w and, for shared radii,
     radius_products(rs, u) as ru, which then replaces r u_j and r^2 u_t
-    with the same bits.  Every step reads one template coordinate u[:, j];
-    a template's nodes are stored coordinate-major (see BallTemplate), so
-    each such read is one contiguous row.
+    with the same bits.  The products are formed in out (shared radii: in
+    the first center's rows), so r W is the only temporary.  Every step reads
+    one template coordinate u[:, j], one contiguous row (see BallTemplate).
     """
     w = _twist(centers, u) if w is None else w
-    tmp = np.empty(out[0].size) if tmp is None else tmp
-    rw = tmp[: out[0].size].reshape(out.shape[1:])  # r W; r u_j in its first row(s)
     r = rs[..., None]  # (R, 1) shared, (k, R, 1) per center
-    head = rw[0] if rs.ndim == 1 else rw
-    for j in range(len(out)):
-        prod = _radius_product(r, u, j, head) if ru is None else ru[j]
-        np.add(centers[:, j, None, None], prod, out=out[j])
-    out[-1] += np.multiply(r, w[:, None, :], out=rw)
+    for j, row in enumerate(out):
+        if ru is None and rs.ndim == 1:  # the later centers read the first one's products
+            head = _radius_product(r, u, j, row[0])
+            np.add(centers[1:, j, None, None], head, out=row[1:])
+            row[0] += centers[0, j]
+        else:
+            prod = _radius_product(r, u, j, row) if ru is None else ru[j]
+            np.add(centers[:, j, None, None], prod, out=row)
+    out[-1] += r * w[:, None, :]
     return out
 
 

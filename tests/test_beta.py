@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import os
 import threading
 import time
 import tracemalloc
@@ -466,8 +467,8 @@ def _previous_tile_sweep(ev, centers, rs, d, q, tpl, center_vals, want_se):
 @pytest.mark.parametrize("layout", ["radius-tiles", "center-tiles"])
 def test_scale_sweep_bits_equal_the_per_tile_twist_formula(monkeypatch, spec, d, q,
                                                            layout):
-    """The twist once per center block, the products in scratch and the
-    in-place evaluators leave every output bit as it was."""
+    """The twist once per center block, the products in the node rows and
+    the in-place evaluators leave every output bit as it was."""
     f = catalog("vertical-wave", omega=3.0)
 
     def previous_eval(p):  # the field as it was formed before evaluating in place
@@ -497,9 +498,9 @@ def test_scale_sweep_bits_equal_the_per_tile_twist_formula(monkeypatch, spec, d,
 @pytest.mark.parametrize("d", [0, 1])
 def test_one_ball_sweep_peak_memory(d):
     """A 1-center x 80-radius sweep on the default template (61,488 Monte
-    Carlo nodes, one ball per tile) traces at most 3.35 MiB: the node and
-    product buffers, the twist, and the field's result with one
-    intermediate."""
+    Carlo nodes, one ball per tile) traces at most 3.35 MiB: the node
+    buffer, the twist, r W while the nodes form, and the field's result with
+    one intermediate."""
     f = catalog("gaussian")
     tpl = ball_template(1, QuadSpec())
     x = np.array([[0.3, 0.1, -0.2]])
@@ -512,6 +513,31 @@ def test_one_ball_sweep_peak_memory(d):
     finally:
         tracemalloc.stop()
     assert peak <= 3.35 * 2**20
+
+
+@pytest.mark.parametrize("d", [0, 1])
+@pytest.mark.parametrize("centered", [False, True])
+def test_a_tile_holds_its_nodes_and_the_field_buffers_only(d, centered):
+    """One tile of a gaussian sweep at n = 1 (one center, 40 radii) traces
+    at most 2n+1 + 2.5 tile-sized float arrays: the node buffer, then r W
+    while the nodes form, then the field's values and its t^2 temporary.
+    |f - f(x)| and the fitted model go in a spent node row; a product buffer
+    of their own would make it 2n+1 + 3."""
+    f = catalog("gaussian")
+    tpl = ball_template(1, QuadSpec(samples=2048, seed=3))
+    x = np.array([[0.3, 0.1, -0.2]])
+    rs = np.geomspace(0.1, 10.0, 40)
+    tile = len(rs) * len(tpl.nodes)
+    assert tile <= beta._NODE_BUDGET  # every radius in one tile
+    center_vals = f.eval(x) if centered else None
+    tracemalloc.start()
+    try:
+        scale_sweep(f, x, rs, d, 2.0, tpl, center_vals=center_vals, want_se=False,
+                    amax=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (3 + 2.5) * 8 * tile
 
 
 @pytest.mark.parametrize("spec", [QuadSpec(samples=1500, seed=5),
@@ -663,6 +689,9 @@ def test_a_helper_that_fails_to_start_stops_the_started_ones(monkeypatch):
         time.sleep(0.01)
 
     workers = 3
+    # two helper starts need three usable CPUs, whatever this machine has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
+                        raising=False)
     monkeypatch.setattr(threading.Thread, "start", start)
     with pytest.raises(RuntimeError, match="can't start new thread"):
         beta._run_tiles(tile, [(k, slice(None)) for k in range(40)], workers)
@@ -672,6 +701,47 @@ def test_a_helper_that_fails_to_start_stops_the_started_ones(monkeypatch):
     assert len(ran) == done <= 2
     assert len(started) == 1 < workers
     assert not any(helper.is_alive() for helper in started)
+
+
+@pytest.fixture
+def unstarted_threads(monkeypatch):
+    """threading.Thread replaced by one that starts no OS thread: its target
+    runs on the calling thread when it is joined, after the caller has
+    drained the tiles.  Returns the list of the threads made."""
+    made = []
+
+    class Unstarted:
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+            made.append(self)
+
+        def start(self):
+            pass
+
+        def join(self):
+            self.target(*self.args)
+
+    monkeypatch.setattr(threading, "Thread", Unstarted)
+    return made
+
+
+@pytest.mark.parametrize("cpus", [1, 4, None], ids=["1-cpu", "4-cpus", "this-machine"])
+def test_helper_threads_are_capped_at_the_usable_cpus(monkeypatch, unstarted_threads,
+                                                      cpus):
+    """--workers 5000 starts at most the usable CPUs minus one helpers (off
+    Linux, os.cpu_count() of them), and every tile still runs once."""
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+    ran = []
+    beta._run_tiles(lambda ks, rsl: ran.append(ks), [(k, None) for k in range(100)], 5000)
+    assert ran == list(range(100))
+    assert len(unstarted_threads) == (cpus or len(os.sched_getaffinity(0))) - 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    unstarted_threads.clear()
+    beta._run_tiles(lambda ks, rsl: None, [(k, None) for k in range(100)], 5000)
+    assert len(unstarted_threads) == 2
 
 
 def _t_moment(tpl, q):

@@ -1,5 +1,7 @@
 """Command line front end: parsing, output formats, exit codes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -437,6 +439,39 @@ def test_poincare_non_finite_field_exits_1_without_a_report(capsys, tmp_path):
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("heisbeta: error: non-finite domain integrand at node ")
     assert not out.exists()
+
+
+def test_overflowing_vertical_wave_exits_1_with_one_line_and_no_warning(capsys):
+    """omega t overflows to inf and sin(inf) is nan: the sweep's finiteness
+    check reports it, and numpy warns of neither step."""
+    argv = ["beta", "--field", "vertical-wave:omega=1e308", "--samples", "256",
+            "--per-decade", "2", "--no-timestamp"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_main(argv) == 1
+    assert not caught
+    captured = capsys.readouterr()
+    assert captured.err.startswith("heisbeta: error: non-finite ball integrand")
+    assert captured.err.count("\n") == 1 and not captured.out
+
+
+@pytest.mark.parametrize("argv", [
+    ["dorronsoro", "--p", "1e308", "--per-decade", "2"],
+    ["dorronsoro", "--field", "affine:a=0,0", "--per-decade", "2"],
+    ["poincare", "--field", "affine:a=0,0"],
+], ids=["dorronsoro-underflow", "dorronsoro-constant", "poincare-constant"])
+def test_every_report_degenerate_exits_2_with_one_line(capsys, tmp_path, argv):
+    """|.|^p underflows at p = 1e308, and a constant field has no gradient:
+    every report is degenerate, so no ratio was measured.  The rows are
+    still written, as they are for failed checks."""
+    out = tmp_path / "r.csv"
+    common = ["--box-radius", "2", "--samples", "256", "--no-timestamp", "--out", str(out)]
+    assert run_main(argv + common) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("heisbeta: every report is degenerate") and err.count("\n") == 1
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert rows[0].endswith(",degenerate") and len(rows) > 2
+    assert all(row.endswith(",nan,true") for row in rows[1:])
 
 
 @pytest.mark.parametrize("argv", [
