@@ -405,7 +405,7 @@ def _run_beta(config: RunConfig):
     grid = config.harness_config().scale_grid
     prof = beta_profile(f, origin(config.n), 1, config.q, grid, config.quad_spec)
     rows = list(zip(prof.grid.nodes(), prof.values, prof.stderrs))
-    return ("r", "beta", "stderr"), [tuple(map(float, row)) for row in rows], None, 0
+    return ("r", "beta", "stderr"), [tuple(map(float, row)) for row in rows], None
 
 
 def _run_squarefn(config: RunConfig):
@@ -416,14 +416,13 @@ def _run_squarefn(config: RunConfig):
         res = g_alpha(f, x, config.alpha, grid, config.quad_spec)
         rows.append((x_id, config.alpha, res.value, res.truncation_low,
                      res.truncation_high))
-    return ("x_id", "alpha", "value", "trunc_low", "trunc_high"), rows, None, 0
+    return ("x_id", "alpha", "value", "trunc_low", "trunc_high"), rows, None
 
 
 def _run_reports(reports):
     rows = [(rep.name, rep.lhs, rep.rhs, rep.ratio, rep.degenerate) for rep in reports]
     dicts = [_json_safe(dataclasses.asdict(rep)) for rep in reports]
-    failed = any(rep.params.get("pass") is False for rep in reports)
-    return ("name", "lhs", "rhs", "ratio", "degenerate"), rows, dicts, 2 if failed else 0
+    return ("name", "lhs", "rhs", "ratio", "degenerate"), rows, dicts
 
 
 def _run_suite(config: RunConfig):
@@ -454,10 +453,10 @@ def _run_suite(config: RunConfig):
 
 def run(config: RunConfig) -> int:
     """Execute the configured suite and write its artifact; returns the
-    exit status (0 ok, 2 failed checks or every report degenerate, 1
-    runtime error or out of memory)."""
+    exit status (0 ok; 2, with one stderr line, failed checks or every
+    report degenerate; 1 runtime error or out of memory)."""
     try:
-        columns, rows, dicts, status = _run_suite(config)
+        columns, rows, dicts = _run_suite(config)
         if config.format == "csv":
             text = _emit_csv(config, columns, rows)
         else:
@@ -475,7 +474,12 @@ def run(config: RunConfig) -> int:
         print("heisbeta: every report is degenerate (rhs at or below its vanishing "
               "floor), so no ratio was formed", file=sys.stderr)
         return 2
-    return status
+    failed = [rep["name"] for rep in dicts or () if rep["params"].get("pass") is False]
+    if failed:
+        checks = sum("pass" in rep["params"] for rep in dicts)
+        print(f"heisbeta: {len(failed)} of {checks} checks failed (first: {failed[0]})",
+              file=sys.stderr)
+    return 2 if failed else 0
 
 
 def main(argv=None) -> None:

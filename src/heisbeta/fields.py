@@ -64,18 +64,23 @@ def _gauss_envelope(r):
     return np.exp(-np.minimum(r**4 / 16.0, r**2))
 
 
+def _gauss_grad_bound(n: int, omega: float = 0.0):
+    # |X_j f| <= |z| (2 + |t| + |omega|/2) e^(-|z|^2-t^2) for the vertical
+    # wave (omega = 0: the gaussian), with |z| <= r and |t| <= r^2/4 on N = r
+    def gbound(r):
+        r = np.asarray(r, dtype=float)
+        factor = 2.0 + r**2 / 4.0 + abs(omega) / 2.0
+        return np.sqrt(2.0 * n) * r * factor * _gauss_envelope(r)
+
+    return gbound
+
+
 def _gaussian(n: int) -> ScalarField:
     def grad(p):
         p = np.asarray(p, dtype=float)
         g = _gauss(p)[..., None]
         x, y, t = p[..., :n], p[..., n:-1], p[..., -1:]
         return np.concatenate([-2.0 * x + y * t, -2.0 * y - x * t], axis=-1) * g
-
-    def gbound(r):
-        r = np.asarray(r, dtype=float)
-        # per component |X_j f| <= (2|z| + |z||t|) e^(-|z|^2-t^2), with
-        # |z| <= r and |t| <= r^2/4 on the gauge ball boundary
-        return np.sqrt(2.0 * n) * r * (2.0 + r**2 / 4.0) * _gauss_envelope(r)
 
     return ScalarField(
         label="gaussian",
@@ -84,7 +89,7 @@ def _gaussian(n: int) -> ScalarField:
         analytic_hgrad=grad,
         support_radius=1.0,
         decay_bound=_gauss_envelope,
-        grad_decay_bound=gbound,
+        grad_decay_bound=_gauss_grad_bound(n),
     )
 
 
@@ -182,15 +187,6 @@ def _vertical_wave(n: int, omega: float = 1.0) -> ScalarField:
             [-2.0 * x * s + y * common, -2.0 * y * s - x * common], axis=-1
         ) * g[..., None]
 
-    def gbound(r):
-        r = np.asarray(r, dtype=float)
-        return (
-            np.sqrt(2.0 * n)
-            * r
-            * (2.0 + r**2 / 4.0 + omega / 2.0)
-            * _gauss_envelope(r)
-        )
-
     return ScalarField(
         label=f"vertical-wave(omega={omega:g})",
         n=n,
@@ -198,7 +194,7 @@ def _vertical_wave(n: int, omega: float = 1.0) -> ScalarField:
         analytic_hgrad=grad,
         support_radius=1.0,
         decay_bound=_gauss_envelope,
-        grad_decay_bound=gbound,
+        grad_decay_bound=_gauss_grad_bound(n, omega),
     )
 
 
@@ -217,18 +213,7 @@ def _coordinate(n: int, axis=1) -> ScalarField:
     j = _integer(axis, "coordinate axis")
     if not 1 <= j <= 2 * n:
         raise ValueError(f"coordinate axis must be 't' or an index in 1..{2 * n}")
-    e = np.zeros(2 * n)
-    e[j - 1] = 1.0
-
-    def ev(p):
-        p = np.asarray(p, dtype=float)
-        return p[..., j - 1].copy()
-
-    def grad(p):
-        p = np.asarray(p, dtype=float)
-        return np.broadcast_to(e, p.shape[:-1] + (2 * n,)).copy()
-
-    return ScalarField(label=f"coordinate(z{j})", n=n, eval=ev, analytic_hgrad=grad)
+    return replace(_affine(n, np.eye(2 * n)[j - 1], 0.0), label=f"coordinate(z{j})")
 
 
 def _quadratic(n: int, j: int = 1, k: int = 1) -> ScalarField:

@@ -162,6 +162,7 @@ def _template(rows: Array, orbit: int, coarse=None) -> BallTemplate:
                         m2=m2, coarse=coarse)
 
 
+@lru_cache(maxsize=64)
 def _mc_ball_template(n: int, samples: int, seed: int) -> BallTemplate:
     dim = 2 * n + 1
     orbit = 2**dim
@@ -202,16 +203,10 @@ def _grid_ball_rows(n: int, per_axis: int) -> Array:
     return np.compress(zsq * zsq + 16.0 * mesh[-1] ** 2 <= 1.0, mesh, axis=1)
 
 
+@lru_cache(maxsize=64)
 def _grid_ball_template(n: int, per_axis: int) -> BallTemplate:
     twin = _template(_grid_ball_rows(n, per_axis // 2), 1)
     return _template(_grid_ball_rows(n, per_axis), 1, twin)
-
-
-@lru_cache(maxsize=64)
-def _ball_template_cached(n: int, mode: str, samples: int, seed: int, per_axis: int):
-    if mode == "montecarlo":
-        return _mc_ball_template(n, samples, seed)
-    return _grid_ball_template(n, per_axis)
 
 
 def _check_node_count(n: int, count: int) -> None:
@@ -244,11 +239,12 @@ def check_template_request(n: int, spec: QuadSpec) -> None:
 
 
 def ball_template(n: int, spec: QuadSpec) -> BallTemplate:
-    """Centered unit-ball template for a QuadSpec, cached per (n, spec)."""
+    """Centered unit-ball template for a QuadSpec, cached per n and the
+    fields its mode reads: samples and seed, or grid_per_axis."""
     check_template_request(n, spec)
     if spec.mode == "montecarlo":
-        return _ball_template_cached(n, "montecarlo", spec.samples, spec.seed, 0)
-    return _ball_template_cached(n, "grid", 0, 0, spec.grid_per_axis)
+        return _mc_ball_template(n, spec.samples, spec.seed)
+    return _grid_ball_template(n, spec.grid_per_axis)
 
 
 def _twist(centers: Array, u: Array) -> Array:
@@ -329,9 +325,6 @@ def ball_values(f, centers, rs, template: BallTemplate) -> Array:
     return vals
 
 
-_RHO_MIN = 0.02  # inner shell edge of every norm domain, around its core ball
-
-
 @dataclass(frozen=True, eq=False)
 class PolarDomain:
     """Log-radial shell quadrature for the gauge ball of radius rho_max.
@@ -340,9 +333,9 @@ class PolarDomain:
     fixed unit-gauge directions drawn once from the ball template (uniform
     ball points have cone-distributed directions).  vols are exact shell
     volumes, so sum(vols * mean_dirs(h^p)) approximates the integral of
-    h^p; the ball below _RHO_MIN (volume core_vol) and the tail past
-    rho_max (gauge balls of volume c_n rho^Q, Q = big_q) are left to the
-    truncation accounting.
+    h^p; the core ball inside the innermost shell edge (volume core_vol)
+    and the tail past rho_max (gauge balls of volume c_n rho^Q, Q = big_q)
+    are left to the truncation accounting.
     """
 
     rho: Array
@@ -354,11 +347,13 @@ class PolarDomain:
     big_q: int
 
 
-def polar_domain(n, rho_max, per_decade, n_dirs, spec) -> PolarDomain:
+def polar_domain(n, shells: ScaleGrid, n_dirs, spec) -> PolarDomain:
+    """PolarDomain with one shell per node of the log grid shells, from the
+    core edge r_min to rho_max = r_max, and n_dirs directions from spec."""
     big_q = 2 * n + 2
     c_n = _ball_constant(n)[0]
-    count = ScaleGrid(_RHO_MIN, rho_max, per_decade).count
-    edges = _RHO_MIN * (rho_max / _RHO_MIN) ** (np.arange(count + 1) / count)
+    count, rho_min, rho_max = shells.count, shells.r_min, shells.r_max
+    edges = rho_min * (rho_max / rho_min) ** (np.arange(count + 1) / count)
     rho = np.sqrt(edges[:-1] * edges[1:])
     vols = c_n * (edges[1:] ** big_q - edges[:-1] ** big_q)
     tpl = ball_template(n, spec)
@@ -372,7 +367,7 @@ def polar_domain(n, rho_max, per_decade, n_dirs, spec) -> PolarDomain:
         rho=rho,
         vols=vols,
         pts=pts,
-        core_vol=float(c_n * _RHO_MIN**big_q),
+        core_vol=float(c_n * rho_min**big_q),
         rho_max=float(rho_max),
         c_n=float(c_n),
         big_q=big_q,

@@ -26,7 +26,6 @@ from .quad import (
     PolarDomain,
     QuadSpec,
     ScaleGrid,
-    _RHO_MIN,
     _check_finite,
     _log_ball_constant,
     ball_template,
@@ -40,6 +39,7 @@ from .quad import (
 from .squarefn import _square_from_profile, g_alpha, g_window_values, gradient_comparison
 
 _DEGENERATE_RHS = 1e-12
+_RHO_MIN = 0.02  # inner shell edge of every norm domain, around its core ball
 _VANISHING = 1e-14  # a placement statistic at or below it has vanished
 _IDENTITY_TOL = 1e-2
 # An identity verified with shared noise says nothing about correctness
@@ -138,8 +138,9 @@ class HarnessConfig:
     norm_dirs template directions per shell.  workers is the thread count
     of the sweeps that span many tiles; it never changes a result bit and
     stays out of every report's params.  Construction checks every value and
-    then builds the three grids, the scale window, the t window and the norm
-    shells, so a bad grid fails here and not halfway through a suite.
+    then builds and keeps the three grids, scale_grid (the scale window),
+    t_grid (the t window) and norm_shells (the shells domain() reads), so a
+    bad grid fails here and not halfway through a suite.
     """
 
     n: int = 1
@@ -158,6 +159,9 @@ class HarnessConfig:
     norm_dirs: int = 32
     norm_per_decade: int = 8
     workers: int = 1
+    scale_grid: ScaleGrid = field(init=False, repr=False, compare=False)
+    t_grid: ScaleGrid = field(init=False, repr=False, compare=False)
+    norm_shells: ScaleGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -187,36 +191,27 @@ class HarnessConfig:
         for key in ("sweep_samples", "norm_dirs", "norm_per_decade", "workers"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        for label, key, bounds in (
-            ("", "points_per_decade", (self.r_min, self.r_max, self.per_decade)),
-            ("t grid: ", "t_per_decade", (self.t_min, self.t_max, self.t_per_decade)),
-            ("norm shells: ", "norm_per_decade",
+        for name, label, key, bounds in (
+            ("scale_grid", "", "points_per_decade",
+             (self.r_min, self.r_max, self.per_decade)),
+            ("t_grid", "t grid: ", "t_per_decade",
+             (self.t_min, self.t_max, self.t_per_decade)),
+            ("norm_shells", "norm shells: ", "norm_per_decade",
              (_RHO_MIN, 2.0 * self.box_radius, self.norm_per_decade)),
         ):
             try:
-                ScaleGrid(*bounds)
+                object.__setattr__(self, name, ScaleGrid(*bounds))
             except ValueError as exc:
                 raise ValueError(label + str(exc).replace("points_per_decade", key)) from None
-
-    @property
-    def scale_grid(self) -> ScaleGrid:
-        return ScaleGrid(self.r_min, self.r_max, self.per_decade)
-
-    @property
-    def t_grid(self) -> ScaleGrid:
-        return ScaleGrid(self.t_min, self.t_max, self.t_per_decade)
 
     @property
     def sweep_spec(self) -> QuadSpec:
         return replace(self.spec, samples=min(self.spec.samples, self.sweep_samples))
 
     def domain(self) -> PolarDomain:
-        """Gauge-polar quadrature of the truncated domain, the gauge ball
-        of radius 2 * box_radius, with directions from the sweep template."""
-        return polar_domain(
-            self.n, 2.0 * self.box_radius, self.norm_per_decade, self.norm_dirs,
-            self.sweep_spec,
-        )
+        """Gauge-polar quadrature of the truncated domain on norm_shells,
+        with directions from the sweep template."""
+        return polar_domain(self.n, self.norm_shells, self.norm_dirs, self.sweep_spec)
 
     def base_params(self) -> dict:
         return {
@@ -246,8 +241,8 @@ def _certified(spec: QuadSpec) -> bool:
 
 def _norm_params(config: HarnessConfig) -> dict:
     return {
-        "rho_max": 2.0 * config.box_radius,
-        "rho_min": _RHO_MIN,
+        "rho_max": config.norm_shells.r_max,
+        "rho_min": config.norm_shells.r_min,
         "norm_dirs": config.norm_dirs,
         "norm_per_decade": config.norm_per_decade,
     }
@@ -262,6 +257,11 @@ def _gradient_side(f: ScalarField, pts, polar: PolarDomain, p: float, s: float):
     return s * rhs, means
 
 
+def _inequality_floor(lhs: float) -> float:
+    """The rhs at or below which an inequality's sides are degenerate."""
+    return _DEGENERATE_RHS * (1.0 + lhs)
+
+
 def _ratio_report(name: str, f: ScalarField, p: float, config: HarnessConfig,
                   polar: PolarDomain, lhs, rhs, rhs_means, lhs_trunc,
                   extra: dict) -> RatioReport:
@@ -272,10 +272,8 @@ def _ratio_report(name: str, f: ScalarField, p: float, config: HarnessConfig,
     params = config.base_params() | _norm_params(config) | {
         "field": f.label, "p": p,
     } | extra
-    return _report(
-        name, lhs, rhs, params, (lhs_trunc, rhs_trunc),
-        rhs_floor=_DEGENERATE_RHS * (1.0 + lhs),
-    )
+    return _report(name, lhs, rhs, params, (lhs_trunc, rhs_trunc),
+                   rhs_floor=_inequality_floor(lhs))
 
 
 def _dorronsoro_sides(f: ScalarField, p: float, q: float,
@@ -303,14 +301,11 @@ def _dorronsoro_sides(f: ScalarField, p: float, q: float,
 def _stability(name: str, s: float, base: RatioReport, sides) -> RatioReport:
     """ratio(f_s) against base.ratio; sides() gives the (lhs, rhs, shells) of f_s."""
     _check_dilation(s)
-    if s == 1.0:
-        # the sides at s = 1 are the base sides bit for bit
-        lhs, rhs = base.lhs, base.rhs
-    else:
-        lhs, rhs, _ = sides()
+    # the sides at s = 1 are the base sides bit for bit
+    lhs, rhs = (base.lhs, base.rhs) if s == 1.0 else sides()[:2]
     params = dict(base.params) | {"s": s, "base_ratio": base.ratio}
-    if not rhs > _DEGENERATE_RHS * (1.0 + lhs):
-        return _report(name, lhs, rhs, params)
+    if not rhs > _inequality_floor(lhs):
+        return _report(name, lhs, rhs, params, rhs_floor=_inequality_floor(lhs))
     return _report(name, lhs / rhs, base.ratio, params, base.truncation)
 
 

@@ -173,7 +173,7 @@ def test_lemmas_bytes_do_not_depend_on_workers(capsys):
         assert len(strict_json(outputs[0])["reports"]) == 5
 
 
-def test_identities_starved_budget_exits_2(tmp_path):
+def test_identities_starved_budget_exits_2(tmp_path, capsys):
     out = tmp_path / "starved.csv"
     code = run_main(
         ["identities", "--mode", "mc", "--samples", "10", "--rmin", "0.1",
@@ -182,6 +182,10 @@ def test_identities_starved_budget_exits_2(tmp_path):
     )
     assert code == 2
     assert out.exists()  # report still written for inspection
+    # no budget of 10 samples is certified, so every check fails, and one
+    # stderr line says so
+    assert capsys.readouterr().err == (
+        "heisbeta: 8 of 8 checks failed (first: lp-scaling:gaussian:s=2)\n")
 
 
 def test_exact_covariance_identity_at_n2_on_a_grid_exits_0(capsys):
@@ -263,7 +267,7 @@ def test_runtime_failures_exit_1_with_one_line(monkeypatch, capsys, exc):
     def builder(*args):
         raise exc
 
-    monkeypatch.setattr(quad, "_ball_template_cached", builder)
+    monkeypatch.setattr(quad, "_grid_ball_template", builder)
     assert run(parse_config(FAST_BETA)) == 1
     err = capsys.readouterr().err
     assert err.startswith("heisbeta: error: ") and err.count("\n") == 1
@@ -278,9 +282,8 @@ def builder_calls(monkeypatch):
         calls.append(args)
         raise AssertionError("template builder reached")
 
-    for name in ("_ball_template_cached", "_grid_ball_template",
-                 "_mc_ball_template", "_sign_orbit", "_midpoint_mesh",
-                 "_ball_constant"):
+    for name in ("_grid_ball_template", "_mc_ball_template", "_sign_orbit",
+                 "_midpoint_mesh", "_ball_constant"):
         monkeypatch.setattr(quad, name, builder)
     return calls
 
@@ -459,11 +462,15 @@ def test_overflowing_vertical_wave_exits_1_with_one_line_and_no_warning(capsys):
     ["dorronsoro", "--p", "1e308", "--per-decade", "2"],
     ["dorronsoro", "--field", "affine:a=0,0", "--per-decade", "2"],
     ["poincare", "--field", "affine:a=0,0"],
-], ids=["dorronsoro-underflow", "dorronsoro-constant", "poincare-constant"])
+    ["dorronsoro", "--field", "affine:a=1e200,1e200", "--per-decade", "2"],
+], ids=["dorronsoro-underflow", "dorronsoro-constant", "poincare-constant",
+        "dorronsoro-overflow"])
 def test_every_report_degenerate_exits_2_with_one_line(capsys, tmp_path, argv):
-    """|.|^p underflows at p = 1e308, and a constant field has no gradient:
-    every report is degenerate, so no ratio was measured.  The rows are
-    still written, as they are for failed checks."""
+    """|.|^p underflows at p = 1e308, a constant field has no gradient, and
+    at a = 1e200 both sides overflow to inf, which no rhs floor relative to
+    the lhs lets through, stabilities included: every report is degenerate,
+    so no ratio was measured.  The rows are still written, as they are for
+    failed checks."""
     out = tmp_path / "r.csv"
     common = ["--box-radius", "2", "--samples", "256", "--no-timestamp", "--out", str(out)]
     assert run_main(argv + common) == 2

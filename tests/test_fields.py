@@ -193,6 +193,41 @@ def test_in_place_evaluators_keep_their_bits(name, n):
             _assert_same_bits(f.analytic_hgrad(pts), previous_grad(pts))
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_coordinate_is_the_affine_field_with_its_bits(n):
+    """coordinate(z_j) is the affine field a = e_j, b = 0, relabelled: on
+    finite non-zero points its values and gradients keep the bits of the
+    coordinate read and the constant e_j."""
+    rng = np.random.default_rng(59)
+    for j in range(1, 2 * n + 1):
+        f = catalog("coordinate", n=n, axis=j)
+        assert f.label == f"coordinate(z{j})"
+        e = np.zeros(2 * n)
+        e[j - 1] = 1.0
+        for scale in (1e-3, 1.0, 1e3):
+            pts = rng.normal(scale=scale, size=(40, 6, 2 * n + 1))
+            assert np.all(pts != 0.0)
+            strided = np.moveaxis(np.ascontiguousarray(np.moveaxis(pts, -1, 0)), 0, -1)
+            for p in (pts, strided, pts[0, 0]):
+                _assert_same_bits(f.eval(p), p[..., j - 1])
+                _assert_same_bits(f.analytic_hgrad(p),
+                                  np.broadcast_to(e, p.shape[:-1] + (2 * n,)))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gaussian_family_gradient_bounds_keep_their_bits(n):
+    """The gaussian and the vertical wave share one gradient bound,
+    sqrt(2n) r (2 + r^2/4 + |omega|/2) envelope, omega = 0 for the gaussian."""
+    r = np.concatenate([[0.0], np.geomspace(1e-3, 40.0, 400)])
+    envelope = np.exp(-np.minimum(r**4 / 16.0, r**2))
+    _assert_same_bits(catalog("gaussian", n=n).grad_decay_bound(r),
+                      np.sqrt(2.0 * n) * r * (2.0 + r**2 / 4.0) * envelope)
+    for omega in (0.5, 1.0, 7.0, 16.0):
+        _assert_same_bits(
+            catalog("vertical-wave", n=n, omega=omega).grad_decay_bound(r),
+            np.sqrt(2.0 * n) * r * (2.0 + r**2 / 4.0 + omega / 2.0) * envelope)
+
+
 def test_exp_is_zero_past_the_gaussian_cut():
     """_gauss writes +0.0 for |z|^2 + t^2 > _EXP_ZERO without calling exp;
     numpy's exp gives the same bits there."""
@@ -218,6 +253,7 @@ def test_bump_support():
     ("gaussian", {}),
     ("vertical-wave", {"omega": 4.0}),
     ("bump", {}),
+    ("vertical-wave", {"omega": -4.0}),  # the bound reads |omega|
 ])
 def test_decay_certificates_hold(name, params):
     f = catalog(name, **params)

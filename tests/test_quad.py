@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -213,6 +214,24 @@ def test_ball_template_deterministic():
     c = ball_template(2, QuadSpec(samples=10_000, seed=8))
     assert np.array_equal(a.nodes, b.nodes)
     assert not np.array_equal(a.nodes, c.nodes)
+
+
+def test_template_cache_keys_only_what_the_mode_reads():
+    """A grid template reads only grid_per_axis, a Monte Carlo one only
+    samples and seed: specs that differ in the other mode's fields share one
+    template object."""
+    grid = QuadSpec(mode="grid", grid_per_axis=6, samples=512, seed=1)
+    tpl = ball_template(1, grid)
+    assert ball_template(1, replace(grid, samples=2048)) is tpl
+    assert ball_template(1, replace(grid, seed=9)) is tpl
+    assert ball_template(1, replace(grid, grid_per_axis=8)) is not tpl
+    assert ball_template(2, grid) is not tpl
+    mc = QuadSpec(samples=512, seed=1, grid_per_axis=6)
+    tpl = ball_template(1, mc)
+    assert ball_template(1, replace(mc, grid_per_axis=10)) is tpl
+    assert ball_template(1, replace(mc, seed=2)) is not tpl
+    assert ball_template(1, replace(mc, samples=1024)) is not tpl
+    assert ball_template(2, mc) is not tpl
 
 
 def _all_templates():

@@ -15,6 +15,7 @@ from heisbeta.hgroup import dilate, horizontal_derivative
 from heisbeta.quad import (
     PolarDomain,
     QuadSpec,
+    ScaleGrid,
     ball_template,
     domain_truncation,
     polar_domain,
@@ -157,6 +158,51 @@ def test_harness_config_rejects_bad_grids_when_built(kwargs, pattern):
     assert "\n" not in str(info.value)
 
 
+def test_harness_config_keeps_the_grids_it_builds():
+    """The scale window, the t window and the norm shells are built once,
+    with the config: every read returns that object, a replaced config
+    builds its own, and the norm domain takes its shells from norm_shells."""
+    grids = ("scale_grid", "t_grid", "norm_shells")
+    for name in grids:
+        assert getattr(CHEAP, name) is getattr(CHEAP, name)
+    assert CHEAP.scale_grid == ScaleGrid(CHEAP.r_min, CHEAP.r_max, CHEAP.per_decade)
+    assert CHEAP.t_grid == ScaleGrid(CHEAP.t_min, CHEAP.t_max, CHEAP.t_per_decade)
+    assert CHEAP.norm_shells == ScaleGrid(0.02, 2.0 * CHEAP.box_radius,
+                                          CHEAP.norm_per_decade)
+    for key, value, name in (("per_decade", 5, "scale_grid"),
+                             ("t_per_decade", 5, "t_grid"),
+                             ("norm_per_decade", 5, "norm_shells"),
+                             ("box_radius", 5.0, "norm_shells")):
+        other = replace(CHEAP, **{key: value})
+        assert getattr(other, name) != getattr(CHEAP, name)
+        assert {getattr(other, g) is getattr(CHEAP, g) for g in grids} == {False}
+    # the grids are derived values: they stay out of equality and the repr
+    assert replace(CHEAP) == CHEAP and "norm_shells" not in repr(CHEAP)
+    polar = CHEAP.domain()
+    assert len(polar.rho) == len(polar.vols) == CHEAP.norm_shells.count
+    assert polar.rho_max == CHEAP.norm_shells.r_max == 2.0 * CHEAP.box_radius
+    params = verify._norm_params(CHEAP)
+    assert (params["rho_min"], params["rho_max"]) == (0.02, polar.rho_max)
+
+
+@pytest.mark.parametrize("n, box_radius, per_decade", [
+    (1, 16.0, 8), (1, 2.0, 4), (1, 0.75, 3), (2, 4.0, 8), (2, 1e3, 5),
+])
+def test_polar_domain_keeps_its_shell_bits(n, box_radius, per_decade):
+    """The shells read from the config's norm_shells have the bits of the
+    edges r_min (r_max / r_min)^(k / count) and their log midpoints."""
+    cfg = replace(CHEAP, n=n, box_radius=box_radius, norm_per_decade=per_decade)
+    polar = cfg.domain()
+    rho_min, rho_max = 0.02, 2.0 * box_radius
+    count = ScaleGrid(rho_min, rho_max, per_decade).count
+    edges = rho_min * (rho_max / rho_min) ** (np.arange(count + 1) / count)
+    big_q, c_n = 2 * n + 2, polar.c_n
+    assert np.array_equal(polar.rho, np.sqrt(edges[:-1] * edges[1:]))
+    assert np.array_equal(polar.vols, c_n * (edges[1:] ** big_q - edges[:-1] ** big_q))
+    assert polar.core_vol == float(c_n * rho_min**big_q)
+    assert polar.rho_max == rho_max and polar.big_q == big_q
+
+
 def test_norm_shells_above_the_ceiling_are_rejected_before_allocation():
     # 2.6 decades at 1e7 shells each: 2.6e7 shells of 32 directions would
     # be about 20 GB of domain points
@@ -226,6 +272,26 @@ def test_dorronsoro_stability_identity_at_unit_dilation():
     assert rep.lhs == rep.rhs == base.ratio
     moved = dorronsoro_stability(f, 2.0, 2.0, CHEAP, 2.0, base=base)
     assert abs(moved.ratio - 1.0) < 0.2  # genuine truncation drift only
+
+
+def test_stabilities_below_the_inequality_floor_are_degenerate():
+    """The gaussian with its gradient scaled by 3e-13 has an rhs below the
+    floor 1e-12 (1 + lhs) of both inequalities at every dilation.  The base
+    ratios are degenerate, and so is every stability: none forms lhs / rhs
+    from sides that small (at s = 0.5 that ratio would read about 1e12)."""
+    g = catalog("gaussian")
+    grad = g.analytic_hgrad
+    f = replace(g, label="gaussian*3e-13", analytic_hgrad=lambda p: 3e-13 * grad(p))
+    cfg = HarnessConfig(spec=QuadSpec(samples=2000, seed=3), sweep_samples=512,
+                        per_decade=4, norm_dirs=8, norm_per_decade=4, r_min=1e-2,
+                        r_max=1e1, t_per_decade=4, box_radius=2.0)
+    bases = (dorronsoro_ratio(f, 2.0, 1.0, cfg), poincare_ratio(f, 2.0, cfg))
+    assert all(base.degenerate for base in bases)
+    for s in (0.5, 1.0, 2.0):
+        for rep in (dorronsoro_stability(f, 2.0, 1.0, cfg, s, bases[0]),
+                    poincare_stability(f, 2.0, cfg, s, bases[1])):
+            assert rep.degenerate and math.isnan(rep.ratio), (rep.name, s, rep.ratio)
+            assert 0.0 < rep.rhs <= 1e-12 * (1.0 + rep.lhs)
 
 
 def test_poincare_vanishes_on_z_only_fields():
@@ -624,7 +690,8 @@ def test_power_tail_dead_and_unsummable_cases():
 def test_power_tail_and_truncation_take_q_from_an_n2_domain():
     # at n = 2 the shells grow like rho^6, so means following rho^-8 leave
     # the tail c_n Q edge^(Q-8) / (8-Q) past the edge, with Q = 6
-    polar = polar_domain(2, 8.0, 4, 8, QuadSpec(mode="grid", grid_per_axis=6))
+    polar = polar_domain(2, ScaleGrid(0.02, 8.0, 4), 8,
+                         QuadSpec(mode="grid", grid_per_axis=6))
     assert polar.big_q == 6
     means = polar.rho**-8.0
     want = polar.c_n * 6 * polar.rho_max ** (6 - 8) / (8 - 6)
