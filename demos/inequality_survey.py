@@ -4,8 +4,11 @@ Runs the exponent gate, the exact-identity suite, and the two headline
 ratio checks (Dorronsoro and vertical Poincare) at a small deterministic
 grid budget.  The preview budget keeps this under half a minute; the
 certified numbers in the test suite use the default Monte Carlo budget
-and, for the Dorronsoro check, a wider domain.
+and, for the Dorronsoro check, a wider domain.  Every check reads its
+exponents p and q from the HarnessConfig it is given.
 """
+
+from dataclasses import replace
 
 from heisbeta.fields import catalog
 from heisbeta.quad import QuadSpec
@@ -53,8 +56,8 @@ def main():
     # flatness function against the horizontal Sobolev seminorm.  The
     # truncation pair bounds what the finite domain and scale window can
     # hide; at this preview budget the domain tail is the honest cost.
-    rep = dorronsoro_ratio(catalog("gaussian"), 2.0, 2.0, PREVIEW)
-    print(f"dorronsoro gaussian: ratio = {rep.ratio:.4f} "
+    rep = dorronsoro_ratio(catalog("gaussian"), replace(PREVIEW, q=2.0))
+    print(f"dorronsoro gaussian (p = q = 2): ratio = {rep.ratio:.4f} "
           f"(lhs {rep.lhs:.4f}, rhs {rep.rhs:.4f})")
     print(f"  truncation bounds: lhs {rep.truncation[0]:.3f}, "
           f"rhs {rep.truncation[1]:.1e}")
@@ -66,9 +69,9 @@ def main():
     # horizontal gradient, and the ratio stays of order one.
     print("vertical Poincare ratios (p = 2):")
     for omega in (1.0, 4.0, 16.0):
-        rep = poincare_ratio(catalog("vertical-wave", omega=omega), 2.0, PREVIEW)
+        rep = poincare_ratio(catalog("vertical-wave", omega=omega), PREVIEW)
         print(f"  omega = {omega:4.1f}  ratio = {rep.ratio:.4f}")
-    z_only = poincare_ratio(catalog("coordinate", axis=1), 2.0, PREVIEW)
+    z_only = poincare_ratio(catalog("coordinate", axis=1), PREVIEW)
     print(f"  z-only field: lhs = {z_only.lhs} (central shifts leave it fixed)")
 
 

@@ -34,9 +34,10 @@ from .squarefn import g_alpha
 from .beta import beta_profile
 from .verify import (
     HarnessConfig,
+    _admissible_window,
+    _poincare_range,
     dorronsoro_ratio,
     dorronsoro_stability,
-    gate_exponents,
     poincare_ratio,
     poincare_stability,
     run_identity_suite,
@@ -266,10 +267,10 @@ def parse_config(argv=None) -> RunConfig:
 
 
 def _validated(config: RunConfig) -> RunConfig:
-    """Checks no library object makes, then the library constructors,
-    whose ValueError becomes a UsageError: HarnessConfig checks every
-    harness value and its three grids (scales, t shifts, norm shells) when
-    it is built.  Builds no template."""
+    """Checks no library object makes, then the library's, whose ValueError
+    becomes a UsageError: HarnessConfig checks every harness value and its
+    three grids (scales, t shifts, norm shells), an inequality suite its
+    exponent rule on them.  Builds no template."""
     if config.suite not in _SUITES:
         raise UsageError(f"suite must be one of {_SUITES}, got {config.suite!r}")
     if config.mode not in _MODE_ALIASES:
@@ -278,7 +279,11 @@ def _validated(config: RunConfig) -> RunConfig:
     if config.format not in _FORMATS:
         raise UsageError(f"format must be csv or json, got {config.format!r}")
     try:
-        config.harness_config()
+        harness = config.harness_config()
+        if config.suite == "dorronsoro":
+            _admissible_window(harness)
+        elif config.suite == "poincare":
+            _poincare_range(harness)
     except ValueError as exc:
         raise UsageError(str(exc).replace("points_per_decade", "--per-decade")) from None
     try:
@@ -298,15 +303,6 @@ def _validated(config: RunConfig) -> RunConfig:
             f"grid_per_axis={config.grid_per_axis} holds only the origin; "
             f"raise --grid-per-axis"
         )
-    if config.suite == "dorronsoro":
-        gate = gate_exponents(config.p, config.q, config.n)
-        if not gate.admissible:
-            raise UsageError(
-                f"exponents p={config.p}, q={config.q} rejected at Q={gate.Q}: "
-                f"outside the admissible window"
-            )
-    if config.suite == "poincare" and not 1.0 < config.p <= 2.0:
-        raise UsageError(f"poincare suite needs p in (1, 2], got {config.p}")
     try:
         config.make_field()
     except (ValueError, TypeError) as exc:
@@ -435,28 +431,23 @@ def _run_suite(config: RunConfig):
         return _run_reports(run_identity_suite(harness))
     if config.suite == "lemmas":
         return _run_reports(run_lemma_suite(harness))
+    ratio, stability, dilations = {
+        "dorronsoro": (dorronsoro_ratio, dorronsoro_stability, (0.5, 1.0, 2.0)),
+        "poincare": (poincare_ratio, poincare_stability, (0.5, 2.0)),
+    }[config.suite]
     f = config.make_field()
-    if config.suite == "dorronsoro":
-        base = dorronsoro_ratio(f, config.p, config.q, harness)
-        reports = [base] + [
-            dorronsoro_stability(f, config.p, config.q, harness, s, base=base)
-            for s in (0.5, 1.0, 2.0)
-        ]
-        return _run_reports(reports)
-    base = poincare_ratio(f, config.p, harness)
-    reports = [base] + [
-        poincare_stability(f, config.p, harness, s, base=base)
-        for s in (0.5, 2.0)
-    ]
-    return _run_reports(reports)
+    base = ratio(f, harness)
+    return _run_reports([base] + [stability(f, harness, s, base) for s in dilations])
 
 
 def run(config: RunConfig) -> int:
     """Execute the configured suite and write its artifact; returns the
     exit status (0 ok; 2, with one stderr line, failed checks or every
-    report degenerate; 1 runtime error or out of memory)."""
+    report degenerate; 1 runtime error or out of memory).  numpy does not
+    warn: reports carry inf and nan, and finiteness checks name the node."""
     try:
-        columns, rows, dicts = _run_suite(config)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            columns, rows, dicts = _run_suite(config)
         if config.format == "csv":
             text = _emit_csv(config, columns, rows)
         else:

@@ -386,11 +386,13 @@ def power_tail(polar: PolarDomain, means: Array) -> float:
 
     Fits the decay rate of the shell means of h^p on the last four shells
     and integrates the power law from rho_max to infinity.  Returns inf when
-    the measured decay cannot beat the volume growth (the tail is then not
-    summable as far as the data shows), 0 when the integrand has died (the
-    outermost shell mean is exactly 0).
+    a mean it reads is not finite or the decay cannot beat the volume growth
+    (not summable as far as the data shows), 0 when the integrand has died
+    (the outermost shell mean is exactly 0).
     """
     m, r, edge, big_q = means[-4:], polar.rho[-4:], polar.rho_max, polar.big_q
+    if not np.isfinite(m).all():
+        return math.inf
     if not m[-1] > 0:
         return 0.0
     pos = m > 0

@@ -140,7 +140,11 @@ class HarnessConfig:
     stays out of every report's params.  Construction checks every value and
     then builds and keeps the three grids, scale_grid (the scale window),
     t_grid (the t window) and norm_shells (the shells domain() reads), so a
-    bad grid fails here and not halfway through a suite.
+    bad grid fails here and not halfway through a suite.  p is the exponent
+    of the domain L^p norms (both inequalities, the lp-scaling and g-lp
+    identities), q that of the beta numbers (Dorronsoro, beta covariance,
+    near-optimal fit, monotonicity), alpha that of the g-pointwise and g-lp
+    square functions; each inequality checks its own rule on p and q.
     """
 
     n: int = 1
@@ -248,12 +252,13 @@ def _norm_params(config: HarnessConfig) -> dict:
     }
 
 
-def _gradient_side(f: ScalarField, pts, polar: PolarDomain, p: float, s: float):
+def _gradient_side(f: ScalarField, pts, polar: PolarDomain, config: HarnessConfig,
+                   s: float):
     """(s ||grad_H f||_p on the dilated domain points pts, its shell means):
     the right side of both inequalities for f_s = f o delta_s, since
     grad_H f_s(x) = s grad_H f(delta_s x)."""
     rhs, means = shell_lp(np.linalg.norm(horizontal_gradient(f, pts), axis=-1),
-                          polar.vols, p)
+                          polar.vols, config.p)
     return s * rhs, means
 
 
@@ -262,22 +267,21 @@ def _inequality_floor(lhs: float) -> float:
     return _DEGENERATE_RHS * (1.0 + lhs)
 
 
-def _ratio_report(name: str, f: ScalarField, p: float, config: HarnessConfig,
-                  polar: PolarDomain, lhs, rhs, rhs_means, lhs_trunc,
-                  extra: dict) -> RatioReport:
+def _ratio_report(name: str, f: ScalarField, config: HarnessConfig, polar: PolarDomain,
+                  lhs, rhs, rhs_means, lhs_trunc, extra: dict) -> RatioReport:
     """The report of an inequality against rhs = ||grad_H f||_p: the rhs
     truncation from its shell means, the norm domain in params, and a
     degeneracy floor relative to lhs."""
-    rhs_trunc = domain_truncation(polar, rhs_means, p)
+    rhs_trunc = domain_truncation(polar, rhs_means, config.p)
     params = config.base_params() | _norm_params(config) | {
-        "field": f.label, "p": p,
+        "field": f.label, "p": config.p,
     } | extra
     return _report(name, lhs, rhs, params, (lhs_trunc, rhs_trunc),
                    rhs_floor=_inequality_floor(lhs))
 
 
-def _dorronsoro_sides(f: ScalarField, p: float, q: float,
-                      config: HarnessConfig, polar: PolarDomain, s: float):
+def _dorronsoro_sides(f: ScalarField, config: HarnessConfig, polar: PolarDomain,
+                      s: float):
     """(lhs, rhs, shell means of both sides) of the Dorronsoro ratio of
     f_s = f o delta_s on the domain points.
 
@@ -290,29 +294,38 @@ def _dorronsoro_sides(f: ScalarField, p: float, q: float,
     rs = grid.nodes()
     pts = dilate(s, polar.pts)
     gvals = g_window_values(
-        f, pts, s * rs, rs**-1.0, grid.log_step, 1, q,
+        f, pts, s * rs, rs**-1.0, grid.log_step, 1, config.q,
         ball_template(config.n, config.sweep_spec), workers=config.workers,
     )
-    lhs, lhs_means = shell_lp(gvals, polar.vols, p)
-    rhs, rhs_means = _gradient_side(f, pts, polar, p, s)
+    lhs, lhs_means = shell_lp(gvals, polar.vols, config.p)
+    rhs, rhs_means = _gradient_side(f, pts, polar, config, s)
     return lhs, rhs, (lhs_means, rhs_means)
 
 
-def _stability(name: str, s: float, base: RatioReport, sides) -> RatioReport:
-    """ratio(f_s) against base.ratio; sides() gives the (lhs, rhs, shells) of f_s."""
+def _stability(name: str, sides, f: ScalarField, config: HarnessConfig, s: float,
+               base: RatioReport) -> RatioReport:
+    """ratio(f_s) against base.ratio, the sides of f_s from sides(f, config, polar, s)."""
     _check_dilation(s)
     # the sides at s = 1 are the base sides bit for bit
-    lhs, rhs = (base.lhs, base.rhs) if s == 1.0 else sides()[:2]
+    lhs, rhs = ((base.lhs, base.rhs) if s == 1.0
+                else sides(f, config, config.domain(), s)[:2])
     params = dict(base.params) | {"s": s, "base_ratio": base.ratio}
     if not rhs > _inequality_floor(lhs):
         return _report(name, lhs, rhs, params, rhs_floor=_inequality_floor(lhs))
     return _report(name, lhs / rhs, base.ratio, params, base.truncation)
 
 
-def dorronsoro_ratio(f: ScalarField, p: float, q: float,
-                     config: HarnessConfig) -> RatioReport:
+def _admissible_window(config: HarnessConfig) -> None:
+    """The Dorronsoro exponent rule: (p, q) inside the window of gate_exponents."""
+    gate = gate_exponents(config.p, config.q, config.n)
+    if not gate.admissible:
+        raise ValueError(f"exponents p={config.p}, q={config.q} are outside the "
+                         f"admissible window at Q={gate.Q}")
+
+
+def dorronsoro_ratio(f: ScalarField, config: HarnessConfig) -> RatioReport:
     """Ratio of the scale-integrated flatness norm to the horizontal
-    Sobolev seminorm, both over the truncated domain.
+    Sobolev seminorm, both over the truncated domain, at config.p and config.q.
 
     lhs = || x -> (int [r^-1 beta_{f,1,q}(B(x,r))]^2 dr/r)^(1/2) ||_p,
     rhs = || |grad_H f| ||_p on the same gauge-polar quadrature.  The
@@ -320,44 +333,35 @@ def dorronsoro_ratio(f: ScalarField, p: float, q: float,
     ball, and a probe-point estimate of the scale-window loss, in norm
     units for each side.
     """
-    gate = gate_exponents(p, q, config.n)
-    if not gate.admissible:
-        raise ValueError(
-            f"exponents p={p}, q={q} are outside the admissible window at "
-            f"Q={gate.Q}"
-        )
+    _admissible_window(config)
     polar = config.domain()
-    lhs, rhs, (lhs_means, rhs_means) = _dorronsoro_sides(f, p, q, config, polar, 1.0)
+    lhs, rhs, (lhs_means, rhs_means) = _dorronsoro_sides(f, config, polar, 1.0)
     # relative scale-window truncation at a probe point: the pointwise
     # square function's low/high truncation over its value
     res = g_alpha(f, polar.pts[0, 0], 1.0, config.scale_grid, config.sweep_spec)
-    window = 0.0
-    if res.value > 0:
-        window = math.sqrt(res.truncation_low**2 + res.truncation_high**2) / res.value
-    lhs_trunc = domain_truncation(polar, lhs_means, p) + lhs * window
-    return _ratio_report("dorronsoro", f, p, config, polar, lhs, rhs, rhs_means,
-                         lhs_trunc, {"q": q, "alpha": 1.0})
+    window = math.sqrt(res.truncation_low**2 + res.truncation_high**2)
+    lhs_trunc = domain_truncation(polar, lhs_means, config.p)
+    if res.value > 0 and window > 0:  # no window, no term: an inf lhs would give nan
+        lhs_trunc += lhs * (window / res.value)
+    return _ratio_report("dorronsoro", f, config, polar, lhs, rhs, rhs_means,
+                         lhs_trunc, {"q": config.q, "alpha": 1.0})
 
 
-def dorronsoro_stability(f: ScalarField, p: float, q: float,
-                         config: HarnessConfig, s: float,
+def dorronsoro_stability(f: ScalarField, config: HarnessConfig, s: float,
                          base: RatioReport) -> RatioReport:
     """Dilation stability of the Dorronsoro ratio: ratio(f_s) against the
-    base report, dorronsoro_ratio(f, p, q, config).
+    base report, dorronsoro_ratio(f, config).
 
     ratio(f_s) is computed on the same domain points through the beta
     covariance (balls around dilated centers at dilated radii), so the
     Monte Carlo noise of the two runs cancels and the reported deviation
     isolates the genuine truncation drift of the dilation law.
     """
-    return _stability(
-        "dorronsoro-stability", s, base,
-        lambda: _dorronsoro_sides(f, p, q, config, config.domain(), s),
-    )
+    return _stability("dorronsoro-stability", _dorronsoro_sides, f, config, s, base)
 
 
-def _poincare_sides(f: ScalarField, p: float, config: HarnessConfig,
-                    polar: PolarDomain, s: float):
+def _poincare_sides(f: ScalarField, config: HarnessConfig, polar: PolarDomain,
+                    s: float):
     """(lhs, rhs, shells) of the Poincare ratio of f_s = f o delta_s on the
     domain points.
 
@@ -367,7 +371,7 @@ def _poincare_sides(f: ScalarField, p: float, config: HarnessConfig,
     the per-t shell means of |f(x) - f(x * (0,t))|^p, I(t), J(t), and the
     shell means of |f|^p and of |grad_H f|^p.
     """
-    tgrid = config.t_grid
+    p, tgrid = config.p, config.t_grid
     ts = tgrid.nodes()
     pts = dilate(s, polar.pts)
     vals = np.asarray(f.eval(pts), dtype=float)
@@ -390,13 +394,20 @@ def _poincare_sides(f: ScalarField, p: float, config: HarnessConfig,
     ivals = np.sum(polar.vols[None, :] * means, axis=1)
     jvals = ivals ** (2.0 / p) / ts
     lhs = float(np.sqrt(np.sum(jvals) * tgrid.log_step))
-    rhs, rhs_means = _gradient_side(f, pts, polar, p, s)
+    rhs, rhs_means = _gradient_side(f, pts, polar, config, s)
     fmeans = np.mean(np.abs(vals) ** p, axis=-1)
     return lhs, rhs, (means, ivals, jvals, fmeans, rhs_means)
 
 
-def poincare_ratio(f: ScalarField, p: float, config: HarnessConfig) -> RatioReport:
-    """Vertical-versus-horizontal Poincare ratio over the truncated domain.
+def _poincare_range(config: HarnessConfig) -> None:
+    """The Poincare exponent rule: 1 < p <= 2."""
+    if not 1.0 < config.p <= 2.0:
+        raise ValueError(f"p must lie in (1, 2], got {config.p}")
+
+
+def poincare_ratio(f: ScalarField, config: HarnessConfig) -> RatioReport:
+    """Vertical-versus-horizontal Poincare ratio over the truncated domain
+    at the exponent p = config.p.
 
     lhs^2 = sum over the log t-grid of h * I(t)^(2/p) / t with
     I(t) = int |f(x) - f(x * (0,t))|^p dx; central multiplication only
@@ -405,14 +416,13 @@ def poincare_ratio(f: ScalarField, p: float, config: HarnessConfig) -> RatioRepo
     small-t extrapolation, the large-t tail from the measured field norm,
     and the domain loss continuation per t node.
     """
-    if not 1.0 < p <= 2.0:
-        raise ValueError(f"p must lie in (1, 2], got {p}")
+    _poincare_range(config)
     polar = config.domain()
-    tgrid = config.t_grid
+    p, tgrid = config.p, config.t_grid
     ts = tgrid.nodes()
     h = tgrid.log_step
     lhs, rhs, (means, ivals, jvals, fmeans, rhs_means) = _poincare_sides(
-        f, p, config, polar, 1.0
+        f, config, polar, 1.0
     )
     if not ivals.any():
         lhs_trunc = 0.0
@@ -430,19 +440,16 @@ def poincare_ratio(f: ScalarField, p: float, config: HarnessConfig) -> RatioRepo
             extra = power_tail(polar, means[k])
             loss += h * ((ivals[k] + extra) ** (2.0 / p) - ivals[k] ** (2.0 / p)) / ts[k]
         lhs_trunc = math.sqrt(head + tail_sq) + math.sqrt(loss)
-    return _ratio_report("poincare", f, p, config, polar, lhs, rhs, rhs_means,
+    return _ratio_report("poincare", f, config, polar, lhs, rhs, rhs_means,
                          lhs_trunc, {"t_min": config.t_min, "t_max": config.t_max,
                                      "t_per_decade": config.t_per_decade})
 
 
-def poincare_stability(f: ScalarField, p: float, config: HarnessConfig,
-                       s: float, base: RatioReport) -> RatioReport:
+def poincare_stability(f: ScalarField, config: HarnessConfig, s: float,
+                       base: RatioReport) -> RatioReport:
     """Dilation stability of the Poincare ratio: ratio(f_s) against the
-    base report, poincare_ratio(f, p, config), on linked nodes."""
-    return _stability(
-        "poincare-stability", s, base,
-        lambda: _poincare_sides(f, p, config, config.domain(), s),
-    )
+    base report, poincare_ratio(f, config), on linked nodes."""
+    return _stability("poincare-stability", _poincare_sides, f, config, s, base)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ DORRONSORO = HarnessConfig(
     spec=QuadSpec(samples=400_000),
     sweep_samples=32_768,
     box_radius=16.0,
+    q=2.0,
 )
 
 FIXTURE_PATH = pathlib.Path(__file__).parent / "fixtures.json"
@@ -61,7 +62,7 @@ def main():
         ("gaussian", catalog("gaussian")),
         ("vertical-wave", catalog("vertical-wave", omega=1.0)),
     ]:
-        rep = dorronsoro_ratio(field, 2.0, 2.0, DORRONSORO)
+        rep = dorronsoro_ratio(field, DORRONSORO)
         out["dorronsoro"][name] = {
             "ratio": rep.ratio,
             "lhs": rep.lhs,
@@ -74,7 +75,7 @@ def main():
         for omega in (1.0, 4.0, 16.0)
     ]
     for name, field in poincare_fields:
-        rep = poincare_ratio(field, 2.0, OVERSAMPLED)
+        rep = poincare_ratio(field, OVERSAMPLED)
         out["poincare"][name] = {
             "ratio": rep.ratio,
             "lhs": rep.lhs,

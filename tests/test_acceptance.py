@@ -36,7 +36,7 @@ STANDARD = HarnessConfig()  # 1e5 samples per ball, sweep cap 8192, seed 42
 # Wider domain for the Dorronsoro runs: at q = 2 the square function decays
 # only polynomially in the gauge, and the five percent truncation certificate
 # needs the norm domain out to gauge radius 32.  Matches regen_fixtures.py.
-DORRONSORO = HarnessConfig(box_radius=16.0)
+DORRONSORO = HarnessConfig(box_radius=16.0, q=2.0)
 
 
 _CACHE = {}
@@ -187,14 +187,14 @@ def test_criterion_6_dorronsoro_ratio(fixtures):
         ("gaussian", catalog("gaussian")),
         ("vertical-wave", catalog("vertical-wave", omega=1.0)),
     ]:
-        base = dorronsoro_ratio(field, 2.0, 2.0, DORRONSORO)
+        base = dorronsoro_ratio(field, DORRONSORO)
         assert not base.degenerate and np.isfinite(base.ratio)
         ref = locked[key]["ratio"]
         assert ref / 3.0 <= base.ratio <= 3.0 * ref, key
         assert base.truncation[0] <= 0.05 * base.lhs, key
         assert base.truncation[1] <= 0.05 * base.rhs, key
         for s in (0.5, 1.0, 2.0):
-            rep = dorronsoro_stability(field, 2.0, 2.0, DORRONSORO, s, base=base)
+            rep = dorronsoro_stability(field, DORRONSORO, s, base=base)
             assert abs(rep.ratio - 1.0) <= 5e-2, (key, s)
     finish(6, "Dorronsoro ratios finite, stable, fixture-locked, <5% trunc", t0, 600.0)
 
@@ -207,11 +207,11 @@ def test_criterion_7_poincare_ratio(fixtures):
         for omega in (1.0, 4.0, 16.0)
     ]
     for key, field in cases:
-        rep = poincare_ratio(field, 2.0, STANDARD)
+        rep = poincare_ratio(field, STANDARD)
         assert not rep.degenerate and np.isfinite(rep.ratio)
         ref = locked[key]["ratio"]
         assert abs(rep.ratio - ref) <= 0.25 * ref, key
-    zrep = poincare_ratio(catalog("coordinate", axis=1), 2.0, STANDARD)
+    zrep = poincare_ratio(catalog("coordinate", axis=1), STANDARD)
     assert zrep.lhs <= 1e-10
     finish(7, "Poincare ratios fixture-locked; z-only fields vanish", t0, 600.0)
 

@@ -47,16 +47,19 @@ def test_gaussian_beta_positive_and_vanishing_at_small_scale():
     assert mid > 1e-2
 
 
+@pytest.mark.parametrize("spec", [QuadSpec(mode="grid", grid_per_axis=8), MC],
+                         ids=["grid", "mc"])
+@pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("s", [0.5, 2.0, 4.0])
-def test_dilation_covariance(s):
+def test_dilation_covariance(s, n, spec):
     # beta of f o delta_s at (x, r) equals beta of f at (delta_s x, s r);
     # shared templates and power-of-two factors make it exact
-    f = catalog("gaussian")
+    f = catalog("gaussian", n=n)
     fs = precompose_dilation(f, s)
-    x = np.array([0.4, -0.2, 0.3])
+    x = np.array([0.4, -0.2, 0.1, 0.25][: 2 * n] + [0.3])
     r = 0.75
-    lhs = beta_number(fs, x, r, 1, 1.0, MC)[0]
-    rhs = beta_number(f, dilate(s, x), s * r, 1, 1.0, MC)[0]
+    lhs = beta_number(fs, x, r, 1, 1.0, spec)[0]
+    rhs = beta_number(f, dilate(s, x), s * r, 1, 1.0, spec)[0]
     assert abs(lhs - rhs) <= 1e-12 * max(lhs, 1e-30)
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from heisbeta import beta, quad
 from heisbeta.cli import RunConfig, UsageError, main, parse_config, run
+from heisbeta.fields import catalog
 from heisbeta.quad import NODE_CEILING
+from heisbeta.verify import HarnessConfig, dorronsoro_ratio, poincare_ratio
 
 from conftest import strict_json
 
@@ -78,13 +80,21 @@ def test_config_file_unknown_key(tmp_path):
         parse_config(["--config", str(conf)])
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert run_main(["no-such-suite"]) == 2
     assert run_main(["beta", "--mode", "quantum"]) == 2
     assert run_main(["beta", "--field", "unknown-field"]) == 2
-    assert run_main(["dorronsoro", "--p", "2", "--q", "4"]) == 2  # gate rejects
-    assert run_main(["poincare", "--p", "3"]) == 2
     assert run_main(["beta", "--samples", "0"]) == 2
+    # an inequality suite's exponents fail the library's own rule, with its line
+    for argv, ratio, harness in (
+        (["dorronsoro", "--p", "2", "--q", "4"], dorronsoro_ratio, HarnessConfig(q=4.0)),
+        (["poincare", "--p", "3"], poincare_ratio, HarnessConfig(p=3.0)),
+    ):
+        capsys.readouterr()
+        assert run_main(argv) == 2
+        with pytest.raises(ValueError) as info:
+            ratio(catalog("gaussian"), harness)
+        assert capsys.readouterr().err == f"heisbeta: {info.value}\n"
 
 
 def test_worker_flag():
@@ -456,6 +466,28 @@ def test_overflowing_vertical_wave_exits_1_with_one_line_and_no_warning(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("heisbeta: error: non-finite ball integrand")
     assert captured.err.count("\n") == 1 and not captured.out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["dorronsoro", "--box-radius", "2", "--per-decade", "2", "--format", "json"], 2),
+    (["poincare", "--box-radius", "2"], 0),
+    (["squarefn", "--per-decade", "2"], 0),
+    (["beta", "--per-decade", "2"], 0),
+], ids=["dorronsoro", "poincare", "squarefn", "beta"])
+def test_overflowing_affine_field_runs_without_a_numpy_warning(capsys, argv, code):
+    """At a = 1e200 the squares, |.|^p and the orbit spread overflow to inf,
+    which the reports carry; numpy warns of none of it.  The Dorronsoro
+    truncation bound is inf on both sides, not the nan of a log-log fit to
+    inf or of inf * 0."""
+    argv = argv + ["--field", "affine:a=1e200,1e200", "--samples", "256",
+                   "--no-timestamp"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_main(argv) == code
+    assert not caught, [str(warning.message) for warning in caught]
+    out = capsys.readouterr().out
+    if argv[0] == "dorronsoro":
+        assert strict_json(out)["reports"][0]["truncation"] == ["inf", "inf"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -58,10 +58,11 @@ def test_noncommutativity_in_center_only():
     assert np.allclose(ab[..., -1] - ba[..., -1], twist, rtol=1e-12, atol=1e-14)
 
 
-def test_dilation_is_group_homomorphism():
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dilation_is_group_homomorphism(n):
     rng = np.random.default_rng(12)
-    a = random_points(rng, 60, n=2)
-    b = random_points(rng, 60, n=2)
+    a = random_points(rng, 60, n=n)
+    b = random_points(rng, 60, n=n)
     for s in (0.5, 2.0, 3.7):
         lhs = dilate(s, group_mul(a, b))
         rhs = group_mul(dilate(s, a), dilate(s, b))

@@ -76,6 +76,6 @@ def test_dorronsoro_lhs_within_its_truncation_of_the_reference():
     scale grid."""
     config = HarnessConfig(p=2.0, q=2.0, box_radius=16.0, per_decade=8,
                            spec=QuadSpec(samples=512, seed=42))
-    rep = dorronsoro_ratio(catalog("gaussian"), 2.0, 2.0, config)
+    rep = dorronsoro_ratio(catalog("gaussian"), config)
     want = dorronsoro_lhs(ball_template(1, config.sweep_spec), config.scale_grid)
     assert abs(rep.lhs - want) <= rep.truncation[0]

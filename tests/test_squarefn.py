@@ -1,6 +1,7 @@
 """Square functions G and S: values, laws, truncation accounting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ def test_g_alpha_lp_norm_finite_with_tail_accounting():
     cfg = HarnessConfig(
         spec=QuadSpec(mode="grid", grid_per_axis=10), norm_dirs=8,
         norm_per_decade=8, r_min=1e-2, r_max=1e1, per_decade=8,
-        box_radius=3.0,
+        box_radius=3.0, q=2.0,
     )
     polar, grid = cfg.domain(), cfg.scale_grid
     rs = grid.nodes()
@@ -171,11 +172,11 @@ def test_g_alpha_lp_norm_finite_with_tail_accounting():
     val, trunc = lp_norm(f)
     assert 0.1 < val < 10.0
     assert 0.0 <= trunc < 0.5 * val
-    assert val == pytest.approx(dorronsoro_ratio(f, 2.0, 2.0, cfg).lhs, rel=1e-12)
+    assert val == pytest.approx(dorronsoro_ratio(f, cfg).lhs, rel=1e-12)
     zero, _ = lp_norm(catalog("affine", a=[1.0, 1.0], b=0.0))
     assert zero < 1e-10
     with pytest.raises(ValueError):
-        dorronsoro_ratio(f, 0.5, 2.0, cfg)
+        dorronsoro_ratio(f, replace(cfg, p=0.5))
 
 
 def test_gradient_comparison_orders():

@@ -222,24 +222,24 @@ def test_both_inequalities_share_one_gradient_side():
     one rhs, one rhs truncation and one norm-domain echo, bit for bit, and
     the same s ||grad_H f||_p on the dilated points of a stability run."""
     f = catalog("gaussian")
-    dor = dorronsoro_ratio(f, 2.0, 2.0, CHEAP)
-    poi = poincare_ratio(f, 2.0, CHEAP)
+    dor = dorronsoro_ratio(f, replace(CHEAP, q=2.0))
+    poi = poincare_ratio(f, CHEAP)
     assert (dor.rhs, dor.truncation[1]) == (poi.rhs, poi.truncation[1])
     for key in ("field", "p", "rho_min", "rho_max", "norm_dirs", "norm_per_decade"):
         assert dor.params[key] == poi.params[key]
     polar = CHEAP.domain()
-    assert (verify._dorronsoro_sides(f, 2.0, 2.0, CHEAP, polar, 2.0)[1]
-            == verify._poincare_sides(f, 2.0, CHEAP, polar, 2.0)[1])
+    assert (verify._dorronsoro_sides(f, replace(CHEAP, q=2.0), polar, 2.0)[1]
+            == verify._poincare_sides(f, CHEAP, polar, 2.0)[1])
 
 
 def test_dorronsoro_rejects_inadmissible_exponents():
     f = catalog("gaussian")
     with pytest.raises(ValueError, match="admissib"):
-        dorronsoro_ratio(f, 2.0, 4.0, CHEAP)
+        dorronsoro_ratio(f, replace(CHEAP, q=4.0))
 
 
 def test_dorronsoro_gaussian_cheap():
-    rep = dorronsoro_ratio(catalog("gaussian"), 2.0, 2.0, CHEAP)
+    rep = dorronsoro_ratio(catalog("gaussian"), replace(CHEAP, q=2.0))
     assert rep.name == "dorronsoro"
     assert not rep.degenerate
     assert 0.05 < rep.ratio < 20.0
@@ -248,29 +248,28 @@ def test_dorronsoro_gaussian_cheap():
     # the polar L^p norm of the square function carries a finite tail once
     # the last four shells lie outside the core; at four shells per decade
     # they reach into it and the fitted decay reads as unsummable (inf)
-    rep = dorronsoro_ratio(catalog("gaussian"), 2.0, 2.0,
-                           replace(CHEAP, norm_per_decade=8))
+    rep = dorronsoro_ratio(catalog("gaussian"), replace(CHEAP, q=2.0, norm_per_decade=8))
     assert 0.0 <= rep.truncation[0] < 0.5 * rep.lhs
 
 
 def test_dorronsoro_annihilates_affine():
-    rep = dorronsoro_ratio(catalog("affine", a=[1.0, -1.0], b=0.5), 2.0, 2.0, CHEAP)
+    rep = dorronsoro_ratio(catalog("affine", a=[1.0, -1.0], b=0.5), replace(CHEAP, q=2.0))
     assert not rep.degenerate
     assert rep.ratio < 1e-10
 
 
 def test_dorronsoro_degenerate_on_constants():
-    rep = dorronsoro_ratio(catalog("affine", a=[0.0, 0.0], b=3.0), 2.0, 2.0, CHEAP)
+    rep = dorronsoro_ratio(catalog("affine", a=[0.0, 0.0], b=3.0), replace(CHEAP, q=2.0))
     assert rep.degenerate
     assert math.isnan(rep.ratio)
 
 
 def test_dorronsoro_stability_identity_at_unit_dilation():
     f = catalog("gaussian")
-    base = dorronsoro_ratio(f, 2.0, 2.0, CHEAP)
-    rep = dorronsoro_stability(f, 2.0, 2.0, CHEAP, 1.0, base=base)
+    base = dorronsoro_ratio(f, replace(CHEAP, q=2.0))
+    rep = dorronsoro_stability(f, replace(CHEAP, q=2.0), 1.0, base=base)
     assert rep.lhs == rep.rhs == base.ratio
-    moved = dorronsoro_stability(f, 2.0, 2.0, CHEAP, 2.0, base=base)
+    moved = dorronsoro_stability(f, replace(CHEAP, q=2.0), 2.0, base=base)
     assert abs(moved.ratio - 1.0) < 0.2  # genuine truncation drift only
 
 
@@ -285,17 +284,17 @@ def test_stabilities_below_the_inequality_floor_are_degenerate():
     cfg = HarnessConfig(spec=QuadSpec(samples=2000, seed=3), sweep_samples=512,
                         per_decade=4, norm_dirs=8, norm_per_decade=4, r_min=1e-2,
                         r_max=1e1, t_per_decade=4, box_radius=2.0)
-    bases = (dorronsoro_ratio(f, 2.0, 1.0, cfg), poincare_ratio(f, 2.0, cfg))
+    bases = (dorronsoro_ratio(f, cfg), poincare_ratio(f, cfg))
     assert all(base.degenerate for base in bases)
     for s in (0.5, 1.0, 2.0):
-        for rep in (dorronsoro_stability(f, 2.0, 1.0, cfg, s, bases[0]),
-                    poincare_stability(f, 2.0, cfg, s, bases[1])):
+        for rep in (dorronsoro_stability(f, cfg, s, bases[0]),
+                    poincare_stability(f, cfg, s, bases[1])):
             assert rep.degenerate and math.isnan(rep.ratio), (rep.name, s, rep.ratio)
             assert 0.0 < rep.rhs <= 1e-12 * (1.0 + rep.lhs)
 
 
 def test_poincare_vanishes_on_z_only_fields():
-    rep = poincare_ratio(catalog("coordinate", axis=1), 2.0, CHEAP)
+    rep = poincare_ratio(catalog("coordinate", axis=1), CHEAP)
     assert rep.lhs == 0.0
     assert rep.truncation[0] == 0.0
     assert not rep.degenerate
@@ -303,9 +302,9 @@ def test_poincare_vanishes_on_z_only_fields():
 
 
 def test_poincare_gaussian_cheap():
-    rep = poincare_ratio(catalog("gaussian"), 2.0, CHEAP)
+    rep = poincare_ratio(catalog("gaussian"), CHEAP)
     assert 0.1 < rep.ratio < 10.0
-    st = poincare_stability(catalog("gaussian"), 2.0, CHEAP, 1.0, base=rep)
+    st = poincare_stability(catalog("gaussian"), CHEAP, 1.0, base=rep)
     assert st.lhs == st.rhs == rep.ratio
 
 
@@ -313,18 +312,16 @@ def test_inequalities_and_stabilities_at_n2_grid():
     # one body per inequality serves the base run and every dilation; at
     # this budget the n = 2 lhs truncation is inf and the s = 2 Dorronsoro
     # stability reads about 1.9, so only sanity is asserted, no bands
-    cfg = replace(CHEAP, n=2, spec=QuadSpec(mode="grid", grid_per_axis=6))
+    cfg = replace(CHEAP, n=2, q=2.0, spec=QuadSpec(mode="grid", grid_per_axis=6))
     f = catalog("gaussian", n=2)
     for base, stability in (
-        (dorronsoro_ratio(f, 2.0, 2.0, cfg),
-         lambda s, base: dorronsoro_stability(f, 2.0, 2.0, cfg, s, base=base)),
-        (poincare_ratio(f, 2.0, cfg),
-         lambda s, base: poincare_stability(f, 2.0, cfg, s, base=base)),
+        (dorronsoro_ratio(f, cfg), dorronsoro_stability),
+        (poincare_ratio(f, cfg), poincare_stability),
     ):
         assert base.params["n"] == 2
         assert not base.degenerate and 0.0 < base.ratio < math.inf
         for s in (0.5, 1.0, 2.0):
-            rep = stability(s, base)
+            rep = stability(f, cfg, s, base=base)
             assert not rep.degenerate and 0.0 < rep.ratio < math.inf
             assert rep.params["s"] == s
             if s == 1.0:
@@ -340,7 +337,7 @@ def test_poincare_head_continues_from_t_min(monkeypatch):
         return power_head(xs, integrand, edge)
 
     monkeypatch.setattr(verify, "power_head", recording_head)
-    poincare_ratio(catalog("gaussian"), 2.0, CHEAP)
+    poincare_ratio(catalog("gaussian"), CHEAP)
     assert edges == [CHEAP.t_min]
 
 
@@ -348,7 +345,7 @@ def _traced_poincare_sides(f, config):
     polar = config.domain()  # the template and shells are not the shifts' cost
     tracemalloc.start()
     try:
-        sides = verify._poincare_sides(f, 2.0, config, polar, 1.0)
+        sides = verify._poincare_sides(f, config, polar, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -373,9 +370,9 @@ def test_poincare_shifts_peak_at_one_block_of_t():
 
 def test_poincare_shift_blocks_keep_the_bits(monkeypatch):
     f = catalog("gaussian")
-    whole = verify._poincare_sides(f, 2.0, CHEAP, CHEAP.domain(), 1.5)
+    whole = verify._poincare_sides(f, CHEAP, CHEAP.domain(), 1.5)
     monkeypatch.setattr(verify, "_NODE_BUDGET", 50)  # one t node per block
-    blocked = verify._poincare_sides(f, 2.0, CHEAP, CHEAP.domain(), 1.5)
+    blocked = verify._poincare_sides(f, CHEAP, CHEAP.domain(), 1.5)
     assert whole[:2] == blocked[:2]
     for a, b in zip(whole[2], blocked[2]):
         assert np.array_equal(a, b)
@@ -394,9 +391,8 @@ def test_bad_dilation_factor_raises_one_line_before_any_work(s):
         "dilate": lambda: dilate(s, np.array([1.0, 0.0, 0.5])),
         "dilate-array": lambda: dilate(np.array([1.0, s]), np.zeros((2, 3))),
         "precompose_dilation": lambda: precompose_dilation(f, s),
-        "dorronsoro_stability": lambda: dorronsoro_stability(f, 2.0, 2.0, CHEAP, s,
-                                                             base),
-        "poincare_stability": lambda: poincare_stability(f, 2.0, CHEAP, s, base),
+        "dorronsoro_stability": lambda: dorronsoro_stability(f, CHEAP, s, base),
+        "poincare_stability": lambda: poincare_stability(f, CHEAP, s, base),
     }
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning on the way
@@ -410,9 +406,9 @@ def test_bad_dilation_factor_raises_one_line_before_any_work(s):
 def test_poincare_exponent_range():
     f = catalog("gaussian")
     with pytest.raises(ValueError, match="p"):
-        poincare_ratio(f, 3.0, CHEAP)
+        poincare_ratio(f, replace(CHEAP, p=3.0))
     with pytest.raises(ValueError, match="p"):
-        poincare_ratio(f, 1.0, CHEAP)
+        poincare_ratio(f, replace(CHEAP, p=1.0))
 
 
 def test_identity_suite_grid_certified_and_exact():
@@ -681,6 +677,9 @@ def test_power_tail_dead_and_unsummable_cases():
     assert power_tail(TAIL_DOMAIN, np.ones(5)) == math.inf
     # a single positive mean leaves no decay rate to continue with
     assert power_tail(TAIL_DOMAIN, np.array([0.0, 0.0, 0.0, 0.0, 1e-5])) == math.inf
+    # a mean that overflowed bounds nothing, even a dead outermost one
+    for bad in (math.inf, math.nan):
+        assert power_tail(TAIL_DOMAIN, np.array([1.0, 0.5, bad, 0.1, 0.0])) == math.inf
     # an exact power law rho^-6 integrates in closed form
     means = TAIL_RHO**-6.0
     want = 4.0 * TAIL_EDGE ** (4 - 6) / (6 - 4)
@@ -739,8 +738,8 @@ def test_grad_magnitude_evaluates_the_gradient_once_with_the_same_bits(n):
             horizontal_derivative(field, j, polar.pts) ** 2 for j in range(1, 2 * n + 1)
         ))
         want = shell_lp(mag, polar.vols, 2.0)[0]
-        for sides in (lambda: verify._dorronsoro_sides(field, 2.0, 1.0, cfg, polar, 1.0),
-                      lambda: verify._poincare_sides(field, 2.0, cfg, polar, 1.0)):
+        for sides in (lambda: verify._dorronsoro_sides(field, cfg, polar, 1.0),
+                      lambda: verify._poincare_sides(field, cfg, polar, 1.0)):
             calls.clear()
             assert sides()[1] == want
             assert len(calls) == (1 if field is counted else 0)
