@@ -5,6 +5,12 @@ array of shape (...).  Support metadata, when present, certifies
 |f(x)| <= decay_bound(N(x)) whenever N(x) >= support_radius, and likewise
 |grad_H f(x)| <= grad_decay_bound(N(x)); truncation accounting downstream
 relies on those certificates and reports infinite bounds without them.
+sign_symmetric certifies f o sigma = c_sigma f, c_sigma = +-1, for every
+sign automorphism sigma of hgroup.sign_automorphisms, bit for bit; the
+norm path's square functions then sweep one point per orbit
+(squarefn.g_window_values).  Like a wrong decay_bound, which gives wrong
+truncations, a wrong certificate gives wrong norms: affine fields with
+a != 0 do not carry it.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ class ScalarField:
     support_radius: float | None = None
     decay_bound: Callable[[Array], Array] | None = None
     grad_decay_bound: Callable[[Array], Array] | None = None
+    sign_symmetric: bool = False
 
 
 def _zsq(p):
@@ -90,6 +97,7 @@ def _gaussian(n: int) -> ScalarField:
         support_radius=1.0,
         decay_bound=_gauss_envelope,
         grad_decay_bound=_gauss_grad_bound(n),
+        sign_symmetric=True,
     )
 
 
@@ -136,6 +144,7 @@ def _bump(n: int) -> ScalarField:
         support_radius=1.0,
         decay_bound=zero,
         grad_decay_bound=zero,
+        sign_symmetric=True,
     )
 
 
@@ -195,6 +204,7 @@ def _vertical_wave(n: int, omega: float = 1.0) -> ScalarField:
         support_radius=1.0,
         decay_bound=_gauss_envelope,
         grad_decay_bound=_gauss_grad_bound(n, omega),
+        sign_symmetric=True,
     )
 
 
@@ -209,11 +219,13 @@ def _coordinate(n: int, axis=1) -> ScalarField:
             p = np.asarray(p, dtype=float)
             return 0.5 * np.concatenate([-p[..., n:-1], p[..., :n]], axis=-1)
 
-        return ScalarField(label="coordinate(t)", n=n, eval=ev, analytic_hgrad=grad)
+        return ScalarField(label="coordinate(t)", n=n, eval=ev, analytic_hgrad=grad,
+                           sign_symmetric=True)
     j = _integer(axis, "coordinate axis")
     if not 1 <= j <= 2 * n:
         raise ValueError(f"coordinate axis must be 't' or an index in 1..{2 * n}")
-    return replace(_affine(n, np.eye(2 * n)[j - 1], 0.0), label=f"coordinate(z{j})")
+    return replace(_affine(n, np.eye(2 * n)[j - 1], 0.0), label=f"coordinate(z{j})",
+                   sign_symmetric=True)
 
 
 def _quadratic(n: int, j: int = 1, k: int = 1) -> ScalarField:
@@ -232,7 +244,8 @@ def _quadratic(n: int, j: int = 1, k: int = 1) -> ScalarField:
         out[..., k - 1] += p[..., j - 1]
         return out
 
-    return ScalarField(label=f"quadratic(z{j}*z{k})", n=n, eval=ev, analytic_hgrad=grad)
+    return ScalarField(label=f"quadratic(z{j}*z{k})", n=n, eval=ev, analytic_hgrad=grad,
+                       sign_symmetric=True)
 
 
 _BUILDERS = {

@@ -17,6 +17,8 @@ and X_j at the origin is the j-th standard basis vector.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 Point = np.ndarray
@@ -54,6 +56,17 @@ def group_mul(a: Point, b: Point) -> Point:
 def inverse(a: Point) -> Point:
     """Group inverse; under the chosen law it is plain negation."""
     return -np.asarray(a, dtype=float)
+
+
+def sign_automorphisms(n: int) -> np.ndarray:
+    """The 2^(n+1) sign flips sigma(x, y, t) = (S x, eps S y, eps t), with S
+    diagonal +-1 and eps = +-1, as coordinate sign rows of shape
+    (2^(n+1), 2n+1), the identity first.  Each is a group automorphism that
+    keeps the gauge: sigma(a) * sigma(b) = sigma(a * b) and
+    N(sigma(a)) = N(a), and p * sigma applies it to points p, bit for bit."""
+    return np.array([s + tuple(eps * v for v in s) + (eps,)
+                     for eps in (1.0, -1.0)
+                     for s in itertools.product((1.0, -1.0), repeat=n)])
 
 
 def _check_dilation(s) -> None:

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .beta import _ball_list, scale_sweep
-from .hgroup import half_dim, horizontal_derivative
+from .hgroup import half_dim, horizontal_derivative, sign_automorphisms
 from .quad import (
     QuadSpec,
     ScaleGrid,
@@ -157,6 +157,22 @@ def s_alpha(f, x, alpha: float, grid: ScaleGrid, spec: QuadSpec) -> SquareFnResu
     return _square_function(f, x, alpha, grid, spec, centered=True)
 
 
+def _sign_orbit_index(f, pts: Array) -> Array:
+    """For each row of pts (k, dim), the lowest index j with pts[j] equal to
+    sigma(pts[i]) byte for byte for some sign automorphism sigma, when f
+    certifies f o sigma = +-f; else (and for a row with no partner) i."""
+    rep = np.arange(len(pts))
+    if not getattr(f, "sign_symmetric", False):
+        return rep
+    first = {}
+    for i, row in enumerate(pts):
+        first.setdefault(row.tobytes(), i)
+    for sigma in sign_automorphisms(half_dim(pts)):
+        for i, row in enumerate(pts * sigma):
+            rep[i] = min(rep[i], first.get(row.tobytes(), i))
+    return rep
+
+
 def g_window_values(f, pts: Array, rs: Array, coef: Array, h: float, d: int,
                     q: float, tpl, workers: int = 1) -> Array:
     """Square-function values with an explicit scale window.
@@ -165,11 +181,24 @@ def g_window_values(f, pts: Array, rs: Array, coef: Array, h: float, d: int,
     x in pts.  Callers pass coef = w^-alpha with w the window nodes, which
     lets a dilated run keep the undilated weights (the covariance of beta
     under dilation does the rest).  The sweep runs on workers threads.
+
+    A sign automorphism sigma (hgroup.sign_automorphisms) maps B(x, r)
+    onto B(sigma x, r), and the ball templates are closed under coordinate
+    sign flips, so the sweep places B(sigma x, r)'s nodes at sigma of
+    B(x, r)'s, in permuted order.  For a field with f o sigma = +-f
+    (f.sign_symmetric) the sweep therefore runs once per orbit, on the
+    lowest-index point of each, and the values are indexed back.  They are
+    the unreduced values bit for bit with a Monte Carlo template at n = 1,
+    and to rounding where the permutation reorders a sum (n >= 2, grid
+    templates) or the template is symmetric only to rounding (grid
+    midpoints at a grid_per_axis that is not a power of 2).
     """
     flat = pts.reshape(-1, pts.shape[-1])
-    sweep = scale_sweep(f, flat, rs, d, q, tpl, want_se=False, workers=workers,
-                        amax=False)
-    return _square_from_profile(coef, h, sweep["beta"]).reshape(pts.shape[:-1])
+    reps, back = np.unique(_sign_orbit_index(f, flat), return_inverse=True)
+    sweep = scale_sweep(f, flat[reps], rs, d, q, tpl, want_se=False,
+                        workers=workers, amax=False)
+    values = _square_from_profile(coef, h, sweep["beta"])
+    return values[back].reshape(pts.shape[:-1])
 
 
 def gradient_comparison(

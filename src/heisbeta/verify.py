@@ -311,7 +311,8 @@ def _stability(name: str, sides, f: ScalarField, config: HarnessConfig, s: float
                 else sides(f, config, config.domain(), s)[:2])
     params = dict(base.params) | {"s": s, "base_ratio": base.ratio}
     if not rhs > _inequality_floor(lhs):
-        return _report(name, lhs, rhs, params, rhs_floor=_inequality_floor(lhs))
+        return _report(name, lhs, rhs, params, base.truncation,
+                       rhs_floor=_inequality_floor(lhs))
     return _report(name, lhs / rhs, base.ratio, params, base.truncation)
 
 

@@ -478,7 +478,7 @@ def test_overflowing_affine_field_runs_without_a_numpy_warning(capsys, argv, cod
     """At a = 1e200 the squares, |.|^p and the orbit spread overflow to inf,
     which the reports carry; numpy warns of none of it.  The Dorronsoro
     truncation bound is inf on both sides, not the nan of a log-log fit to
-    inf or of inf * 0."""
+    inf or of inf * 0, and each stability report carries it."""
     argv = argv + ["--field", "affine:a=1e200,1e200", "--samples", "256",
                    "--no-timestamp"]
     with warnings.catch_warnings(record=True) as caught:
@@ -486,8 +486,9 @@ def test_overflowing_affine_field_runs_without_a_numpy_warning(capsys, argv, cod
         assert run_main(argv) == code
     assert not caught, [str(warning.message) for warning in caught]
     out = capsys.readouterr().out
-    if argv[0] == "dorronsoro":
-        assert strict_json(out)["reports"][0]["truncation"] == ["inf", "inf"]
+    if argv[0] == "dorronsoro":  # the stabilities carry the base truncation
+        for report in strict_json(out)["reports"]:
+            assert report["truncation"] == ["inf", "inf"]
 
 
 @pytest.mark.parametrize("argv", [

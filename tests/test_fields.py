@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from heisbeta.fields import _EXP_ZERO, catalog, precompose_dilation
-from heisbeta.hgroup import dilate, gauge, group_mul, horizontal_derivative
+from heisbeta.hgroup import (dilate, gauge, group_mul, horizontal_derivative,
+                             sign_automorphisms)
 
 from conftest import random_points
 
@@ -330,3 +331,29 @@ def test_default_parameters():
     c = catalog("coordinate")
     p = np.array([3.0, 5.0, 7.0])
     assert c.eval(p) == 3.0
+
+
+SIGN_CASES = [
+    ("gaussian", {}), ("bump", {}), ("vertical-wave", {}), ("coordinate", {}),
+    ("coordinate", {"axis": "t"}), ("quadratic", {}), ("quadratic", {"j": 1, "k": 2}),
+    ("affine", {}), ("affine", {"b": 0.0}),
+]
+
+
+@pytest.mark.parametrize("name, params", SIGN_CASES)
+@pytest.mark.parametrize("n", [1, 2])
+def test_sign_certificate_holds_exactly_where_it_is_set(name, params, n):
+    """f(sigma y) = c_sigma f(y) bit for bit, one sign per sign automorphism
+    sigma, on random points exactly for the fields that certify it; affine
+    maps with a != 0 fail it.  Dilation keeps the certificate."""
+    f = catalog(name, n=n, **params)
+    rng = np.random.default_rng(73)
+    y = random_points(rng, 64, n, z_extent=0.3, t_extent=0.2)  # inside the bump
+    fy = f.eval(y)
+    assert np.all(fy != 0.0)
+    holds = all(
+        np.array_equal(f.eval(y * sigma), fy) or np.array_equal(f.eval(y * sigma), -fy)
+        for sigma in sign_automorphisms(n)
+    )
+    assert holds == f.sign_symmetric == (name != "affine")
+    assert precompose_dilation(f, 2.0).sign_symmetric == f.sign_symmetric

@@ -13,6 +13,7 @@ from heisbeta.hgroup import (
     horizontal_gradient,
     inverse,
     origin,
+    sign_automorphisms,
 )
 
 from conftest import random_points, rel_err
@@ -175,3 +176,18 @@ def test_horizontal_gradient_stacks_the_frame_derivatives(n):
     assert horizontal_gradient(f, pts[0]).shape == (2 * n,)
     with pytest.raises(ValueError, match="odd trailing axis"):
         horizontal_gradient(f, np.zeros(4))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sign_automorphisms_keep_the_group_law_and_the_gauge(n):
+    """sigma(a) * sigma(b) = sigma(a * b) and N(sigma(a)) = N(a), bit for
+    bit, for each of the 2^(n+1) sign flips, the identity first."""
+    sigmas = sign_automorphisms(n)
+    assert sigmas.shape == (2 ** (n + 1), 2 * n + 1)
+    assert np.all(sigmas[0] == 1.0) and len(np.unique(sigmas, axis=0)) == len(sigmas)
+    rng = np.random.default_rng(71)
+    a, b = random_points(rng, 40, n), random_points(rng, 40, n)
+    for sigma in sigmas:
+        assert np.array_equal(sigma[:n], sigma[n:-1] * sigma[-1])
+        assert np.array_equal(group_mul(a * sigma, b * sigma), group_mul(a, b) * sigma)
+        assert np.array_equal(gauge(a * sigma), gauge(a))

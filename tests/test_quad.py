@@ -12,7 +12,7 @@ import pytest
 from heisbeta import quad
 from heisbeta.beta import scale_sweep
 from heisbeta.fields import catalog
-from heisbeta.hgroup import dilate, gauge, group_mul
+from heisbeta.hgroup import dilate, gauge, group_mul, sign_automorphisms
 from heisbeta.quad import (
     NODE_CEILING,
     QuadSpec,
@@ -514,3 +514,17 @@ def test_template_requests_above_ceiling_rejected():
     check_template_request(11, QuadSpec(samples=1))  # 2^23 orbit nodes
     with pytest.raises(ValueError, match="33554432 nodes"):
         check_template_request(12, QuadSpec(samples=1))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_ball_templates_are_closed_under_sign_automorphisms(n):
+    """The Monte Carlo template, the grid template and the grid's coarse
+    twin each hold sigma(u) for every node u and sign automorphism sigma,
+    which lets the square-function sweep reuse B(x, r) for B(sigma x, r).
+    The grid's midpoints (2k + 1) / p - 1 are exact for p a power of 2; at
+    other p, the default 24 among them, they are symmetric to 1.1e-16."""
+    grid = ball_template(n, QuadSpec(mode="grid", grid_per_axis=8))
+    for tpl in (ball_template(n, QuadSpec(samples=2048)), grid, grid.coarse):
+        nodes = set(map(tuple, tpl.nodes.tolist()))
+        for sigma in sign_automorphisms(n):
+            assert set(map(tuple, (tpl.nodes * sigma).tolist())) == nodes

@@ -350,3 +350,55 @@ def test_gradient_comparison_ball_list_matches_scalar_calls(n):
     np.testing.assert_allclose(rhs, want[:, 1], rtol=1e-10, atol=0.0)
     with pytest.raises(ValueError, match="radius"):
         gradient_comparison(f, xs, np.where(np.arange(6) == 2, -1.0, rs), spec=spec)
+
+
+def _window_call(f, config, tpl, q=1.0):
+    grid = config.scale_grid
+    rs = grid.nodes()
+    return g_window_values(f, config.domain().pts, rs, rs**-1.0, grid.log_step, 1, q,
+                           tpl)
+
+
+@pytest.mark.parametrize("n, spec, exact", [
+    (1, QuadSpec(samples=512), True),
+    (1, QuadSpec(mode="grid", grid_per_axis=8), False),
+    (2, QuadSpec(samples=512), False),
+], ids=["n1-montecarlo", "n1-grid", "n2-montecarlo"])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+@pytest.mark.parametrize("name", ["gaussian", "bump", "vertical-wave"])
+def test_sign_orbit_reduction_keeps_the_window_values(name, q, n, spec, exact):
+    """A certified field's window values on the norm domain equal those of
+    the same field without the certificate: bit for bit with the Monte
+    Carlo template at n = 1, whose sign orbits sit in aligned blocks of 8
+    that numpy's and the BLAS's reductions add as trees of pairs, which a
+    flip only permutes; to rounding, 4e-15 of the largest value, where a
+    flip reorders a sum (the grid template, and orbits of 32 nodes at
+    n = 2)."""
+    config = HarnessConfig(n=n, sweep_samples=512, per_decade=4)
+    f, tpl = catalog(name, n=n), ball_template(n, spec)
+    got = _window_call(f, config, tpl, q)
+    want = _window_call(replace(f, sign_symmetric=False), config, tpl, q)
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) <= 4e-15 * np.max(want)
+
+
+@pytest.mark.parametrize("n, share", [(1, 4), (2, 8)])
+def test_certified_fields_sweep_one_centre_per_sign_orbit(n, share):
+    """The default norm domain is whole sign orbits of the 2^(n+1) sign
+    automorphisms: a certified field evaluates 1/4 (n = 1) or 1/8 (n = 2)
+    of the ball nodes, an uncertified one all of them."""
+    config = HarnessConfig(n=n, sweep_samples=512, per_decade=2)
+    tpl = ball_template(n, config.sweep_spec)
+    nodes = config.domain().pts[..., 0].size * config.scale_grid.count * len(tpl.nodes)
+    gauss = catalog("gaussian", n=n)
+    for certified, want in ((True, nodes // share), (False, nodes)):
+        points = []
+
+        def ev(p):
+            points.append(p[..., 0].size)
+            return gauss.eval(p)
+
+        _window_call(replace(gauss, eval=ev, sign_symmetric=certified), config, tpl)
+        assert sum(points) == want
